@@ -195,7 +195,7 @@ func (s *Server) handleCommitAsync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AsyncCommitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.readCommitRequest(w, r, &req, true); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return
 	}

@@ -597,3 +597,44 @@ func TestAdminResetCaches(t *testing.T) {
 		t.Errorf("recompute should register a fresh miss: %+v", post.PlanCache)
 	}
 }
+
+// TestSyncCommitIgnoresWebhook pins the synchronous endpoint's contract
+// on "webhook": a body carrying one, as a URL or as a value the async
+// endpoint would refuse, gets the same response and history as the body
+// without it, and no delivery is ever attempted.
+func TestSyncCommitIgnoresWebhook(t *testing.T) {
+	outbox := notify.NewOutbox()
+	withHook, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: outbox})
+	plain, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{})
+	for i, hook := range []string{`"http://127.0.0.1:1/hook"`, `5`} {
+		preds, err := json.Marshal(goodPredictions(t, labels, 0.9, int64(30+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := fmt.Sprintf(`{"model":"m%d","predictions":%s`, i, preds)
+		got := postRaw(withHook, "/api/v1/commit", []byte(base+`,"webhook":`+hook+`}`))
+		want := postRaw(plain, "/api/v1/commit", []byte(base+`}`))
+		if got.Code != http.StatusOK || got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Fatalf("webhook %s: got %d %s, want %d %s", hook, got.Code, got.Body.String(), want.Code, want.Body.String())
+		}
+	}
+	gotHist, _ := doJSON(t, withHook, http.MethodGet, "/api/v1/history", nil)
+	wantHist, _ := doJSON(t, plain, http.MethodGet, "/api/v1/history", nil)
+	if gotHist.Body.String() != wantHist.Body.String() {
+		t.Fatalf("history with webhook %s, without %s", gotHist.Body.String(), wantHist.Body.String())
+	}
+	// Close drains every pending delivery, so an attempted one would be
+	// in the outbox and the counters by now.
+	withHook.Close()
+	if hooks := outbox.ByKind(notify.KindWebhook); len(hooks) != 0 {
+		t.Fatalf("sync commits delivered %d webhooks: %+v", len(hooks), hooks)
+	}
+	var m MetricsResponse
+	rec, _ := doJSON(t, withHook, http.MethodGet, "/api/v1/metrics", nil)
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.WebhooksSent != 0 || m.WebhooksFailed != 0 {
+		t.Fatalf("webhook counters = sent %d failed %d, want 0/0", m.WebhooksSent, m.WebhooksFailed)
+	}
+}

@@ -24,8 +24,12 @@
 //	GET  /api/v1/metrics     plan-cache, exact-bound-memo, worst-case-sweep,
 //	                         commit-queue, and webhook counters
 //	POST /api/v1/commit      {"model":..., "author":..., "message":..., "predictions":[...]}
-//	POST /api/v1/commit/async       same payload plus optional "webhook";
-//	                                202 + job ID, evaluated FIFO off the queue
+//	                         in any valid JSON layout, at most 1 MiB + 32
+//	                         bytes per current testset example (larger
+//	                         bodies answer 400); "webhook" is ignored
+//	POST /api/v1/commit/async       same payload and limit plus optional
+//	                                "webhook"; 202 + job ID, evaluated FIFO
+//	                                off the queue
 //	GET  /api/v1/commit/jobs/{id}   poll one job (DELETE cancels it while queued)
 //	POST /api/v1/testset     {"labels":[...], "active_predictions":[...]}  (rotation)
 //	POST /api/v1/admin/reset-caches clear plan cache + exact-bound memo,
@@ -114,6 +118,9 @@ type Server struct {
 	cfg   *script.Config
 	mux   *http.ServeMux
 	plans *planner.Cache
+	// testsetLen mirrors the current testset's size so commit handlers
+	// can bound and size a body without waiting for the engine lock.
+	testsetLen atomic.Int64
 
 	jobs     *queue.Queue[AsyncCommitRequest, CommitResponse]
 	webhooks notify.Notifier
@@ -384,6 +391,7 @@ func newServer(cfg *script.Config, eng *engine.Engine, opts Options, d *durableS
 		return nil, fmt.Errorf("server: nil config or engine")
 	}
 	s := &Server{eng: eng, cfg: cfg, mux: http.NewServeMux(), plans: planner.Default}
+	s.testsetLen.Store(int64(eng.Testsets().Current().Len()))
 	s.onEnqueue = opts.OnEnqueue
 	s.onDequeue = opts.OnDequeue
 	s.labelQuota = opts.LabelQuota
@@ -1128,8 +1136,8 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req CommitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var req AsyncCommitRequest
+	if err := s.readCommitRequest(w, r, &req, false); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return
 	}
@@ -1139,7 +1147,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Submit kicks the shared scheduler itself (under the queue lock, via
 	// the OnSubmit hook), so an accepted job is always a scheduled job.
-	job, err := s.jobs.Submit(AsyncCommitRequest{CommitRequest: req})
+	job, err := s.jobs.Submit(req)
 	if err != nil {
 		writeStorageError(w, http.StatusServiceUnavailable, err)
 		return
@@ -1188,6 +1196,7 @@ func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
+	s.testsetLen.Store(int64(len(next.Y)))
 	gen := s.eng.Testsets().Current().Generation
 	// A remote-sourced server swaps in the new generation's provider
 	// client: the factory gets the fresh ground truth, and any verified-
