@@ -286,3 +286,64 @@ func TestReplayRawLifecycleRecords(t *testing.T) {
 		t.Fatalf("order after replay = %+v", order)
 	}
 }
+
+// TestBackupRoundTrip: Backup's (snapshot, log) pair, written into a
+// fresh directory, reopens to the same project table; a memory-only
+// registry has nothing to back up.
+func TestBackupRoundTrip(t *testing.T) {
+	mem, err := Open("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, log, err := mem.Backup(); snap != nil || log != nil || err != nil {
+		t.Fatalf("in-memory Backup = %q, %q, %v; want nothing", snap, log, err)
+	}
+
+	r, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, id := range []string{"alpha", "beta", "gamma"} {
+		if err := r.Create(id, spec(fmt.Sprintf(`{"name":%q}`, id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Suspend("beta"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete("gamma"); err != nil {
+		t.Fatal(err)
+	}
+	snap, log, err := r.Backup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) == 0 || len(log) == 0 {
+		t.Fatalf("durable Backup returned a %d-byte snapshot and a %d-byte log", len(snap), len(log))
+	}
+	// Work after the backup is not in it.
+	if err := r.Create("delta", spec(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	got := restored.List()
+	if len(got) != 2 || got[0].ID != "alpha" || got[0].State != Active || got[1].ID != "beta" || got[1].State != Suspended {
+		t.Fatalf("restored projects = %+v, want alpha (active) and beta (suspended)", got)
+	}
+	if string(got[0].Spec) != `{"name":"alpha"}` {
+		t.Fatalf("restored alpha spec = %s", got[0].Spec)
+	}
+}

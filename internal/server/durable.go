@@ -229,16 +229,21 @@ func (g Genesis) genesisRecord() recGenesis {
 }
 
 // datasetFromLabels builds the index-featured dataset the HTTP surface
-// trades in: example i has feature vector [i] and label labels[i].
+// trades in: example i has feature vector [i] and label labels[i]. The
+// feature rows share one backing array, and Y is a copy of labels.
 func datasetFromLabels(name string, labels []int, classes int) (*data.Dataset, error) {
-	ds := &data.Dataset{Name: name, Classes: classes}
 	for i, y := range labels {
 		if y < 0 || y >= classes {
 			return nil, fmt.Errorf("label %d out of range at %d", y, i)
 		}
-		ds.X = append(ds.X, []float64{float64(i)})
-		ds.Y = append(ds.Y, y)
 	}
+	feat := make([]float64, len(labels))
+	x := make([][]float64, len(labels))
+	for i := range feat {
+		feat[i] = float64(i)
+		x[i] = feat[i : i+1 : i+1]
+	}
+	ds := &data.Dataset{Name: name, X: x, Y: append([]int(nil), labels...), Classes: classes}
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}

@@ -385,3 +385,28 @@ func TestJobCancelWhileParked(t *testing.T) {
 		t.Error("canceled job released")
 	}
 }
+
+// TestParkReleaseKicksScheduler: every parked job released back to the
+// queue runs the OnEnqueue hook, so a shared scheduler sees its credit.
+func TestParkReleaseKicksScheduler(t *testing.T) {
+	var kicks int
+	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
+		ManualQueue:   true,
+		ManualRelease: true,
+		OracleFactory: flakyFactory(2),
+		OnEnqueue:     func() { kicks++ },
+	})
+	submitAsync(t, srv, "/api/v1/commit/async", labels, "cand", 2)
+	if kicks != 1 {
+		t.Fatalf("kicks after submit = %d, want 1", kicks)
+	}
+	if !srv.RunNextJob() || srv.ParkedCount() != 1 {
+		t.Fatalf("job did not park: parked = %d", srv.ParkedCount())
+	}
+	if got := srv.ReleaseParked(); got != 1 {
+		t.Fatalf("ReleaseParked = %d", got)
+	}
+	if kicks != 2 {
+		t.Fatalf("kicks after release = %d, want 2", kicks)
+	}
+}

@@ -32,6 +32,9 @@
 //	                                off the queue
 //	GET  /api/v1/commit/jobs/{id}   poll one job (DELETE cancels it while queued)
 //	POST /api/v1/testset     {"labels":[...], "active_predictions":[...]}  (rotation)
+//	                         in any valid JSON layout, at most 2 MiB + 64
+//	                         bytes per current testset example (larger
+//	                         bodies answer 400)
 //	POST /api/v1/admin/reset-caches clear plan cache + exact-bound memo,
 //	                                returning the pre-reset counters
 //
@@ -95,7 +98,6 @@ import (
 
 	"github.com/easeml/ci/internal/bounds"
 	"github.com/easeml/ci/internal/core"
-	"github.com/easeml/ci/internal/data"
 	"github.com/easeml/ci/internal/engine"
 	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/model"
@@ -1167,7 +1169,7 @@ func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RotateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.readRotateRequest(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return
 	}
@@ -1175,15 +1177,10 @@ func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "labels and active_predictions must be non-empty and equal length")
 		return
 	}
-	classes := s.cfgClasses()
-	next := &data.Dataset{Name: "rotated", Classes: classes}
-	for i, y := range req.Labels {
-		if y < 0 || y >= classes {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("label %d out of range at %d", y, i))
-			return
-		}
-		next.X = append(next.X, []float64{float64(i)})
-		next.Y = append(next.Y, y)
+	next, err := datasetFromLabels("rotated", req.Labels, s.cfgClasses())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

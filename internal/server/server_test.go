@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -248,10 +249,10 @@ func TestRotateValidation(t *testing.T) {
 		t.Errorf("empty rotate status = %d", rec.Code)
 	}
 	rec, _ = doJSON(t, srv, http.MethodPost, "/api/v1/testset", RotateRequest{
-		Labels: []int{99}, ActivePredictions: []int{0},
+		Labels: []int{0, 99}, ActivePredictions: []int{0, 0},
 	})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad label rotate status = %d", rec.Code)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "label 99 out of range at 1") {
+		t.Errorf("bad label rotate status = %d: %s", rec.Code, rec.Body.String())
 	}
 	rec, _ = doJSON(t, srv, http.MethodGet, "/api/v1/testset", nil)
 	if rec.Code != http.StatusMethodNotAllowed {

@@ -525,3 +525,68 @@ func TestMigrationResumesAfterCrashAtRename(t *testing.T) {
 		t.Fatal("resumed migration left the legacy wal.log at the root")
 	}
 }
+
+// TestBackupFingerprint reads the genesis fingerprint from a staged
+// tenant directory: from the snapshot when there is one, else from the
+// log's genesis record, and refuses a directory holding neither.
+func TestBackupFingerprint(t *testing.T) {
+	g, labels := durableGenesis(t, 3, testSize)
+	want := g.fingerprint()
+
+	logOnly := t.TempDir()
+	srv, err := NewDurable(g, logOnly, Options{Webhooks: notify.NewOutbox(), CompactAt: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, srv, "/api/v1/commit", labels, "m0", 10)
+	waitQuiescent(t, srv, 0)
+	// Abandon without Close: the directory keeps only its log.
+	if got, err := backupFingerprint(logOnly); err != nil || got != want {
+		t.Fatalf("log-only fingerprint = %q, %v; want %q", got, err, want)
+	}
+
+	snapshotted := t.TempDir()
+	srv, err = NewDurable(g, snapshotted, Options{Webhooks: notify.NewOutbox()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close() // compacts into snapshot.json
+	if got, err := backupFingerprint(snapshotted); err != nil || got != want {
+		t.Fatalf("snapshot fingerprint = %q, %v; want %q", got, err, want)
+	}
+
+	bad := func(files map[string]string) string {
+		dir := t.TempDir()
+		for name, content := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	for name, dir := range map[string]string{
+		"empty":            bad(nil),
+		"garbage snapshot": bad(map[string]string{"snapshot.json": "not json"}),
+		"garbage log":      bad(map[string]string{"wal.log": "not json\n"}),
+		"no genesis first": bad(map[string]string{"wal.log": `{"t":"commit","d":{}}` + "\n"}),
+	} {
+		if got, err := backupFingerprint(dir); err == nil {
+			t.Errorf("%s: fingerprint %q, want an error", name, got)
+		}
+	}
+}
+
+// TestHealthEndpointsGETOnly: the health endpoints answer 405 to any
+// other verb.
+func TestHealthEndpointsGETOnly(t *testing.T) {
+	m := newTestMulti(t, MultiOptions{})
+	defer m.Close()
+	for _, path := range []string{"/healthz", "/readyz"} {
+		if rec := doH(t, m, http.MethodPost, path, nil); rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s = %d, want 405", path, rec.Code)
+		}
+		if rec := doH(t, m, http.MethodGet, path, nil); rec.Code != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, rec.Code)
+		}
+	}
+}

@@ -1,10 +1,11 @@
 package server
 
-// The commit body's wire decoder. A commit carries one prediction per
-// testset example, so at large testsets decoding the body costs more than
-// evaluating it. Bodies in the layout every JSON encoder writes are read
-// in one pass over the bytes; everything else goes to encoding/json, which
-// stays the specification of what a body means.
+// The commit and rotation bodies' wire decoder. A commit carries one
+// prediction per testset example and a rotation two ints per example, so
+// at large testsets decoding a body costs more than acting on it. Bodies
+// in the layout every JSON encoder writes are read in one pass over the
+// bytes; everything else goes to encoding/json, which stays the
+// specification of what a body means.
 
 import (
 	"bytes"
@@ -18,21 +19,43 @@ import (
 // for any int64 pretty-printed with indentation.
 func commitBodyLimit(n int) int64 { return 1<<20 + 32*int64(n) }
 
+// rotateBodyLimit is the largest rotation body accepted while the current
+// testset has n examples: room for two commit-sized arrays.
+func rotateBodyLimit(n int) int64 { return 2 * commitBodyLimit(n) }
+
+// readBody reads a request body of at most limit bytes, refusing a longer
+// one with *http.MaxBytesError.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if r.ContentLength > 0 && r.ContentLength <= limit {
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
 // readCommitRequest reads a commit body, refusing one over
 // commitBodyLimit with *http.MaxBytesError, and decodes it into req.
 // withWebhook is true on the async endpoint only; the sync endpoint
 // ignores "webhook".
 func (s *Server) readCommitRequest(w http.ResponseWriter, r *http.Request, req *AsyncCommitRequest, withWebhook bool) error {
 	n := int(s.testsetLen.Load())
-	limit := commitBodyLimit(n)
-	var buf bytes.Buffer
-	if r.ContentLength > 0 && r.ContentLength <= limit {
-		buf.Grow(int(r.ContentLength) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+	body, err := readBody(w, r, commitBodyLimit(n))
+	if err != nil {
 		return err
 	}
-	return decodeCommitRequest(buf.Bytes(), n, req, withWebhook)
+	return decodeCommitRequest(body, n, req, withWebhook)
+}
+
+// readRotateRequest reads a rotation body, refusing one over
+// rotateBodyLimit with *http.MaxBytesError, and decodes it into req.
+func (s *Server) readRotateRequest(w http.ResponseWriter, r *http.Request, req *RotateRequest) error {
+	n := int(s.testsetLen.Load())
+	body, err := readBody(w, r, rotateBodyLimit(n))
+	if err != nil {
+		return err
+	}
+	return decodeRotateRequest(body, n, req)
 }
 
 // decodeCommitRequest decodes a commit body into req exactly as
@@ -60,17 +83,33 @@ func decodeCommitRequest(body []byte, n int, req *AsyncCommitRequest, withWebhoo
 	return json.NewDecoder(bytes.NewReader(body)).Decode(dst)
 }
 
+// decodeRotateRequest decodes a rotation body into req exactly as
+// encoding/json would, reading a canonical body in one pass. n, the
+// current testset size, sizes both arrays.
+func decodeRotateRequest(body []byte, n int, req *RotateRequest) error {
+	if decodeCanonicalRotate(body, n, req) {
+		return nil
+	}
+	*req = RotateRequest{}
+	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
+}
+
 // maxIntDigits keeps every canonical prediction inside int's range: 18
 // digits where int has 64 bits, 9 where it has 32.
 const maxIntDigits = 9 * (strconv.IntSize / 32)
 
-// Field bits for duplicate-key detection in decodeCanonicalCommit.
+// Field bits for duplicate-key detection in the canonical decoders.
 const (
 	fieldModel = 1 << iota
 	fieldAuthor
 	fieldMessage
 	fieldPredictions
 	fieldWebhook
+)
+
+const (
+	fieldLabels = 1 << iota
+	fieldActivePredictions
 )
 
 // decodeCanonicalCommit decodes body into req if it is canonical, and
@@ -88,6 +127,52 @@ const (
 // On false req holds partial values and the caller must reset it.
 func decodeCanonicalCommit(b []byte, n int, req *AsyncCommitRequest) bool {
 	*req = AsyncCommitRequest{}
+	return scanObject(b, func(key []byte, i int) (field uint8, j int, ok bool) {
+		switch string(key) {
+		case "model":
+			req.Model, j, ok = scanStringValue(b, i)
+			return fieldModel, j, ok
+		case "author":
+			req.Author, j, ok = scanStringValue(b, i)
+			return fieldAuthor, j, ok
+		case "message":
+			req.Message, j, ok = scanStringValue(b, i)
+			return fieldMessage, j, ok
+		case "predictions":
+			req.Predictions, j, ok = scanInts(b, i, n)
+			return fieldPredictions, j, ok
+		case "webhook":
+			req.Webhook, j, ok = scanStringValue(b, i)
+			return fieldWebhook, j, ok
+		}
+		return 0, i, false
+	})
+}
+
+// decodeCanonicalRotate is decodeCanonicalCommit for a rotation body: the
+// keys are "labels" and "active_predictions", each an int array in the
+// canonical form.
+func decodeCanonicalRotate(b []byte, n int, req *RotateRequest) bool {
+	*req = RotateRequest{}
+	return scanObject(b, func(key []byte, i int) (field uint8, j int, ok bool) {
+		switch string(key) {
+		case "labels":
+			req.Labels, j, ok = scanInts(b, i, n)
+			return fieldLabels, j, ok
+		case "active_predictions":
+			req.ActivePredictions, j, ok = scanInts(b, i, n)
+			return fieldActivePredictions, j, ok
+		}
+		return 0, i, false
+	})
+}
+
+// scanObject walks a canonical object that is all of b but whitespace.
+// For each key it calls value with the key and the index of its value;
+// value reads the value and returns the key's field bit and the index
+// after the value, or false for an unknown key or a non-canonical value.
+// scanObject reports whether the object was canonical with no key twice.
+func scanObject(b []byte, value func(key []byte, i int) (field uint8, j int, ok bool)) bool {
 	i := skipSpace(b, 0)
 	if i >= len(b) || b[i] != '{' {
 		return false
@@ -106,32 +191,12 @@ func decodeCanonicalCommit(b []byte, n int, req *AsyncCommitRequest) bool {
 		if i >= len(b) || b[i] != ':' {
 			return false
 		}
-		i = skipSpace(b, i+1)
-		var field uint8
-		switch string(key) {
-		case "model":
-			field = fieldModel
-			req.Model, i, ok = scanStringValue(b, i)
-		case "author":
-			field = fieldAuthor
-			req.Author, i, ok = scanStringValue(b, i)
-		case "message":
-			field = fieldMessage
-			req.Message, i, ok = scanStringValue(b, i)
-		case "predictions":
-			field = fieldPredictions
-			req.Predictions, i, ok = scanInts(b, i, n)
-		case "webhook":
-			field = fieldWebhook
-			req.Webhook, i, ok = scanStringValue(b, i)
-		default:
-			return false
-		}
+		field, j, ok := value(key, skipSpace(b, i+1))
 		if !ok || seen&field != 0 {
 			return false
 		}
 		seen |= field
-		i = skipSpace(b, i)
+		i = skipSpace(b, j)
 		if i >= len(b) {
 			return false
 		}

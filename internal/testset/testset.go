@@ -8,6 +8,7 @@ package testset
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/easeml/ci/internal/adaptivity"
 	"github.com/easeml/ci/internal/data"
@@ -110,16 +111,8 @@ func (t *Testset) RevealedCount() int { return t.revealedCount }
 // and returns how many labels were freshly paid for. When everything is
 // already revealed it returns 0 without touching the oracle.
 func (t *Testset) RevealAll(o labeling.BatchOracle) (fresh int, err error) {
-	if t.revealedCount == t.Len() {
-		return 0, nil
-	}
-	missing := make([]int, 0, t.Len()-t.revealedCount)
-	for i := 0; i < t.Len(); i++ {
-		if !t.revealed.Get(i) {
-			missing = append(missing, i)
-		}
-	}
-	return t.revealBatch(missing, o)
+	idx, err := t.RevealFirst(t.Len()-t.revealedCount, o)
+	return len(idx), err
 }
 
 // RevealWhere reveals the labels of the examples whose bit is set in want
@@ -135,12 +128,7 @@ func (t *Testset) RevealWhere(want evaluator.Bitmap, o labeling.BatchOracle) ([]
 	if missing == 0 {
 		return nil, nil
 	}
-	idx := make([]int, 0, missing)
-	for i := 0; i < t.Len(); i++ {
-		if want.Get(i) && !t.revealed.Get(i) {
-			idx = append(idx, i)
-		}
-	}
+	idx := t.unrevealed(want.Words(), missing)
 	if _, err := t.revealBatch(idx, o); err != nil {
 		return nil, err
 	}
@@ -163,12 +151,7 @@ func (t *Testset) RevealFirst(limit int, o labeling.BatchOracle) ([]int, error) 
 	if limit > missing {
 		limit = missing
 	}
-	idx := make([]int, 0, limit)
-	for i := 0; i < t.Len() && len(idx) < limit; i++ {
-		if !t.revealed.Get(i) {
-			idx = append(idx, i)
-		}
-	}
+	idx := t.unrevealed(nil, limit)
 	if _, err := t.revealBatch(idx, o); err != nil {
 		return nil, err
 	}
@@ -190,16 +173,36 @@ func (t *Testset) RevealChunk(want evaluator.Bitmap, limit int, o labeling.Batch
 	if limit <= 0 || limit > missing {
 		limit = missing
 	}
-	idx := make([]int, 0, limit)
-	for i := 0; i < t.Len() && len(idx) < limit; i++ {
-		if want.Get(i) && !t.revealed.Get(i) {
-			idx = append(idx, i)
-		}
-	}
+	idx := t.unrevealed(want.Words(), limit)
 	if _, err := t.revealBatch(idx, o); err != nil {
 		return nil, err
 	}
 	return idx, nil
+}
+
+// unrevealed returns, in ascending order, the first limit unrevealed
+// examples whose bit is set in want, or the first limit unrevealed
+// examples when want is nil. It scans a word at a time: the candidates of
+// a word are want &^ revealed, walked lowest bit first. limit must not
+// exceed the number of candidates.
+func (t *Testset) unrevealed(want []uint64, limit int) []int {
+	idx := make([]int, 0, limit)
+	rev := t.revealed.Words()
+	for w := 0; len(idx) < limit; w++ {
+		var c uint64
+		if want != nil {
+			c = want[w] &^ rev[w]
+		} else {
+			c = ^rev[w]
+			if r := t.Len() & 63; r != 0 && w == len(rev)-1 {
+				c &= 1<<uint(r) - 1
+			}
+		}
+		for ; c != 0 && len(idx) < limit; c &= c - 1 {
+			idx = append(idx, w<<6|bits.TrailingZeros64(c))
+		}
+	}
+	return idx
 }
 
 // Unreveal clears the revealed mark of the given examples (already-
