@@ -13,8 +13,10 @@ BENCH_OUT ?= BENCH_8.json
 # full search), the cold-search probe counts per bracket seed, the
 # estimator, the plan-cache hit path, the plan-cache contention pair
 # (single mutex vs sharded under >= 8 goroutines), a full engine commit,
-# the packed-vs-scalar commit-evaluation pair at n=1e5 (the packed side is
-# gated at 0 allocs/op by tools/benchdiff), full-commit throughput, and
+# the packed commit evaluation at n=1e5 (gated at 0 allocs/op by
+# tools/benchdiff; its retired scalar counterpart is still in BENCH_8.json
+# and only draws benchdiff's missing-benchmark warning), full-commit
+# throughput, and
 # the write-ahead log (unsynced append, append+fsync — the durable commit
 # point — and 1000-record replay, the fixed crash-restart cost),
 # aggregate commit throughput across 8 projects of the multi-tenant

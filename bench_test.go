@@ -457,13 +457,12 @@ func BenchmarkBennettSampleSize(b *testing.B) {
 	}
 }
 
-// --- commit evaluation: packed vs scalar ---------------------------------
+// --- commit evaluation ---------------------------------------------------
 
 // commitEvalEngine builds an engine over an n-example index dataset with a
 // fully-labeled (baseline-plan) condition, plus a candidate model, for the
-// commit-evaluation benchmarks. scalar selects the element-wise reference
-// path (the pre-packed pipeline, kept as the ablation baseline).
-func commitEvalEngine(b *testing.B, n int, scalar bool) (*engine.Engine, model.Predictor) {
+// commit-evaluation benchmarks.
+func commitEvalEngine(b *testing.B, n int) (*engine.Engine, model.Predictor) {
 	b.Helper()
 	ds := &data.Dataset{Name: "commit-eval", Classes: 4}
 	for i := 0; i < n; i++ {
@@ -485,7 +484,6 @@ func commitEvalEngine(b *testing.B, n int, scalar bool) (*engine.Engine, model.P
 	}
 	eng, err := engine.New(cfg, ds, labeling.NewTruthOracle(ds.Y), engine.Options{
 		InitialModel: model.NewFixedPredictions("h0", oldPreds),
-		ScalarEval:   scalar,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -500,37 +498,27 @@ func commitEvalEngine(b *testing.B, n int, scalar bool) (*engine.Engine, model.P
 // BenchmarkCommitEval measures steady-state commit evaluation — candidate
 // predictions, label access, {n, o, d} measurement, condition verdict — at
 // n=1e5 via engine.Evaluate (the measurement core without per-commit
-// bookkeeping). "packed" is the shipped bit-packed columnar path (target:
-// 0 allocs/op steady-state); "scalar" is the element-wise reference
-// pipeline it replaced, kept as the equivalence oracle — the pair is the
-// tentpole's >= 8x claim.
+// bookkeeping), on the bit-packed columnar path (target: 0 allocs/op
+// steady-state, which tools/benchdiff gates).
 func BenchmarkCommitEval(b *testing.B) {
 	const n = 100000
-	for _, mode := range []struct {
-		name   string
-		scalar bool
-	}{
-		{"packed", false},
-		{"scalar", true},
-	} {
-		b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-			eng, m := commitEvalEngine(b, n, mode.scalar)
-			// Warm up: first evaluation reveals every label.
-			ev, err := eng.Evaluate(m)
+	b.Run(fmt.Sprintf("packed/n=%d", n), func(b *testing.B) {
+		eng, m := commitEvalEngine(b, n)
+		// Warm up: first evaluation reveals every label.
+		ev, err := eng.Evaluate(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ev, err = eng.Evaluate(m)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ev, err = eng.Evaluate(m)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(ev.D, "d_hat")
-		})
-	}
+		}
+		b.ReportMetric(ev.D, "d_hat")
+	})
 }
 
 // BenchmarkCommitThroughput drives full commits (evaluation plus budget,
@@ -538,7 +526,7 @@ func BenchmarkCommitEval(b *testing.B) {
 // engine at n=1e5 and reports the commits/sec the serving queue can drain.
 func BenchmarkCommitThroughput(b *testing.B) {
 	const n = 100000
-	eng, m := commitEvalEngine(b, n, false)
+	eng, m := commitEvalEngine(b, n)
 	ds := eng.Testsets().Current().Data
 	h0 := model.NewFixedPredictions("h0", mustSimPreds(b, ds.Y, 0.8, 1))
 	oracle := labeling.NewTruthOracle(ds.Y)

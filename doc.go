@@ -73,16 +73,16 @@
 // (internal/engine) keeps the promoted baseline's correctness bitmap
 // cached across commits, narrows its label and baseline columns to bytes
 // when the alphabet allows (eight examples compared per word via a
-// zero-byte SWAR mask), reveals labels through one batched oracle call
-// per commit (labeling.BatchOracle, testset.RevealAll/RevealWhere)
-// instead of n round trips, and reuses its prediction buffers — so a
-// steady-state commit evaluation allocates nothing and runs an order of
-// magnitude faster than the element-wise pipeline (BenchmarkCommitEval:
-// ~16x at n=1e5). The element-wise path survives behind
-// engine.Options.ScalarEval as the equivalence oracle, property-tested to
-// produce bit-identical verdicts. Engine.Evaluate exposes the measurement
-// as a dry run ("what would this commit's verdict be?") without spending
-// budget or history, and the server reports commits_evaluated and
+// zero-byte SWAR mask), reveals labels through batched oracle calls
+// (labeling.BatchOracle, testset.RevealFirst/RevealChunk) instead of n
+// round trips, and reuses its prediction buffers — so a steady-state
+// commit evaluation allocates nothing (BenchmarkCommitEval at n=1e5,
+// gated at 0 allocs/op). This packed core is the engine's only
+// evaluator; its element-wise reference lives in the engine's tests,
+// which hold it to bit-identical verdicts, label charges and reveal sets
+// on every commit. Engine.Evaluate exposes the measurement as a dry run
+// ("what would this commit's verdict be?") without spending budget or
+// history, and the server reports commits_evaluated and
 // commit_eval_ns_total in /api/v1/metrics so served evaluation latency is
 // observable.
 //

@@ -41,7 +41,7 @@ type chaosRig struct {
 	ds     *data.Dataset
 }
 
-func newChaosRig(t *testing.T, scalar bool, schedule []labeling.Fault) *chaosRig {
+func newChaosRig(t *testing.T, static bool, schedule []labeling.Fault) *chaosRig {
 	t.Helper()
 	ds := indexDataset(600, 4)
 	cfg := mustConfig(t, "n > 0.6 +/- 0.1", 0.99, interval.FPFree,
@@ -57,9 +57,9 @@ func newChaosRig(t *testing.T, scalar bool, schedule []labeling.Fault) *chaosRig
 		Jitter:      zeroJitter,
 	})
 	eng, err := New(cfg, ds, oracle, Options{
-		InitialModel: simModel(t, "h0", ds, 0.5, 1),
-		Notifier:     notify.Discard{},
-		ScalarEval:   scalar,
+		InitialModel:  simModel(t, "h0", ds, 0.5, 1),
+		Notifier:      notify.Discard{},
+		EarlyDecision: EarlyDecision{Disable: static},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,9 +95,9 @@ func (r *chaosRig) commitUntilAccepted(t *testing.T, name string, acc float64, s
 }
 
 // runChaosScenario pushes the fixed three-commit traffic through the rig.
-func runChaosScenario(t *testing.T, scalar bool, schedule []labeling.Fault) *chaosRig {
+func runChaosScenario(t *testing.T, static bool, schedule []labeling.Fault) *chaosRig {
 	t.Helper()
-	r := newChaosRig(t, scalar, schedule)
+	r := newChaosRig(t, static, schedule)
 	r.commitUntilAccepted(t, "m1", 0.9, 2)
 	r.commitUntilAccepted(t, "m2", 0.55, 3)
 	r.commitUntilAccepted(t, "m3", 0.92, 4)
@@ -134,15 +134,15 @@ func fingerprint(t *testing.T, e *Engine) string {
 // baseline runs the scenario with a direct in-process truth oracle — no
 // remote client at all — and returns its fingerprint plus the number of
 // provider round trips the fault-free remote run needs.
-func chaosBaseline(t *testing.T, scalar bool) (string, int) {
+func chaosBaseline(t *testing.T, static bool) (string, int) {
 	t.Helper()
 	ds := indexDataset(600, 4)
 	cfg := mustConfig(t, "n > 0.6 +/- 0.1", 0.99, interval.FPFree,
 		script.Adaptivity{Kind: script.AdaptivityFull}, 3)
 	eng, err := New(cfg, ds, labeling.NewTruthOracle(ds.Y), Options{
-		InitialModel: simModel(t, "h0", ds, 0.5, 1),
-		Notifier:     notify.Discard{},
-		ScalarEval:   scalar,
+		InitialModel:  simModel(t, "h0", ds, 0.5, 1),
+		Notifier:      notify.Discard{},
+		EarlyDecision: EarlyDecision{Disable: static},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,28 +158,35 @@ func chaosBaseline(t *testing.T, scalar bool) (string, int) {
 	}
 	want := fingerprint(t, eng)
 
-	remote := runChaosScenario(t, scalar, nil)
+	remote := runChaosScenario(t, static, nil)
 	if got := fingerprint(t, remote.eng); got != want {
 		t.Fatalf("fault-free remote run diverged from the direct oracle:\n got %s\nwant %s", got, want)
 	}
 	return want, remote.faults.Calls()
 }
 
+// chaosModes are the engine configurations the position sweeps run
+// under: the default sequential evaluation ("packed"), and early decision
+// disabled, where the whole testset comes in as one batch and the fault
+// lands on the static plan's single reveal.
+var chaosModes = []struct {
+	name     string
+	static   bool
+	minCalls int
+}{{"packed", false, 3}, {"static", true, 1}}
+
 func TestChaosSingleTransientFaultAnywhere(t *testing.T) {
-	for _, scalar := range []bool{false, true} {
-		name := "packed"
-		if scalar {
-			name = "scalar"
-		}
-		t.Run(name, func(t *testing.T) {
-			want, calls := chaosBaseline(t, scalar)
-			if calls < 3 {
+	for _, mode := range chaosModes {
+		static := mode.static
+		t.Run(mode.name, func(t *testing.T) {
+			want, calls := chaosBaseline(t, static)
+			if calls < mode.minCalls {
 				t.Fatalf("scenario too small to be interesting: %d provider calls", calls)
 			}
 			for k := 0; k < calls; k++ {
 				schedule := make([]labeling.Fault, k, k+1)
 				schedule = append(schedule, labeling.Fault{Fail: true, Latency: 5 * time.Millisecond})
-				r := runChaosScenario(t, scalar, schedule)
+				r := runChaosScenario(t, static, schedule)
 				if got := fingerprint(t, r.eng); got != want {
 					t.Fatalf("transient fault at call %d diverged:\n got %s\nwant %s", k, got, want)
 				}
@@ -193,19 +200,16 @@ func TestChaosOutageBurstAnywhere(t *testing.T) {
 	// ErrUnavailable from Commit (the park trigger). The rollback plus
 	// re-submit must reconverge to the byte-identical state, at every
 	// possible call position — look boundaries and mid-batch included.
-	for _, scalar := range []bool{false, true} {
-		name := "packed"
-		if scalar {
-			name = "scalar"
-		}
-		t.Run(name, func(t *testing.T) {
-			want, calls := chaosBaseline(t, scalar)
+	for _, mode := range chaosModes {
+		static := mode.static
+		t.Run(mode.name, func(t *testing.T) {
+			want, calls := chaosBaseline(t, static)
 			for k := 0; k < calls; k++ {
 				schedule := make([]labeling.Fault, k, k+chaosMaxAttempts)
 				for i := 0; i < chaosMaxAttempts; i++ {
 					schedule = append(schedule, labeling.Fault{Fail: true})
 				}
-				r := runChaosScenario(t, scalar, schedule)
+				r := runChaosScenario(t, static, schedule)
 				if got := fingerprint(t, r.eng); got != want {
 					t.Fatalf("outage burst at call %d diverged:\n got %s\nwant %s", k, got, want)
 				}

@@ -172,24 +172,21 @@ func (e *Engine) Commit(m model.Predictor, author, message string) (Result, erro
 	// Promotion: a commit whose true outcome is pass becomes the baseline
 	// the next commit is compared against.
 	if pass {
-		switch {
-		case e.scalarEval:
-			e.active = newPreds
-		case borrowed:
+		if borrowed {
 			// The evaluation read the model's own vector in place; the
 			// baseline must be engine-owned, so promotion pays the copy
 			// the evaluation skipped.
 			copy(e.predBuf, newPreds)
 			e.active, e.predBuf = e.predBuf, e.active
 			e.activeMatch, e.newMatch = e.newMatch, e.activeMatch
-		default:
+		} else {
 			// newPreds is the engine's own predBuf: swap it with the
 			// retired baseline so both slices (and the two correctness
 			// bitmaps) keep cycling with zero allocation.
 			e.active, e.predBuf = newPreds, e.active
 			e.activeMatch, e.newMatch = e.newMatch, e.activeMatch
 		}
-		if !e.scalarEval && e.byteCols {
+		if e.byteCols {
 			// The narrow baseline mirror follows the promotion.
 			for i, y := range e.active {
 				e.active8[i] = uint8(y)
@@ -207,9 +204,7 @@ func (e *Engine) Commit(m model.Predictor, author, message string) (Result, erro
 }
 
 // RotateTestset installs fresh data as the next-generation testset together
-// with its oracle, recomputes the baseline predictions, and returns the
-// retired testset (now releasable to the development team as a validation
-// set).
+// with its oracle and recomputes the baseline predictions on it.
 func (e *Engine) RotateTestset(next *data.Dataset, oracle labeling.Oracle, activeModel model.Predictor) error {
 	if oracle == nil {
 		return fmt.Errorf("engine: nil oracle")
@@ -220,49 +215,39 @@ func (e *Engine) RotateTestset(next *data.Dataset, oracle labeling.Oracle, activ
 	if e.plan.LabeledN > 0 && next.Len() < e.plan.LabeledN {
 		return fmt.Errorf("engine: new testset has %d examples but the plan requires %d", next.Len(), e.plan.LabeledN)
 	}
-	if _, err := e.tsm.Rotate(next); err != nil {
+	if err := e.tsm.Rotate(next); err != nil {
 		return err
 	}
-	e.oracle = oracle
 	e.batch = labeling.AsBatch(oracle)
 	return e.setActive(activeModel)
 }
 
 // evaluateModel produces the candidate's predictions and measures the
-// condition, through the packed bitmap core by default or the element-wise
-// scalar reference when the engine was built with Options.ScalarEval. The
-// returned borrowed flag reports that newPreds is the model's own vector
-// (zero-copy fast path): it is only read during this evaluation, and a
-// caller that wants to keep it (promotion) must copy it into engine-owned
-// storage first.
+// condition through the packed bitmap core. The returned borrowed flag
+// reports that newPreds is the model's own vector (zero-copy fast path):
+// it is only read during this evaluation, and a caller that wants to keep
+// it (promotion) must copy it into engine-owned storage first.
 func (e *Engine) evaluateModel(m model.Predictor) (newPreds []int, ev Evaluation, borrowed bool, err error) {
 	ts := e.tsm.Current()
-	if e.scalarEval {
-		// The reference pipeline, allocation profile included: a fresh
-		// prediction vector per commit.
-		newPreds, err = model.PredictAll(m, ts.Data)
-	} else {
-		// Zero-copy tier first: a prediction-vector model (the serving
-		// wire format) is measured in place — the fused pass only reads
-		// it, so the 8n-byte defensive copy would be pure memory traffic.
-		if sp, ok := m.(model.StaticPredictor); ok {
-			newPreds, borrowed = sp.StaticPredictions(ts.Data)
-		}
-		if !borrowed {
-			newPreds, err = model.PredictAllInto(m, ts.Data, e.predBuf)
-			if err == nil {
-				e.predBuf = newPreds
-			}
-		}
+	// Zero-copy tier first: a prediction-vector model (the serving wire
+	// format) is measured in place — the fused pass only reads it, so the
+	// 8n-byte defensive copy would be pure memory traffic.
+	if sp, ok := m.(model.StaticPredictor); ok {
+		newPreds, borrowed = sp.StaticPredictions(ts.Data)
 	}
-	if err != nil {
-		return nil, Evaluation{}, false, err
+	if !borrowed {
+		newPreds, err = model.PredictAllInto(m, ts.Data, e.predBuf)
+		if err != nil {
+			return nil, Evaluation{}, false, err
+		}
+		e.predBuf = newPreds
 	}
 	e.evalReveals = e.evalReveals[:0]
-	if e.scalarEval {
-		ev, err = e.evaluateConditionScalar(newPreds)
-	} else {
-		ev, err = e.evaluateConditionPacked(newPreds)
+	switch e.plan.Kind {
+	case core.Pattern1, core.Pattern2:
+		ev, err = e.evaluateActiveLabeling(newPreds)
+	default:
+		ev, err = e.evaluateFullyLabeled(newPreds)
 	}
 	if err != nil {
 		e.rollbackReveals()
@@ -302,8 +287,6 @@ func (e *Engine) rollbackReveals() {
 	e.evalReveals = e.evalReveals[:0]
 }
 
-// --- packed paths --------------------------------------------------------
-
 // fusedPass fills the diff and new-model correctness bitmaps for the
 // candidate, through the narrow byte columns when the alphabet allows.
 func (e *Engine) fusedPass(newPreds []int) {
@@ -314,29 +297,17 @@ func (e *Engine) fusedPass(newPreds []int) {
 	}
 }
 
-// evaluateConditionPacked measures the condition variables on the current
-// testset via the bit-packed columnar core.
-func (e *Engine) evaluateConditionPacked(newPreds []int) (Evaluation, error) {
-	switch e.plan.Kind {
-	case core.Pattern1, core.Pattern2:
-		return e.evaluateActiveLabelingPacked(newPreds)
-	default:
-		return e.evaluateFullyLabeledPacked(newPreds)
-	}
-}
-
-// evaluateFullyLabeledPacked is the baseline path made sequential: the
+// evaluateFullyLabeled is the baseline plan, evaluated sequentially: the
 // fused pass builds the disagreement and candidate-correctness bitmaps up
 // front (correctness only lights up on revealed labels — the sentinel in
 // the label column never matches a prediction), then labels come in
 // prefix chunks along the geometric look schedule, with a forced-verdict
 // check between chunks. A commit that is not borderline exits after a
 // fraction of the testset; one that is falls through to the full reveal
-// and the exact evaluation the static plan would have run.
-func (e *Engine) evaluateFullyLabeledPacked(newPreds []int) (Evaluation, error) {
-	if e.early.Disable {
-		return e.evaluateFullyLabeledPackedStatic(newPreds)
-	}
+// and the exact evaluation. With early decision disabled there are no
+// checks and a single look reveals the whole testset — the static plan's
+// one oracle batch.
+func (e *Engine) evaluateFullyLabeled(newPreds []int) (Evaluation, error) {
 	ts := e.tsm.Current()
 	n := ts.Len()
 	startUnrevealed := n - ts.RevealedCount()
@@ -347,21 +318,24 @@ func (e *Engine) evaluateFullyLabeledPacked(newPreds []int) (Evaluation, error) 
 		if revealed == n {
 			break
 		}
-		c := lookCounts{
-			total:         n,
-			revealed:      revealed,
-			matchN:        e.newMatch.Count(),
-			matchO:        e.activeMatch.Count(),
-			diffCount:     e.diff.Count(),
-			unrevealedDis: evaluator.AndNotCount(e.diff, ts.RevealedBitmap()),
+		target := n
+		if !e.early.Disable {
+			c := lookCounts{
+				total:         n,
+				revealed:      revealed,
+				matchN:        e.newMatch.Count(),
+				matchO:        e.activeMatch.Count(),
+				diffCount:     e.diff.Count(),
+				unrevealedDis: evaluator.AndNotCount(e.diff, ts.RevealedBitmap()),
+			}
+			truth, forced := e.decideFullyLabeled(c, looks+1)
+			if forced {
+				ev := finishPartialFull(truth, c, fresh, looks, startUnrevealed)
+				e.setEstVals(ev)
+				return ev, nil
+			}
+			target = planner.NextLook(revealed, n)
 		}
-		truth, forced := e.decideFullyLabeled(c, looks+1)
-		if forced {
-			ev := finishPartialFull(truth, c, fresh, looks, startUnrevealed)
-			e.setEstVals(ev)
-			return ev, nil
-		}
-		target := planner.NextLook(revealed, n, e.early.FirstLook, e.early.Growth)
 		freshIdx, err := ts.RevealFirst(target-revealed, e.batch)
 		if err != nil {
 			return Evaluation{}, err
@@ -370,60 +344,18 @@ func (e *Engine) evaluateFullyLabeledPacked(newPreds []int) (Evaluation, error) 
 		fresh += len(freshIdx)
 		looks++
 	}
-	// Fully revealed: the exact evaluation, identical to the static path.
+	// Fully revealed: the exact evaluation.
 	ev := Evaluation{
 		D:           float64(e.diff.Count()) / float64(n),
+		N:           float64(e.newMatch.Count()) / float64(n),
+		O:           float64(e.activeMatch.Count()) / float64(n),
+		HasAccuracy: true,
 		FreshLabels: fresh,
-		Looks:       looks,
 	}
-	ev.N = float64(e.newMatch.Count()) / float64(n)
-	ev.O = float64(e.activeMatch.Count()) / float64(n)
-	ev.HasAccuracy = true
+	if !e.early.Disable {
+		ev.Looks = looks
+	}
 	e.setEstVals(ev)
-	truth, err := e.compiled.Eval(evaluator.VarEstimates{Values: e.estVals})
-	if err != nil {
-		return Evaluation{}, err
-	}
-	ev.Truth = truth
-	return ev, nil
-}
-
-// evaluateFullyLabeledPackedStatic is the pre-sequential one-shot path,
-// kept verbatim as the early-decision baseline oracle: one bulk reveal
-// brings the whole testset's labels in (a no-op after the first commit of
-// a generation), then one fused pass builds the disagreement and
-// correctness bitmaps and the three variables are popcounts.
-func (e *Engine) evaluateFullyLabeledPackedStatic(newPreds []int) (Evaluation, error) {
-	ts := e.tsm.Current()
-	n := ts.Len()
-	fresh := 0
-	if ts.RevealedCount() != n {
-		var err error
-		if fresh, err = ts.RevealAll(e.batch); err != nil {
-			return Evaluation{}, err
-		}
-		copy(e.labels, ts.Data.Y)
-		evaluator.MatchBitmap(e.active, e.labels, &e.activeMatch)
-		if e.byteCols {
-			copyLabelBytes(e.labels8, e.labels)
-		}
-	}
-	e.fusedPass(newPreds)
-	ev := Evaluation{
-		D:           float64(e.diff.Count()) / float64(n),
-		FreshLabels: fresh,
-	}
-	e.estVals[condlang.VarD] = ev.D
-	if labeled := ts.RevealedCount(); labeled > 0 {
-		ev.N = float64(e.newMatch.Count()) / float64(labeled)
-		ev.O = float64(e.activeMatch.Count()) / float64(labeled)
-		ev.HasAccuracy = true
-		e.estVals[condlang.VarN] = ev.N
-		e.estVals[condlang.VarO] = ev.O
-	} else {
-		delete(e.estVals, condlang.VarN)
-		delete(e.estVals, condlang.VarO)
-	}
 	truth, err := e.compiled.Eval(evaluator.VarEstimates{Values: e.estVals})
 	if err != nil {
 		return Evaluation{}, err
@@ -467,18 +399,17 @@ func (e *Engine) setEstVals(ev Evaluation) {
 	}
 }
 
-// evaluateActiveLabelingPacked is the optimized path (Sections 4.1.2 /
-// 4.2) on packed columns, made sequential: d is the popcount of the
+// evaluateActiveLabeling is the optimized plan (Sections 4.1.2 / 4.2) on
+// packed columns, evaluated sequentially: d is the popcount of the
 // disagreement bitmap (no labels), and the n-o clause's disagreement-set
 // labels come in chunks along the geometric look schedule, each followed
 // by a forced-verdict check over the two masked popcounts. The commit
 // exits the moment the unrevealed disagreements can no longer flip the
 // verdict — including before any reveal, when a label-free clause already
-// collapsed the conjunction.
-func (e *Engine) evaluateActiveLabelingPacked(newPreds []int) (Evaluation, error) {
-	if e.early.Disable {
-		return e.evaluateActiveLabelingPackedStatic(newPreds)
-	}
+// collapsed the conjunction. With early decision disabled a single look
+// reveals the whole disagreement set, unless a label-free clause before
+// the n-o clause is already False: then the static plan pays nothing.
+func (e *Engine) evaluateActiveLabeling(newPreds []int) (Evaluation, error) {
 	ts := e.tsm.Current()
 	n := ts.Len()
 	e.fusedPass(newPreds)
@@ -488,27 +419,30 @@ func (e *Engine) evaluateActiveLabelingPacked(newPreds []int) (Evaluation, error
 	fresh, looks := 0, 0
 	for {
 		revealedDis := diffCount - evaluator.AndNotCount(e.diff, ts.RevealedBitmap())
-		if revealedDis == diffCount {
+		if revealedDis == diffCount || (e.early.Disable && staticCost == 0) {
 			break
 		}
-		sumR := evaluator.AndCount(e.newMatch, e.diff) - evaluator.AndCount(e.activeMatch, e.diff)
-		truth, forced, err := e.decideActive(dHat, n, sumR, revealedDis, diffCount, looks+1)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		if forced {
-			ev := Evaluation{
-				Truth:       truth,
-				D:           dHat,
-				FreshLabels: fresh,
-				Looks:       looks,
-				EarlyExit:   true,
-				LabelsSaved: staticCost - fresh,
+		target := diffCount
+		if !e.early.Disable {
+			sumR := evaluator.AndCount(e.newMatch, e.diff) - evaluator.AndCount(e.activeMatch, e.diff)
+			truth, forced, err := e.decideActive(dHat, n, sumR, revealedDis, diffCount, looks+1)
+			if err != nil {
+				return Evaluation{}, err
 			}
-			e.setEstVals(ev)
-			return ev, nil
+			if forced {
+				ev := Evaluation{
+					Truth:       truth,
+					D:           dHat,
+					FreshLabels: fresh,
+					Looks:       looks,
+					EarlyExit:   true,
+					LabelsSaved: staticCost - fresh,
+				}
+				e.setEstVals(ev)
+				return ev, nil
+			}
+			target = planner.NextLook(revealedDis, diffCount)
 		}
-		target := planner.NextLook(revealedDis, diffCount, e.early.FirstLook, e.early.Growth)
 		freshIdx, err := ts.RevealChunk(e.diff, target-revealedDis, e.batch)
 		if err != nil {
 			return Evaluation{}, err
@@ -517,11 +451,18 @@ func (e *Engine) evaluateActiveLabelingPacked(newPreds []int) (Evaluation, error
 		fresh += len(freshIdx)
 		looks++
 	}
-	// Every disagreement is labeled: the exact clause loop, identical to
-	// the static path's final evaluation.
-	ev := Evaluation{D: dHat, FreshLabels: fresh, Looks: looks}
+	// The exact clause loop. Every disagreement is labeled here, except on
+	// the static short-circuit, where a False clause fixes the conjunction
+	// before the n-o clause is reached.
+	ev := Evaluation{D: dHat, FreshLabels: fresh}
+	if !e.early.Disable {
+		ev.Looks = looks
+	}
 	truth := interval.True
 	for i := range e.compiled.Clauses {
+		if truth == interval.False {
+			break
+		}
 		cc := &e.compiled.Clauses[i]
 		var (
 			t   interval.Truth
@@ -531,6 +472,8 @@ func (e *Engine) evaluateActiveLabelingPacked(newPreds []int) (Evaluation, error
 		case cc.DOnly():
 			t, err = evaluator.EvalClauseLHS(cc.Clause, dHat, cc.Clause.Tolerance)
 		case cc.NMinusO():
+			// n - o over disagreements only: agreements contribute 0, so
+			// the sum is two masked popcounts.
 			sum := evaluator.AndCount(e.newMatch, e.diff) - evaluator.AndCount(e.activeMatch, e.diff)
 			t, err = evaluator.EvalClauseLHS(cc.Clause, float64(sum)/float64(n), cc.Clause.Tolerance)
 		default:
@@ -544,404 +487,4 @@ func (e *Engine) evaluateActiveLabelingPacked(newPreds []int) (Evaluation, error
 	ev.Truth = truth
 	e.setEstVals(ev)
 	return ev, nil
-}
-
-// evaluateActiveLabelingPackedStatic is the pre-sequential one-shot
-// active path, kept as the early-decision baseline oracle: the n-o clause
-// reveals every disagreeing example in one batched oracle call — unless
-// an earlier clause already collapsed the conjunction to False, in which
-// case the verdict cannot change and the reveal is skipped entirely.
-func (e *Engine) evaluateActiveLabelingPackedStatic(newPreds []int) (Evaluation, error) {
-	ts := e.tsm.Current()
-	n := ts.Len()
-	e.fusedPass(newPreds)
-	dHat := float64(e.diff.Count()) / float64(n)
-	ev := Evaluation{D: dHat}
-
-	truth := interval.True
-	revealed := false
-	for i := range e.compiled.Clauses {
-		cc := &e.compiled.Clauses[i]
-		if truth == interval.False {
-			// And is monotone: a False clause fixes the conjunction no
-			// matter what the remaining clauses evaluate to, so never pay
-			// the n-o clause's disagreement-set labels after one.
-			break
-		}
-		var (
-			t   interval.Truth
-			err error
-		)
-		switch {
-		case cc.DOnly():
-			t, err = evaluator.EvalClauseLHS(cc.Clause, dHat, cc.Clause.Tolerance)
-		case cc.NMinusO():
-			if !revealed {
-				freshIdx, err2 := ts.RevealWhere(e.diff, e.batch)
-				if err2 != nil {
-					return Evaluation{}, err2
-				}
-				// Patch the freshly revealed entries into the label
-				// scratch column and both correctness bitmaps (the fused
-				// pass above ran before these labels existed).
-				e.patchRevealed(newPreds, freshIdx)
-				ev.FreshLabels = len(freshIdx)
-				revealed = true
-			}
-			// Measure n - o over disagreements only: agreements contribute
-			// 0, so the sum is two masked popcounts.
-			sum := evaluator.AndCount(e.newMatch, e.diff) - evaluator.AndCount(e.activeMatch, e.diff)
-			t, err = evaluator.EvalClauseLHS(cc.Clause, float64(sum)/float64(n), cc.Clause.Tolerance)
-		default:
-			return Evaluation{}, fmt.Errorf("engine: pattern plan cannot evaluate clause %q", cc.Clause)
-		}
-		if err != nil {
-			return Evaluation{}, err
-		}
-		truth = truth.And(t)
-	}
-	ev.Truth = truth
-	e.setEstVals(ev)
-	return ev, nil
-}
-
-// --- scalar reference paths ----------------------------------------------
-//
-// The element-wise implementations below predate the packed core and are
-// kept verbatim as the equivalence oracle (Options.ScalarEval): property
-// tests drive both engines over identical commit sequences and assert
-// byte-identical results, the same pattern bounds.ExactWorstCaseFailureGrid
-// serves for the event-driven sweep.
-
-// evaluateConditionScalar dispatches the scalar reference path.
-func (e *Engine) evaluateConditionScalar(newPreds []int) (Evaluation, error) {
-	switch e.plan.Kind {
-	case core.Pattern1, core.Pattern2:
-		return e.evaluateActiveLabelingScalar(newPreds)
-	default:
-		return e.evaluateFullyLabeledScalar(newPreds)
-	}
-}
-
-// evaluateFullyLabeledScalar is the scalar baseline path made sequential:
-// the counts feeding the shared look decisions come from element-wise
-// walks instead of popcounts, and labels are revealed one oracle round
-// trip at a time in the same ascending-prefix order the packed path's
-// chunk reveals use — so both paths make bit-identical look decisions.
-func (e *Engine) evaluateFullyLabeledScalar(newPreds []int) (Evaluation, error) {
-	if e.early.Disable {
-		return e.evaluateFullyLabeledScalarStatic(newPreds)
-	}
-	ts := e.tsm.Current()
-	n := ts.Len()
-	startUnrevealed := n - ts.RevealedCount()
-	fresh, looks := 0, 0
-	for {
-		var revealed, matchN, matchO, diffCount, unrevDis int
-		for i := 0; i < n; i++ {
-			dis := e.active[i] != newPreds[i]
-			if dis {
-				diffCount++
-			}
-			if ts.Revealed(i) {
-				revealed++
-				y := ts.Data.Y[i]
-				if newPreds[i] == y {
-					matchN++
-				}
-				if e.active[i] == y {
-					matchO++
-				}
-			} else if dis {
-				unrevDis++
-			}
-		}
-		if revealed == n {
-			break
-		}
-		c := lookCounts{
-			total:         n,
-			revealed:      revealed,
-			matchN:        matchN,
-			matchO:        matchO,
-			diffCount:     diffCount,
-			unrevealedDis: unrevDis,
-		}
-		truth, forced := e.decideFullyLabeled(c, looks+1)
-		if forced {
-			return finishPartialFull(truth, c, fresh, looks, startUnrevealed), nil
-		}
-		target := planner.NextLook(revealed, n, e.early.FirstLook, e.early.Growth)
-		for i := 0; i < n && revealed < target; i++ {
-			if ts.Revealed(i) {
-				continue
-			}
-			if _, _, err := e.revealLabel(i); err != nil {
-				return Evaluation{}, err
-			}
-			fresh++
-			revealed++
-		}
-		looks++
-	}
-	// Fully revealed: the legacy element-wise measurement, identical to
-	// the static path's final evaluation.
-	if len(e.labels) != n {
-		e.labels = make([]int, n)
-	}
-	copy(e.labels, ts.Data.Y)
-	est, err := evaluator.Measure(e.active, newPreds, e.labels)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	truth, err := evaluator.EvalFormula(e.cfg.Condition, est)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	ev := Evaluation{Truth: truth, D: est.Values[condlang.VarD], FreshLabels: fresh, Looks: looks}
-	if nv, ok := est.Values[condlang.VarN]; ok {
-		ev.N, ev.O, ev.HasAccuracy = nv, est.Values[condlang.VarO], true
-	}
-	return ev, nil
-}
-
-// evaluateFullyLabeledScalarStatic is the pre-sequential scalar baseline:
-// every label is revealed one oracle round trip at a time and the three
-// variables are measured by an element-wise walk. The label column reuses
-// the engine-owned scratch buffer rather than reallocating per commit.
-func (e *Engine) evaluateFullyLabeledScalarStatic(newPreds []int) (Evaluation, error) {
-	ts := e.tsm.Current()
-	if len(e.labels) != ts.Len() {
-		e.labels = make([]int, ts.Len())
-	}
-	labels := e.labels
-	fresh := 0
-	for i := range labels {
-		y, isFresh, err := e.revealLabel(i)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		labels[i] = y
-		if isFresh {
-			fresh++
-		}
-	}
-	est, err := evaluator.Measure(e.active, newPreds, labels)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	truth, err := evaluator.EvalFormula(e.cfg.Condition, est)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	ev := Evaluation{Truth: truth, D: est.Values[condlang.VarD], FreshLabels: fresh}
-	if nv, ok := est.Values[condlang.VarN]; ok {
-		ev.N, ev.O, ev.HasAccuracy = nv, est.Values[condlang.VarO], true
-	}
-	return ev, nil
-}
-
-// evaluateActiveLabelingScalar is the scalar active-labeling path made
-// sequential: d from an element-wise disagreement count, disagreement-set
-// labels revealed one at a time in ascending order toward the same chunk
-// targets the packed path uses, with the shared forced-verdict check
-// between chunks.
-func (e *Engine) evaluateActiveLabelingScalar(newPreds []int) (Evaluation, error) {
-	if e.early.Disable {
-		return e.evaluateActiveLabelingScalarStatic(newPreds)
-	}
-	ts := e.tsm.Current()
-	n := ts.Len()
-	diffCount, startUnrevDis := 0, 0
-	for i := 0; i < n; i++ {
-		if e.active[i] != newPreds[i] {
-			diffCount++
-			if !ts.Revealed(i) {
-				startUnrevDis++
-			}
-		}
-	}
-	dHat := float64(diffCount) / float64(n)
-	staticCost := e.activeStaticCost(dHat, startUnrevDis)
-	fresh, looks := 0, 0
-	for {
-		revealedDis, sumR := 0, 0
-		for i := 0; i < n; i++ {
-			if e.active[i] == newPreds[i] || !ts.Revealed(i) {
-				continue
-			}
-			revealedDis++
-			y := ts.Data.Y[i]
-			if newPreds[i] == y {
-				sumR++
-			}
-			if e.active[i] == y {
-				sumR--
-			}
-		}
-		if revealedDis == diffCount {
-			break
-		}
-		truth, forced, err := e.decideActive(dHat, n, sumR, revealedDis, diffCount, looks+1)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		if forced {
-			return Evaluation{
-				Truth:       truth,
-				D:           dHat,
-				FreshLabels: fresh,
-				Looks:       looks,
-				EarlyExit:   true,
-				LabelsSaved: staticCost - fresh,
-			}, nil
-		}
-		target := planner.NextLook(revealedDis, diffCount, e.early.FirstLook, e.early.Growth)
-		for i := 0; i < n && revealedDis < target; i++ {
-			if e.active[i] == newPreds[i] || ts.Revealed(i) {
-				continue
-			}
-			if _, _, err := e.revealLabel(i); err != nil {
-				return Evaluation{}, err
-			}
-			fresh++
-			revealedDis++
-		}
-		looks++
-	}
-	// Every disagreement is labeled: the exact clause loop, identical to
-	// the static path's final evaluation.
-	ev := Evaluation{D: dHat, FreshLabels: fresh, Looks: looks}
-	truth := interval.True
-	for _, clause := range e.cfg.Condition.Clauses {
-		lf, err := condlang.Linearize(clause.Expr)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		var t interval.Truth
-		switch {
-		case len(lf.Coef) == 1 && lf.Coef[condlang.VarD] == 1:
-			t, err = evaluator.EvalClauseLHS(clause, dHat, clause.Tolerance)
-			if err != nil {
-				return Evaluation{}, err
-			}
-		case len(lf.Coef) == 2 && lf.Coef[condlang.VarN] == 1 && lf.Coef[condlang.VarO] == -1:
-			sum := 0
-			for i := 0; i < n; i++ {
-				if e.active[i] == newPreds[i] {
-					continue
-				}
-				y := ts.Data.Y[i]
-				if newPreds[i] == y {
-					sum++
-				}
-				if e.active[i] == y {
-					sum--
-				}
-			}
-			t, err = evaluator.EvalClauseLHS(clause, float64(sum)/float64(n), clause.Tolerance)
-			if err != nil {
-				return Evaluation{}, err
-			}
-		default:
-			return Evaluation{}, fmt.Errorf("engine: pattern plan cannot evaluate clause %q", clause)
-		}
-		truth = truth.And(t)
-	}
-	ev.Truth = truth
-	return ev, nil
-}
-
-// evaluateActiveLabelingScalarStatic is the pre-sequential scalar active
-// path: labels revealed one at a time for the disagreeing examples only —
-// unless an earlier clause already collapsed the conjunction to False,
-// mirroring the packed path's short-circuit so the equivalence suites
-// stay byte-identical.
-func (e *Engine) evaluateActiveLabelingScalarStatic(newPreds []int) (Evaluation, error) {
-	ts := e.tsm.Current()
-	n := ts.Len()
-	diff := 0
-	for i := 0; i < n; i++ {
-		if e.active[i] != newPreds[i] {
-			diff++
-		}
-	}
-	dHat := float64(diff) / float64(n)
-	ev := Evaluation{D: dHat}
-
-	truth := interval.True
-	fresh := 0
-	for _, clause := range e.cfg.Condition.Clauses {
-		if truth == interval.False {
-			// And is monotone: the conjunction is already fixed, so never
-			// pay the n-o clause's disagreement-set labels after a False.
-			break
-		}
-		lf, err := condlang.Linearize(clause.Expr)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		var t interval.Truth
-		switch {
-		case len(lf.Coef) == 1 && lf.Coef[condlang.VarD] == 1:
-			t, err = evaluator.EvalClauseLHS(clause, dHat, clause.Tolerance)
-			if err != nil {
-				return Evaluation{}, err
-			}
-		case len(lf.Coef) == 2 && lf.Coef[condlang.VarN] == 1 && lf.Coef[condlang.VarO] == -1:
-			// Measure n - o over disagreements only: agreements contribute 0.
-			sum := 0
-			for i := 0; i < n; i++ {
-				if e.active[i] == newPreds[i] {
-					continue
-				}
-				y, isFresh, err := e.revealLabel(i)
-				if err != nil {
-					return Evaluation{}, err
-				}
-				if isFresh {
-					fresh++
-				}
-				if newPreds[i] == y {
-					sum++
-				}
-				if e.active[i] == y {
-					sum--
-				}
-			}
-			lhs := float64(sum) / float64(n)
-			t, err = evaluator.EvalClauseLHS(clause, lhs, clause.Tolerance)
-			if err != nil {
-				return Evaluation{}, err
-			}
-		default:
-			return Evaluation{}, fmt.Errorf("engine: pattern plan cannot evaluate clause %q", clause)
-		}
-		truth = truth.And(t)
-	}
-	ev.Truth = truth
-	ev.FreshLabels = fresh
-	return ev, nil
-}
-
-// revealLabel pays for one label through the oracle, cross-checking it
-// against the testset's ground truth bookkeeping.
-func (e *Engine) revealLabel(i int) (int, bool, error) {
-	ts := e.tsm.Current()
-	fresh := !ts.Revealed(i)
-	y, err := e.oracle.Label(i)
-	if err != nil {
-		return 0, false, err
-	}
-	stored, _, err := ts.Reveal(i)
-	if err != nil {
-		return 0, false, err
-	}
-	if fresh {
-		e.evalReveals = append(e.evalReveals, i)
-	}
-	if stored != y {
-		return 0, false, fmt.Errorf("engine: oracle label %d disagrees with testset ground truth %d at example %d", y, stored, i)
-	}
-	return y, fresh, nil
 }

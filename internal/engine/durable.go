@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"github.com/easeml/ci/internal/adaptivity"
-	"github.com/easeml/ci/internal/condlang"
 	"github.com/easeml/ci/internal/data"
-	"github.com/easeml/ci/internal/evaluator"
 	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/notify"
-	"github.com/easeml/ci/internal/planner"
 	"github.com/easeml/ci/internal/repository"
 	"github.com/easeml/ci/internal/script"
 	"github.com/easeml/ci/internal/testset"
@@ -62,7 +59,6 @@ func (e *Engine) SetOracle(o labeling.Oracle) error {
 	if o == nil {
 		return fmt.Errorf("engine: nil oracle")
 	}
-	e.oracle = o
 	e.batch = labeling.AsBatch(o)
 	return nil
 }
@@ -118,31 +114,16 @@ func (e *Engine) Snapshot() State {
 // restored revealed set — so a restored engine evaluates subsequent
 // commits exactly as the snapshotted one would have.
 func Restore(cfg *script.Config, st State, opts Options) (*Engine, error) {
-	if cfg == nil {
-		return nil, fmt.Errorf("engine: nil config")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if st.Testset == nil {
 		return nil, fmt.Errorf("engine: snapshot has no testset")
 	}
-	plan, err := planner.Default.PlanForConfig(cfg, opts.Planner)
-	if err != nil {
-		return nil, err
-	}
-	if plan.LabeledN > 0 && st.Testset.Len() < plan.LabeledN {
-		return nil, fmt.Errorf("engine: restored testset has %d examples but the plan requires %d", st.Testset.Len(), plan.LabeledN)
-	}
-	kind, err := adaptivity.FromScript(cfg.Adaptivity.Kind)
-	if err != nil {
-		return nil, err
-	}
-	ts, err := testset.Restore(st.Generation, st.Testset, st.Revealed)
-	if err != nil {
-		return nil, err
-	}
-	tsm, err := testset.RestoreManager(kind, cfg.Steps, ts, st.BudgetUsed, st.Retired)
+	eng, err := newEngine(cfg, st.Testset, opts, func(kind adaptivity.Kind) (*testset.Manager, error) {
+		ts, err := testset.Restore(st.Generation, st.Testset, st.Revealed)
+		if err != nil {
+			return nil, err
+		}
+		return testset.RestoreManager(kind, cfg.Steps, ts, st.BudgetUsed, st.Retired)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -164,36 +145,12 @@ func Restore(cfg *script.Config, st State, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("engine: snapshot baseline prediction %d out of range at %d", y, i)
 		}
 	}
-	oracle := labeling.NewTruthOracle(st.Testset.Y)
-	notifier := opts.Notifier
-	if notifier == nil {
-		notifier = notify.NewOutbox()
-	}
-	compiled, err := evaluator.Compile(cfg.Condition)
-	if err != nil {
-		return nil, err
-	}
-	if err := opts.EarlyDecision.validate(); err != nil {
-		return nil, err
-	}
-	eng := &Engine{
-		cfg:         cfg,
-		plan:        plan,
-		plannerOpts: opts.Planner,
-		tsm:         tsm,
-		oracle:      oracle,
-		batch:       labeling.AsBatch(oracle),
-		costs:       labeling.RestoreLedger(st.Charges),
-		notifier:    notifier,
-		repo:        repo,
-		scalarEval:  opts.ScalarEval,
-		compiled:    compiled,
-		early:       opts.EarlyDecision.withDefaults(),
-		estVals:     make(map[condlang.Var]float64, 3),
-		activeName:  st.ActiveName,
-		active:      append([]int(nil), st.ActivePreds...),
-		history:     append([]Result(nil), st.History...),
-	}
+	eng.batch = labeling.NewTruthOracle(st.Testset.Y)
+	eng.costs = labeling.RestoreLedger(st.Charges)
+	eng.repo = repo
+	eng.activeName = st.ActiveName
+	eng.active = append([]int(nil), st.ActivePreds...)
+	eng.history = append([]Result(nil), st.History...)
 	eng.syncPackedState()
 	return eng, nil
 }

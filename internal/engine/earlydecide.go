@@ -7,7 +7,6 @@ import (
 	"github.com/easeml/ci/internal/condlang"
 	"github.com/easeml/ci/internal/evaluator"
 	"github.com/easeml/ci/internal/interval"
-	"github.com/easeml/ci/internal/planner"
 )
 
 // Sequential evaluation: instead of revealing a commit's labels in one
@@ -21,24 +20,20 @@ import (
 // that stays borderline falls through to the full reveal, so the worst
 // case is identical to the static plan.
 //
-// The decision functions below are shared verbatim by the packed and the
-// scalar evaluation paths: both feed them the same integer counts, so
-// their look decisions — and therefore the label charges a durable log
-// replays — are bit-identical.
+// The decision functions below take plain integer counts. The engine
+// feeds them popcounts; the reference evaluator in the tests feeds them
+// element-wise counts from the same definitions, so the two make
+// bit-identical look decisions — and durable replay reproduces the label
+// charges the live loop made.
 
 // EarlyDecision configures the sequential evaluation loop. The zero value
 // is the production default: the deterministic no-regret early exit on a
-// 64-doubling look schedule, no probabilistic bound.
+// 64-doubling look schedule (planner.NextLook), no probabilistic bound.
 type EarlyDecision struct {
-	// Disable reverts to the one-shot static reveal (the pre-sequential
-	// behavior); the equivalence suites use it as the baseline oracle.
+	// Disable turns the loop into the static plan: no forced-verdict
+	// checks, one look that reveals everything the static plan reveals;
+	// the equivalence suites use it as the baseline oracle.
 	Disable bool
-	// FirstLook is the first look's cumulative reveal target; 0 means
-	// planner.DefaultFirstLook.
-	FirstLook int
-	// Growth is the geometric factor between look targets; 0 means
-	// planner.DefaultLookGrowth.
-	Growth int
 	// SequentialDelta, when positive, additionally stops at a look where
 	// an anytime-valid without-replacement bound (bounds.SerflingEpsilon,
 	// spending SequentialDelta across looks via bounds.GeometricDelta)
@@ -48,16 +43,6 @@ type EarlyDecision struct {
 	// (0) by default: the deterministic exit alone keeps verdicts
 	// byte-identical.
 	SequentialDelta float64
-}
-
-func (d EarlyDecision) withDefaults() EarlyDecision {
-	if d.FirstLook < 1 {
-		d.FirstLook = planner.DefaultFirstLook
-	}
-	if d.Growth < 2 {
-		d.Growth = planner.DefaultLookGrowth
-	}
-	return d
 }
 
 func (d EarlyDecision) validate() error {
@@ -77,9 +62,9 @@ func (d EarlyDecision) validate() error {
 const earlyMargin = 1e-9
 
 // lookCounts are the integer measurements one look decision is made from.
-// Both evaluation paths produce them — the packed path via popcounts, the
-// scalar oracle via element-wise walks — and both must fill every field
-// from the same definitions, or their decisions drift.
+// The engine produces them via popcounts and the reference evaluator in
+// the tests via element-wise walks; both must fill every field from the
+// same definitions, or their decisions drift.
 type lookCounts struct {
 	// total is the testset size.
 	total int
@@ -270,11 +255,12 @@ func finishPartialFull(truth interval.Truth, c lookCounts, fresh, looks, startUn
 	return ev
 }
 
-// activeStaticCost is the label cost the one-shot reveal would pay for
-// this commit: the unrevealed disagreements, unless a definitively failed
-// label-free clause precedes the n-o clause (then the one-shot path
-// short-circuits too and pays nothing). Early-exit savings are measured
-// against this, so they never overstate.
+// activeStaticCost is the label cost the static plan pays for this
+// commit: the unrevealed disagreements, unless a definitively failed
+// label-free clause precedes the n-o clause (then the static plan
+// short-circuits and pays nothing). Early-exit savings are measured
+// against this, so they never overstate; with early decision disabled,
+// a zero cost is what skips the single look.
 func (e *Engine) activeStaticCost(dHat float64, unrevealedDis int) int {
 	truth := interval.True
 	for i := range e.compiled.Clauses {

@@ -17,8 +17,9 @@ import (
 // on everything except label cost: verdicts, signals, promotions, commit
 // hashes, alarms, and rotation points are byte-identical to the static
 // full-reveal plan, while the labels charged per commit never exceed the
-// static plan's cumulative spend. These property tests drive an engine
-// quartet — {early, static} x {packed, scalar} — through identical commit
+// static plan's cumulative spend. These property tests drive an early and
+// a static engine — each checked against its scalar reference
+// (reference_test.go) on every commit — through identical commit
 // sequences and assert exactly that.
 
 // stripCost zeroes the fields that legitimately differ between an early
@@ -34,37 +35,23 @@ func stripCost(r Result) Result {
 	return r
 }
 
-// engineQuartet builds {early, static} x {packed, scalar} engines over the
-// same dataset, condition, and initial model. seqDelta > 0 additionally
-// arms the anytime-valid sequential bound on the early pair.
-func engineQuartet(t *testing.T, cond string, rel float64, steps int, labels, h0Preds []int, classes int, seqDelta float64) (earlyPacked, earlyScalar, staticPacked, staticScalar *Engine) {
+// earlyStaticPair builds an early and a static engine, each with its
+// reference, over the same dataset, condition, and initial model.
+// seqDelta > 0 additionally arms the anytime-valid sequential bound on the
+// early engine.
+func earlyStaticPair(t *testing.T, cond string, rel float64, steps int, labels, h0Preds []int, classes int, seqDelta float64) (early, static *refRig) {
 	t.Helper()
-	cfg := mustConfig(t, cond, rel, interval.FPFree, script.Adaptivity{Kind: script.AdaptivityFull}, steps)
-	h0 := model.NewFixedPredictions("h0", h0Preds)
-	build := func(disable, scalarEval bool) *Engine {
-		ds := fixedDataset(labels, classes)
-		eng, err := New(cfg, ds, labeling.NewTruthOracle(ds.Y), Options{
-			InitialModel: h0,
-			ScalarEval:   scalarEval,
-			EarlyDecision: EarlyDecision{
-				Disable:         disable,
-				SequentialDelta: seqDelta,
-			},
-		})
-		if err != nil {
-			t.Fatalf("New(disable=%v scalar=%v): %v", disable, scalarEval, err)
-		}
-		return eng
-	}
-	return build(false, false), build(false, true), build(true, false), build(true, true)
+	early = newRefRig(t, cond, rel, steps, labels, h0Preds, classes, EarlyDecision{SequentialDelta: seqDelta})
+	static = newRefRig(t, cond, rel, steps, labels, h0Preds, classes, EarlyDecision{Disable: true, SequentialDelta: seqDelta})
+	return early, static
 }
 
 // TestEarlyVsStaticEquivalence is the headline property of this change:
 // over random commit streams (clear passes, clear fails, near-threshold
-// candidates) with mid-stream rotations, the early-decision engines
-// produce the same verdict stream as the static engines, the packed and
-// scalar early paths agree bit for bit with each other, and the early
-// engines' cumulative label spend never exceeds the static plan's.
+// candidates) with mid-stream rotations, the early-decision engine
+// produces the same verdict stream as the static engine, each engine
+// agrees bit for bit with its reference, and the early engine's
+// cumulative label spend never exceeds the static plan's.
 func TestEarlyVsStaticEquivalence(t *testing.T) {
 	type scenario struct {
 		name     string
@@ -93,8 +80,8 @@ func TestEarlyVsStaticEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eP, eS, sP, sS := engineQuartet(t, sc.cond, sc.rel, 2, labels, h0, classes, sc.seqDelta)
-			engines := []*Engine{eP, eS, sP, sS}
+			early, static := earlyStaticPair(t, sc.cond, sc.rel, 2, labels, h0, classes, sc.seqDelta)
+			rigs := []*refRig{early, static}
 
 			cumEarly, cumStatic := 0, 0
 			for commit := 0; commit < 12; commit++ {
@@ -103,80 +90,61 @@ func TestEarlyVsStaticEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m := model.NewFixedPredictions(fmt.Sprintf("m%d", commit), preds)
-				results := make([]Result, len(engines))
-				errs := make([]error, len(engines))
-				for i, eng := range engines {
-					results[i], errs[i] = eng.Commit(m, "dev", fmt.Sprintf("c%d", commit))
+				results := make([]Result, len(rigs))
+				errs := make([]error, len(rigs))
+				for i, rig := range rigs {
+					results[i], errs[i] = rig.commit(t, fmt.Sprintf("c%d", commit), fmt.Sprintf("m%d", commit), preds)
 				}
-				for i := 1; i < len(errs); i++ {
-					if (errs[0] == nil) != (errs[i] == nil) {
-						t.Fatalf("commit %d: error divergence: %v vs %v", commit, errs[0], errs[i])
-					}
+				if (errs[0] == nil) != (errs[1] == nil) {
+					t.Fatalf("commit %d: error divergence: %v vs %v", commit, errs[0], errs[1])
 				}
 				if errs[0] != nil {
 					if errs[0] != ErrNeedNewTestset {
 						continue
 					}
-					// Budget exhausted on every engine at the same commit:
-					// rotate all four identically and carry on.
+					// Budget exhausted on both engines at the same commit:
+					// rotate both identically and carry on.
 					next := make([]int, sc.n)
 					for i := range next {
 						next[i] = rng.Intn(classes)
 					}
-					carryPreds, err := model.SimulatedPredictions(next, classes, 0.8, 7)
+					carry, err := model.SimulatedPredictions(next, classes, 0.8, 7)
 					if err != nil {
 						t.Fatal(err)
 					}
-					carry := model.NewFixedPredictions("carry", carryPreds)
-					for _, eng := range engines {
-						nd := fixedDataset(next, classes)
-						if err := eng.RotateTestset(nd, labeling.NewTruthOracle(nd.Y), carry); err != nil {
-							t.Fatal(err)
-						}
+					for _, rig := range rigs {
+						rig.rotate(t, next, carry, classes)
 					}
 					labels = next
 					continue
 				}
 
-				// Packed and scalar must agree bit for bit within each mode.
-				if !reflect.DeepEqual(results[0], results[1]) {
-					t.Fatalf("commit %d: early packed vs scalar diverge:\n%+v\n%+v", commit, results[0], results[1])
-				}
-				if !reflect.DeepEqual(results[2], results[3]) {
-					t.Fatalf("commit %d: static packed vs scalar diverge:\n%+v\n%+v", commit, results[2], results[3])
-				}
 				// Early vs static: identical modulo label accounting and
 				// the (prefix-measured) point estimates.
-				if got, want := stripCost(results[0]), stripCost(results[2]); !reflect.DeepEqual(got, want) {
+				if got, want := stripCost(results[0]), stripCost(results[1]); !reflect.DeepEqual(got, want) {
 					t.Fatalf("commit %d: early vs static verdicts diverge:\nearly:  %+v\nstatic: %+v", commit, got, want)
 				}
-				if results[2].EarlyExit || results[2].LabelsSaved != 0 || results[2].Looks != 0 {
-					t.Fatalf("commit %d: static engine reported early-exit fields: %+v", commit, results[2])
+				if results[1].EarlyExit || results[1].LabelsSaved != 0 || results[1].Looks != 0 {
+					t.Fatalf("commit %d: static engine reported early-exit fields: %+v", commit, results[1])
 				}
 				if results[0].LabelsSaved < 0 {
 					t.Fatalf("commit %d: negative savings: %+v", commit, results[0])
 				}
 				cumEarly += results[0].FreshLabels
-				cumStatic += results[2].FreshLabels
+				cumStatic += results[1].FreshLabels
 				// The early engine's revealed set is always a subset of the
 				// static engine's, so its cumulative spend can never lead.
 				if cumEarly > cumStatic {
 					t.Fatalf("commit %d: early spent %d labels, static only %d", commit, cumEarly, cumStatic)
 				}
 			}
-			if a, b := eP.LabelCost().Total(), eS.LabelCost().Total(); a != b {
-				t.Fatalf("early label totals diverge: packed=%d scalar=%d", a, b)
-			}
-			if eP.LabelCost().Total() > sP.LabelCost().Total() {
+			if early.eng.LabelCost().Total() > static.eng.LabelCost().Total() {
 				t.Fatalf("early ledger %d exceeds static ledger %d",
-					eP.LabelCost().Total(), sP.LabelCost().Total())
+					early.eng.LabelCost().Total(), static.eng.LabelCost().Total())
 			}
-			for _, eng := range engines[1:] {
-				if eng.ActiveModelName() != eP.ActiveModelName() {
-					t.Fatalf("promoted baselines diverge: %q vs %q",
-						eP.ActiveModelName(), eng.ActiveModelName())
-				}
+			if early.eng.ActiveModelName() != static.eng.ActiveModelName() {
+				t.Fatalf("promoted baselines diverge: %q vs %q",
+					early.eng.ActiveModelName(), static.eng.ActiveModelName())
 			}
 		})
 	}
@@ -207,13 +175,12 @@ func TestEarlyExitLabelReduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := model.NewFixedPredictions("m", preds)
-		eP, _, sP, _ := engineQuartet(t, "n > 0.7 +/- 0.05", 0.99, 2, labels, h0, classes, 0)
-		re, err := eP.Commit(m, "dev", "x")
+		early, static := earlyStaticPair(t, "n > 0.7 +/- 0.05", 0.99, 2, labels, h0, classes, 0)
+		re, err := early.commit(t, "x", "m", preds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := sP.Commit(m, "dev", "x")
+		rs, err := static.commit(t, "x", "m", preds)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,21 +67,16 @@ type Engine struct {
 	plan        *core.Plan
 	plannerOpts core.Options
 	tsm         *testset.Manager
-	oracle      labeling.Oracle
 	batch       labeling.BatchOracle
 	costs       *labeling.Ledger
 	notifier    notify.Notifier
 	repo        *repository.Store
 
-	// scalarEval routes measurement through the element-wise reference
-	// implementation instead of the packed bitmap core; see
-	// Options.ScalarEval.
-	scalarEval bool
 	// compiled is the script condition with every clause pre-linearized,
 	// so per-commit evaluation does not re-derive (and re-allocate) the
 	// linear forms.
 	compiled evaluator.CompiledFormula
-	// early is the sequential early-exit configuration, defaults applied.
+	// early is the sequential early-exit configuration.
 	early EarlyDecision
 
 	// active holds the current baseline ("old") model's predictions on the
@@ -135,12 +130,6 @@ type Options struct {
 	// Notifier receives third-party results and alarms; defaults to an
 	// in-memory outbox when nil.
 	Notifier notify.Notifier
-	// ScalarEval forces the element-wise scalar measurement path (per-
-	// example label reveals, int-slice walks) instead of the packed
-	// bitmap core. The scalar path is the equivalence oracle and ablation
-	// baseline — same role the retired grid search plays for the
-	// worst-case sweep; production engines leave this false.
-	ScalarEval bool
 	// EarlyDecision tunes (or disables) the sequential early-exit
 	// evaluation loop; the zero value is the production default.
 	EarlyDecision EarlyDecision
@@ -149,36 +138,52 @@ type Options struct {
 // New builds an engine for a validated script over the given first testset.
 // The oracle answers label queries against that testset's examples.
 func New(cfg *script.Config, first *data.Dataset, oracle labeling.Oracle, opts Options) (*Engine, error) {
+	if opts.InitialModel == nil {
+		return nil, fmt.Errorf("engine: an initial (old) model is required")
+	}
+	eng, err := newEngine(cfg, first, opts, func(kind adaptivity.Kind) (*testset.Manager, error) {
+		return testset.NewManager(kind, cfg.Steps, first)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.SetOracle(oracle); err != nil {
+		return nil, err
+	}
+	eng.costs = &labeling.Ledger{}
+	eng.repo = repository.NewStore()
+	if err := eng.setActive(opts.InitialModel); err != nil {
+		return nil, err
+	}
+	return eng, nil
+}
+
+// newEngine is the construction New and Restore share: it validates the
+// config, looks up the plan and checks the testset can carry it, builds
+// the testset manager (mkTestsets, under the script's adaptivity kind),
+// compiles the condition, and validates the early-decision settings. The
+// caller installs the oracle, ledger, repository and baseline.
+func newEngine(cfg *script.Config, ds *data.Dataset, opts Options, mkTestsets func(adaptivity.Kind) (*testset.Manager, error)) (*Engine, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("engine: nil config")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if oracle == nil {
-		return nil, fmt.Errorf("engine: nil oracle")
-	}
-	if opts.InitialModel == nil {
-		return nil, fmt.Errorf("engine: an initial (old) model is required")
-	}
 	plan, err := planner.Default.PlanForConfig(cfg, opts.Planner)
 	if err != nil {
 		return nil, err
 	}
-	if plan.LabeledN > 0 && first.Len() < plan.LabeledN {
-		return nil, fmt.Errorf("engine: testset has %d examples but the plan requires %d", first.Len(), plan.LabeledN)
+	if plan.LabeledN > 0 && ds.Len() < plan.LabeledN {
+		return nil, fmt.Errorf("engine: testset has %d examples but the plan requires %d", ds.Len(), plan.LabeledN)
 	}
 	kind, err := adaptivity.FromScript(cfg.Adaptivity.Kind)
 	if err != nil {
 		return nil, err
 	}
-	tsm, err := testset.NewManager(kind, cfg.Steps, first)
+	tsm, err := mkTestsets(kind)
 	if err != nil {
 		return nil, err
-	}
-	notifier := opts.Notifier
-	if notifier == nil {
-		notifier = notify.NewOutbox()
 	}
 	compiled, err := evaluator.Compile(cfg.Condition)
 	if err != nil {
@@ -187,25 +192,20 @@ func New(cfg *script.Config, first *data.Dataset, oracle labeling.Oracle, opts O
 	if err := opts.EarlyDecision.validate(); err != nil {
 		return nil, err
 	}
-	eng := &Engine{
+	notifier := opts.Notifier
+	if notifier == nil {
+		notifier = notify.NewOutbox()
+	}
+	return &Engine{
 		cfg:         cfg,
 		plan:        plan,
 		plannerOpts: opts.Planner,
 		tsm:         tsm,
-		oracle:      oracle,
-		batch:       labeling.AsBatch(oracle),
-		costs:       &labeling.Ledger{},
 		notifier:    notifier,
-		repo:        repository.NewStore(),
-		scalarEval:  opts.ScalarEval,
 		compiled:    compiled,
-		early:       opts.EarlyDecision.withDefaults(),
+		early:       opts.EarlyDecision,
 		estVals:     make(map[condlang.Var]float64, 3),
-	}
-	if err := eng.setActive(opts.InitialModel); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	}, nil
 }
 
 // Plan exposes the labeling plan the engine runs under.

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
+	"github.com/easeml/ci/internal/data"
 	"github.com/easeml/ci/internal/interval"
 	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/notify"
@@ -11,15 +14,16 @@ import (
 
 // TestEngineMultiGenerationLifecycle drives the engine across three testset
 // generations, checking every piece of bookkeeping the paper's workflow
-// depends on: budget consumption, alarm timing, release of retired
-// testsets, label-cost accounting across rotations, and history integrity.
+// depends on: budget consumption, alarm timing, fully labeled testsets at
+// retirement, label-cost accounting across rotations, and history
+// integrity.
 func TestEngineMultiGenerationLifecycle(t *testing.T) {
 	cfg := mustConfig(t, "n > 0.6 +/- 0.1", 0.99, interval.FPFree,
 		script.Adaptivity{Kind: script.AdaptivityFull}, 2)
 	ds := indexDataset(600, 4)
 	outbox := notify.NewOutbox()
 	// Early decision disabled: the assertions below pin the static plan's
-	// exact label totals (600 per generation, released testsets fully
+	// exact label totals (600 per generation, retired testsets fully
 	// labeled), which early exits deliberately undercut.
 	eng, err := New(cfg, ds, labeling.NewTruthOracle(ds.Y), Options{
 		InitialModel:  simModel(t, "h0", ds, 0.5, 1),
@@ -50,6 +54,11 @@ func TestEngineMultiGenerationLifecycle(t *testing.T) {
 				t.Errorf("gen %d step %d: alarm = %v", generation, step, res.NeedNewTestset)
 			}
 		}
+		// The retiring baseline-path testset is fully labeled: released to
+		// the developers, it is a fully usable validation set.
+		if cur := eng.Testsets().Current(); cur.Generation != generation || cur.RevealedCount() != cur.Len() {
+			t.Errorf("retiring generation %d: gen %d labeled %d of %d", generation, cur.Generation, cur.RevealedCount(), cur.Len())
+		}
 		if generation < 3 {
 			next := indexDataset(600, 4)
 			if err := eng.RotateTestset(next, labeling.NewTruthOracle(next.Y), simModel(t, "carry", next, 0.9, int64(generation))); err != nil {
@@ -64,20 +73,6 @@ func TestEngineMultiGenerationLifecycle(t *testing.T) {
 	}
 	if len(eng.History()) != totalCommits {
 		t.Errorf("history = %d, want %d", len(eng.History()), totalCommits)
-	}
-	// Two rotations happened; two retired testsets were released.
-	if got := len(eng.Testsets().Released()); got != 2 {
-		t.Errorf("released testsets = %d, want 2", got)
-	}
-	for i, ts := range eng.Testsets().Released() {
-		if ts.Generation != i+1 {
-			t.Errorf("released[%d].Generation = %d", i, ts.Generation)
-		}
-		// Retired baseline-path testsets were fully labeled before release
-		// (the developer receives a fully usable validation set).
-		if ts.RevealedCount() != ts.Len() {
-			t.Errorf("released[%d] labeled %d of %d", i, ts.RevealedCount(), ts.Len())
-		}
 	}
 	// One alarm per generation.
 	if got := len(outbox.ByKind(notify.KindAlarm)); got != 3 {
@@ -119,4 +114,42 @@ func TestEngineHistoryIsolation(t *testing.T) {
 	if eng.History()[0].Pass == h[0].Pass {
 		t.Error("History leaked internal state")
 	}
+}
+
+// TestRotationDropsRetiredTestset: once rotated out, a testset is garbage.
+// Neither the engine nor its testset manager keeps a reference to it, so
+// a long-lived server does not grow by one testset (features, labels and
+// reveal bitmap) per rotation.
+func TestRotationDropsRetiredTestset(t *testing.T) {
+	cfg := mustConfig(t, "n > 0.6 +/- 0.1", 0.99, interval.FPFree,
+		script.Adaptivity{Kind: script.AdaptivityFull}, 2)
+	collected := make(chan struct{})
+	eng := func() *Engine {
+		first := indexDataset(600, 4)
+		runtime.SetFinalizer(first, func(*data.Dataset) { close(collected) })
+		eng, err := New(cfg, first, labeling.NewTruthOracle(first.Y), Options{
+			InitialModel: simModel(t, "h0", first, 0.5, 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Commit(simModel(t, "m", first, 0.9, 2), "dev", "x"); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}()
+	next := indexDataset(600, 4)
+	if err := eng.RotateTestset(next, labeling.NewTruthOracle(next.Y), simModel(t, "carry", next, 0.9, 3)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(eng)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the retired testset is still reachable after rotation")
 }

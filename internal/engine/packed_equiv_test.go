@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/easeml/ci/internal/condlang"
@@ -15,32 +14,11 @@ import (
 )
 
 // The packed bitmap measurement core must be observationally identical to
-// the element-wise scalar reference it replaced (Options.ScalarEval).
-// These tests drive engine pairs — one packed, one scalar — through
-// identical commit sequences and assert the full Result streams match:
-// estimates, three-valued truths, verdicts, promotion, label accounting,
-// and commit hashes.
-
-// enginePair builds a packed and a scalar engine over the same dataset,
-// script, and initial model.
-func enginePair(t *testing.T, cond string, rel float64, steps int, ds, h0Preds []int, classes int) (packed, scalar *Engine) {
-	t.Helper()
-	dataset := fixedDataset(ds, classes)
-	cfg := mustConfig(t, cond, rel, interval.FPFree, script.Adaptivity{Kind: script.AdaptivityFull}, steps)
-	h0 := model.NewFixedPredictions("h0", h0Preds)
-	var engines []*Engine
-	for _, scalarEval := range []bool{false, true} {
-		eng, err := New(cfg, dataset, labeling.NewTruthOracle(dataset.Y), Options{
-			InitialModel: h0,
-			ScalarEval:   scalarEval,
-		})
-		if err != nil {
-			t.Fatalf("New(scalar=%v): %v", scalarEval, err)
-		}
-		engines = append(engines, eng)
-	}
-	return engines[0], engines[1]
-}
+// the element-wise definitions of the evaluation. These tests drive the
+// engine and the scalar reference evaluator (reference_test.go) through
+// identical commit sequences and require, commit by commit, the same
+// three-valued truths, verdicts, estimates, label accounting, promotions
+// and reveal sets.
 
 // fixedDataset wraps a label vector as an index-featured dataset.
 func fixedDataset(labels []int, classes int) *data.Dataset {
@@ -52,20 +30,11 @@ func fixedDataset(labels []int, classes int) *data.Dataset {
 	return ds
 }
 
-// compareResults asserts two results are identical in every field.
-func compareResults(t *testing.T, tag string, packed, scalar Result) {
-	t.Helper()
-	if !reflect.DeepEqual(packed, scalar) {
-		t.Fatalf("%s: results diverge:\npacked: %+v\nscalar: %+v", tag, packed, scalar)
-	}
-}
-
 // TestEnginePackedVsScalarVerdicts is the engine half of the
 // TestMeasurePackedVsScalar property: random candidate streams (passing,
 // failing, and near-threshold models; random label vectors; word-boundary
 // testset sizes 63/64/65 up to 2000) through fully-labeled and
-// active-labeling plans produce byte-identical Result streams on the
-// packed and scalar paths, including FreshLabels and the label ledger.
+// active-labeling plans match the scalar reference on every commit.
 func TestEnginePackedVsScalarVerdicts(t *testing.T) {
 	type scenario struct {
 		cond  string
@@ -96,7 +65,7 @@ func TestEnginePackedVsScalarVerdicts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				packed, scalar := enginePair(t, sc.cond, sc.rel, sc.steps, labels, h0, classes)
+				rig := newRefRig(t, sc.cond, sc.rel, sc.steps, labels, h0, classes, EarlyDecision{})
 
 				for commit := 0; commit < 12; commit++ {
 					// Mix clear passes, clear fails, and near-threshold
@@ -106,49 +75,23 @@ func TestEnginePackedVsScalarVerdicts(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					m := model.NewFixedPredictions(fmt.Sprintf("m%d", commit), preds)
-					author, msg := "dev", fmt.Sprintf("c%d", commit)
-					pr, pErr := packed.Commit(m, author, msg)
-					sr, sErr := scalar.Commit(m, author, msg)
-					if (pErr == nil) != (sErr == nil) {
-						t.Fatalf("commit %d: error divergence: packed=%v scalar=%v", commit, pErr, sErr)
-					}
-					if pErr != nil {
-						if pErr.Error() != sErr.Error() {
-							t.Fatalf("commit %d: error text divergence: %v vs %v", commit, pErr, sErr)
+					_, err = rig.commit(t, fmt.Sprintf("c%d", commit), fmt.Sprintf("m%d", commit), preds)
+					if err == ErrNeedNewTestset {
+						next := make([]int, n)
+						for i := range next {
+							next[i] = rng.Intn(classes)
 						}
-						if pErr == ErrNeedNewTestset {
-							// Rotate both engines identically and go on.
-							next := make([]int, n)
-							for i := range next {
-								next[i] = rng.Intn(classes)
-							}
-							carryPreds, err := model.SimulatedPredictions(next, classes, 0.8, 99)
-							if err != nil {
-								t.Fatal(err)
-							}
-							carry := model.NewFixedPredictions("carry", carryPreds)
-							for _, eng := range []*Engine{packed, scalar} {
-								nd := fixedDataset(next, classes)
-								if err := eng.RotateTestset(nd, labeling.NewTruthOracle(nd.Y), carry); err != nil {
-									t.Fatal(err)
-								}
-							}
-							labels = next
+						carry, err := model.SimulatedPredictions(next, classes, 0.8, 99)
+						if err != nil {
+							t.Fatal(err)
 						}
+						rig.rotate(t, next, carry, classes)
+						labels = next
 						continue
 					}
-					compareResults(t, fmt.Sprintf("commit %d", commit), pr, sr)
-				}
-				if got, want := packed.LabelCost().Total(), scalar.LabelCost().Total(); got != want {
-					t.Fatalf("label totals diverge: packed=%d scalar=%d", got, want)
-				}
-				if !reflect.DeepEqual(packed.LabelCost().PerCommit(), scalar.LabelCost().PerCommit()) {
-					t.Fatal("per-commit label charges diverge")
-				}
-				if packed.ActiveModelName() != scalar.ActiveModelName() {
-					t.Fatalf("promoted baselines diverge: %q vs %q",
-						packed.ActiveModelName(), scalar.ActiveModelName())
+					if err != nil {
+						t.Fatalf("commit %d: %v", commit, err)
+					}
 				}
 			})
 		}
@@ -157,7 +100,7 @@ func TestEnginePackedVsScalarVerdicts(t *testing.T) {
 
 // TestEnginePackedVsScalarAcrossRotations checks the incremental packed
 // state (label scratch, baseline correctness bitmap) survives rotation —
-// the state must be rebuilt per generation exactly as the scalar path
+// the state must be rebuilt per generation exactly as the reference
 // re-derives it from scratch.
 func TestEnginePackedVsScalarAcrossRotations(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -170,7 +113,7 @@ func TestEnginePackedVsScalarAcrossRotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, scalar := enginePair(t, "d < 0.9 +/- 0.4 /\\ n - o > -0.5 +/- 0.45", 0.6, 2, labels, h0, classes)
+	rig := newRefRig(t, "d < 0.9 +/- 0.4 /\\ n - o > -0.5 +/- 0.45", 0.6, 2, labels, h0, classes, EarlyDecision{})
 
 	for gen := 0; gen < 3; gen++ {
 		for c := 0; c < 2; c++ {
@@ -179,29 +122,19 @@ func TestEnginePackedVsScalarAcrossRotations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := model.NewFixedPredictions(fmt.Sprintf("g%dc%d", gen, c), preds)
-			pr, pErr := packed.Commit(m, "dev", "x")
-			sr, sErr := scalar.Commit(m, "dev", "x")
-			if pErr != nil || sErr != nil {
-				t.Fatalf("gen %d commit %d: packed=%v scalar=%v", gen, c, pErr, sErr)
+			if _, err := rig.commit(t, fmt.Sprintf("gen %d commit %d", gen, c), fmt.Sprintf("g%dc%d", gen, c), preds); err != nil {
+				t.Fatalf("gen %d commit %d: %v", gen, c, err)
 			}
-			compareResults(t, fmt.Sprintf("gen %d commit %d", gen, c), pr, sr)
 		}
 		next := make([]int, n)
 		for i := range next {
 			next[i] = rng.Intn(classes)
 		}
-		carryPreds, err := model.SimulatedPredictions(next, classes, 0.8, int64(gen))
+		carry, err := model.SimulatedPredictions(next, classes, 0.8, int64(gen))
 		if err != nil {
 			t.Fatal(err)
 		}
-		carry := model.NewFixedPredictions("carry", carryPreds)
-		for _, eng := range []*Engine{packed, scalar} {
-			nd := fixedDataset(next, classes)
-			if err := eng.RotateTestset(nd, labeling.NewTruthOracle(nd.Y), carry); err != nil {
-				t.Fatal(err)
-			}
-		}
+		rig.rotate(t, next, carry, classes)
 		labels = next
 	}
 }
@@ -303,7 +236,7 @@ func TestEvaluateZeroAllocSteadyState(t *testing.T) {
 
 // TestEnginePackedVsScalarWideAlphabet covers the wide-column fused pass:
 // a label alphabet too big for the byte mirrors (classes > 255) must take
-// the []int path and still match the scalar reference exactly.
+// the []int path and still match the reference exactly.
 func TestEnginePackedVsScalarWideAlphabet(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n, classes = 300, 300
@@ -315,19 +248,15 @@ func TestEnginePackedVsScalarWideAlphabet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, scalar := enginePair(t, "n - 1.1 * o > -0.5 +/- 0.45", 0.6, 8, labels, h0, classes)
+	rig := newRefRig(t, "n - 1.1 * o > -0.5 +/- 0.45", 0.6, 8, labels, h0, classes, EarlyDecision{})
 	for c := 0; c < 6; c++ {
 		acc := []float64{0.9, 0.5, 0.72}[c%3]
 		preds, err := model.SimulatedPredictions(labels, classes, acc, rng.Int63())
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := model.NewFixedPredictions(fmt.Sprintf("m%d", c), preds)
-		pr, pErr := packed.Commit(m, "dev", "x")
-		sr, sErr := scalar.Commit(m, "dev", "x")
-		if pErr != nil || sErr != nil {
-			t.Fatalf("commit %d: packed=%v scalar=%v", c, pErr, sErr)
+		if _, err := rig.commit(t, fmt.Sprintf("commit %d", c), fmt.Sprintf("m%d", c), preds); err != nil {
+			t.Fatalf("commit %d: %v", c, err)
 		}
-		compareResults(t, fmt.Sprintf("commit %d", c), pr, sr)
 	}
 }

@@ -23,13 +23,11 @@
 // Compiled formulas (compiled.go) hoist clause linearization out of the
 // per-commit path, so steady-state evaluation allocates nothing.
 //
-// The element-wise implementations (Measure, Accuracy, Disagreement) are
-// not dead code: they are the equivalence oracle, exactly as the retired
-// grid search serves the event-driven worst-case sweep in
-// internal/bounds. Property tests (TestMeasurePackedVsScalar and the
-// engine's packed-vs-scalar suites) hold the packed core to bit-identical
-// estimates and verdicts against them, including unlabeled entries and
-// word-boundary testset sizes.
+// The element-wise Measure and EvalFormula are the definitions the packed
+// core is held to: TestMeasurePackedVsScalar and the engine's reference
+// evaluator (a test-only, element-wise re-implementation of a commit's
+// evaluation) check bit-identical estimates and verdicts against them,
+// including unlabeled entries and word-boundary testset sizes.
 package evaluator
 
 import (
@@ -128,21 +126,4 @@ func EvalFormula(f condlang.Formula, est VarEstimates) (interval.Truth, error) {
 		result = result.And(t)
 	}
 	return result, nil
-}
-
-// Decision is the outcome of evaluating a formula against estimates.
-type Decision struct {
-	// Truth is the raw three-valued result.
-	Truth interval.Truth
-	// Pass is the boolean signal after collapsing Unknown under the mode.
-	Pass bool
-}
-
-// Decide evaluates the formula and collapses the result under the mode.
-func Decide(f condlang.Formula, est VarEstimates, mode interval.Mode) (Decision, error) {
-	truth, err := EvalFormula(f, est)
-	if err != nil {
-		return Decision{}, err
-	}
-	return Decision{Truth: truth, Pass: mode.Collapse(truth)}, nil
 }

@@ -52,42 +52,3 @@ func Measure(oldPred, newPred, labels []int) (VarEstimates, error) {
 	}
 	return est, nil
 }
-
-// Accuracy computes the fraction of predictions matching labels; examples
-// with negative labels are skipped. It errors when nothing is labeled.
-func Accuracy(pred, labels []int) (float64, error) {
-	if len(pred) != len(labels) {
-		return 0, fmt.Errorf("evaluator: length mismatch: %d vs %d", len(pred), len(labels))
-	}
-	correct, labeled := 0, 0
-	for i := range pred {
-		if labels[i] < 0 {
-			continue
-		}
-		labeled++
-		if pred[i] == labels[i] {
-			correct++
-		}
-	}
-	if labeled == 0 {
-		return 0, fmt.Errorf("evaluator: no labeled examples")
-	}
-	return float64(correct) / float64(labeled), nil
-}
-
-// Disagreement computes d between two prediction vectors (no labels needed).
-func Disagreement(a, b []int) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("evaluator: length mismatch: %d vs %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, fmt.Errorf("evaluator: empty predictions")
-	}
-	diff := 0
-	for i := range a {
-		if a[i] != b[i] {
-			diff++
-		}
-	}
-	return float64(diff) / float64(len(a)), nil
-}

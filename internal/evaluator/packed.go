@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"github.com/easeml/ci/internal/condlang"
 	"github.com/easeml/ci/internal/parallel"
 )
 
@@ -14,10 +13,10 @@ import (
 // "has this label been revealed?" — are stored as bitmaps of 64 examples
 // per uint64 word, so measuring a commit is a handful of XOR/AND +
 // popcount passes over n/64 words instead of n branchy int comparisons,
-// and the counts {n, o, d} fall out of math/bits.OnesCount64. The scalar
-// implementation in measure.go survives as the equivalence oracle (same
-// pattern as bounds.ExactWorstCaseFailureGrid): property tests assert the
-// two paths produce identical estimates and verdicts.
+// and the counts {n, o, d} fall out of math/bits.OnesCount64. The
+// element-wise Measure in measure.go is the definition these counts are
+// held to: TestMeasurePackedVsScalar here and the engine's reference suite
+// assert identical estimates and verdicts.
 
 // Bitmap is a fixed-length bit vector over example indices, packed 64 per
 // word. The tail bits of the last word (indices >= Len) are always zero,
@@ -348,45 +347,4 @@ func MatchBitmap(pred, labels []int, match *Bitmap) {
 			match.words[i>>6] |= 1 << uint(i&63)
 		}
 	}
-}
-
-// LabeledBitmap fills revealed with the labeled column: labels[i] >= 0.
-func LabeledBitmap(labels []int, revealed *Bitmap) {
-	revealed.Reset(len(labels))
-	for i, y := range labels {
-		if y >= 0 {
-			revealed.words[i>>6] |= 1 << uint(i&63)
-		}
-	}
-}
-
-// MeasurePacked computes the same VarEstimates as Measure, but from packed
-// columns: diff is the disagreement bitmap, newMatch/oldMatch the
-// correctness bitmaps of the two models over the labeled subset, and
-// labeled marks which examples have labels. All four bitmaps must cover
-// the same number of examples. As in Measure, accuracies are reported only
-// when at least one example is labeled, while d always uses every example.
-//
-// This is the standalone packed mirror of Measure; the engine's hot path
-// computes the same ratios inline from its cached bitmaps (a VarEstimates
-// map per commit would break its zero-allocation steady state). Both are
-// held to Measure's answers by TestMeasurePackedVsScalar and the engine's
-// packed-vs-scalar suites, so the two cannot drift apart silently.
-func MeasurePacked(diff, newMatch, oldMatch, labeled Bitmap) (VarEstimates, error) {
-	n := diff.Len()
-	if newMatch.Len() != n || oldMatch.Len() != n || labeled.Len() != n {
-		return VarEstimates{}, fmt.Errorf("evaluator: bitmap lengths differ: diff=%d new=%d old=%d labeled=%d",
-			n, newMatch.Len(), oldMatch.Len(), labeled.Len())
-	}
-	if n == 0 {
-		return VarEstimates{}, fmt.Errorf("evaluator: empty testset")
-	}
-	est := VarEstimates{Values: map[condlang.Var]float64{
-		condlang.VarD: float64(diff.Count()) / float64(n),
-	}}
-	if l := labeled.Count(); l > 0 {
-		est.Values[condlang.VarN] = float64(newMatch.Count()) / float64(l)
-		est.Values[condlang.VarO] = float64(oldMatch.Count()) / float64(l)
-	}
-	return est, nil
 }

@@ -25,18 +25,26 @@ func randVectors(rng *rand.Rand, n, classes int, unlabeledFrac float64) (oldPred
 	return
 }
 
-// packedEstimates measures the triple through the packed core: fused
-// commit pass for diff + new-model correctness, MatchBitmap for the old
-// model, LabeledBitmap for the revealed column.
-func packedEstimates(t *testing.T, oldPred, newPred, labels []int) VarEstimates {
-	t.Helper()
-	var diff, newMatch, oldMatch, labeled Bitmap
+// packedEstimates measures the triple through the packed core, the way
+// the engine does: fused commit pass for diff + new-model correctness,
+// MatchBitmap for the old model, and the three ratios as popcounts over
+// the labeled count.
+func packedEstimates(oldPred, newPred, labels []int) VarEstimates {
+	var diff, newMatch, oldMatch Bitmap
 	CommitBitmaps(oldPred, newPred, labels, &diff, &newMatch)
 	MatchBitmap(oldPred, labels, &oldMatch)
-	LabeledBitmap(labels, &labeled)
-	est, err := MeasurePacked(diff, newMatch, oldMatch, labeled)
-	if err != nil {
-		t.Fatalf("MeasurePacked: %v", err)
+	est := VarEstimates{Values: map[condlang.Var]float64{
+		condlang.VarD: float64(diff.Count()) / float64(len(oldPred)),
+	}}
+	labeled := 0
+	for _, y := range labels {
+		if y >= 0 {
+			labeled++
+		}
+	}
+	if labeled > 0 {
+		est.Values[condlang.VarN] = float64(newMatch.Count()) / float64(labeled)
+		est.Values[condlang.VarO] = float64(oldMatch.Count()) / float64(labeled)
 	}
 	return est
 }
@@ -72,7 +80,7 @@ func TestMeasurePackedVsScalar(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d: Measure: %v", n, err)
 			}
-			packed := packedEstimates(t, oldPred, newPred, labels)
+			packed := packedEstimates(oldPred, newPred, labels)
 
 			if len(scalar.Values) != len(packed.Values) {
 				t.Fatalf("n=%d classes=%d unlabeled=%v: estimate keys differ: scalar=%v packed=%v",
@@ -207,15 +215,6 @@ func TestAndCounts(t *testing.T) {
 		if got := AndNotCount(a, b); got != wantAndNot {
 			t.Fatalf("n=%d: AndNotCount=%d want %d", n, got, wantAndNot)
 		}
-	}
-}
-
-func TestMeasurePackedErrors(t *testing.T) {
-	if _, err := MeasurePacked(NewBitmap(0), NewBitmap(0), NewBitmap(0), NewBitmap(0)); err == nil {
-		t.Error("empty testset should fail")
-	}
-	if _, err := MeasurePacked(NewBitmap(3), NewBitmap(4), NewBitmap(3), NewBitmap(3)); err == nil {
-		t.Error("length mismatch should fail")
 	}
 }
 

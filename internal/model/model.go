@@ -90,38 +90,3 @@ func PredictAllInto(p Predictor, ds *data.Dataset, buf []int) ([]int, error) {
 	}
 	return out, nil
 }
-
-// Accuracy computes a predictor's accuracy on a dataset.
-func Accuracy(p Predictor, ds *data.Dataset) (float64, error) {
-	preds, err := PredictAll(p, ds)
-	if err != nil {
-		return 0, err
-	}
-	correct := 0
-	for i, y := range ds.Y {
-		if preds[i] == y {
-			correct++
-		}
-	}
-	return float64(correct) / float64(ds.Len()), nil
-}
-
-// Disagreement computes the fraction of examples on which two predictors
-// differ (no labels needed).
-func Disagreement(a, b Predictor, ds *data.Dataset) (float64, error) {
-	pa, err := PredictAll(a, ds)
-	if err != nil {
-		return 0, err
-	}
-	pb, err := PredictAll(b, ds)
-	if err != nil {
-		return 0, err
-	}
-	diff := 0
-	for i := range pa {
-		if pa[i] != pb[i] {
-			diff++
-		}
-	}
-	return float64(diff) / float64(len(pa)), nil
-}

@@ -49,7 +49,7 @@ func TestNaiveBayesLearnsEmotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := Accuracy(nb, test)
+	acc, err := accuracy(nb, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestNaiveBayesLearnsEmotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	majAcc, err := Accuracy(maj, test)
+	majAcc, err := accuracy(maj, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSoftmaxLearnsBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := Accuracy(m, test)
+	acc, err := accuracy(m, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPerceptronLearnsBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := Accuracy(m, test)
+	acc, err := accuracy(m, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +112,8 @@ func TestMoreDataHelpsNaiveBayes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accSmall, _ := Accuracy(nbSmall, test)
-	accFull, _ := Accuracy(nbFull, test)
+	accSmall, _ := accuracy(nbSmall, test)
+	accFull, _ := accuracy(nbFull, test)
 	if accFull < accSmall-0.02 {
 		t.Errorf("more data hurt: %.3f -> %.3f", accSmall, accFull)
 	}
@@ -290,24 +290,6 @@ func TestFixedPredictions(t *testing.T) {
 	}
 }
 
-func TestDisagreementHelper(t *testing.T) {
-	ds, _ := data.Blobs(100, 2, 2, 0.5, 0)
-	a := NewFixedPredictions("a", make([]int, 100))
-	bPreds := make([]int, 100)
-	for i := 50; i < 100; i++ {
-		bPreds[i] = 1
-	}
-	b := NewFixedPredictions("b", bPreds)
-	// Index-keyed predictors need index features.
-	for i := range ds.X {
-		ds.X[i] = []float64{float64(i)}
-	}
-	d, err := Disagreement(a, b, ds)
-	if err != nil || d != 0.5 {
-		t.Errorf("Disagreement = %v, %v; want 0.5", d, err)
-	}
-}
-
 func TestPredictAllIntoBufferReuse(t *testing.T) {
 	ds := &data.Dataset{Name: "idx", Classes: 3}
 	for i := 0; i < 100; i++ {
@@ -386,4 +368,19 @@ func TestPredictAllBulkErrorParity(t *testing.T) {
 	if _, err := PredictAllInto(nil, ds, nil); err == nil {
 		t.Error("nil predictor should fail")
 	}
+}
+
+// accuracy is a predictor's accuracy on a labeled dataset.
+func accuracy(p Predictor, ds *data.Dataset) (float64, error) {
+	preds, err := PredictAll(p, ds)
+	if err != nil {
+		return 0, err
+	}
+	correct := 0
+	for i, y := range ds.Y {
+		if preds[i] == y {
+			correct++
+		}
+	}
+	return float64(correct) / float64(ds.Len()), nil
 }

@@ -3,10 +3,9 @@ package planner
 // Sequential evaluation reveals a commit's labels in geometrically growing
 // batches instead of all at once: the engine measures after every "look"
 // and stops as soon as the verdict is forced. The schedule below is the
-// shared contract between the packed and scalar evaluation paths (and
-// durable replay): both derive their reveal boundaries from the same pure
-// functions, so their look decisions — and therefore their label charges —
-// are bit-identical.
+// contract between live evaluation and durable replay: both derive their
+// reveal boundaries from the same pure function, so replay reproduces the
+// live look decisions — and therefore the label charges — bit for bit.
 
 // Default geometric look schedule: the first look reveals 64 labels, every
 // later look doubles the cumulative total.
@@ -17,19 +16,12 @@ const (
 
 // NextLook returns the next cumulative reveal target after `revealed`
 // labels of `total` are already revealed: the smallest schedule point
-// first, first*growth, first*growth^2, ... that exceeds revealed, capped
-// at total. first and growth are clamped to the defaults when out of
-// range (first < 1, growth < 2).
-func NextLook(revealed, total, first, growth int) int {
-	if first < 1 {
-		first = DefaultFirstLook
-	}
-	if growth < 2 {
-		growth = DefaultLookGrowth
-	}
-	t := first
+// DefaultFirstLook * DefaultLookGrowth^k that exceeds revealed, capped at
+// total.
+func NextLook(revealed, total int) int {
+	t := DefaultFirstLook
 	for t <= revealed && t < total {
-		t *= growth
+		t *= DefaultLookGrowth
 	}
 	if t > total {
 		t = total
@@ -40,32 +32,4 @@ func NextLook(revealed, total, first, growth int) int {
 		return revealed
 	}
 	return t
-}
-
-// LookSchedule materializes the full schedule for a testset of the given
-// size: cumulative reveal targets m_1 < m_2 < ... < m_L = total. Empty
-// when total <= 0.
-func LookSchedule(total, first, growth int) []int {
-	if total <= 0 {
-		return nil
-	}
-	var out []int
-	r := 0
-	for r < total {
-		r = NextLook(r, total, first, growth)
-		out = append(out, r)
-	}
-	return out
-}
-
-// LookCount returns L, the number of looks the schedule has for the given
-// testset size.
-func LookCount(total, first, growth int) int {
-	n := 0
-	r := 0
-	for r < total {
-		r = NextLook(r, total, first, growth)
-		n++
-	}
-	return n
 }

@@ -7,29 +7,24 @@ import (
 
 func TestNextLook(t *testing.T) {
 	cases := []struct {
-		revealed, total, first, growth int
-		want                           int
+		revealed, total int
+		want            int
 	}{
-		{0, 600, 64, 2, 64},
-		{64, 600, 64, 2, 128},
-		{128, 600, 64, 2, 256},
-		{256, 600, 64, 2, 512},
-		{512, 600, 64, 2, 600},   // last geometric point capped at total
-		{600, 600, 64, 2, 600},   // nothing left: target == revealed
-		{700, 600, 64, 2, 700},   // already past total (over-revealed)
-		{0, 40, 64, 2, 40},       // first look larger than the testset
-		{0, 600, 100, 3, 100},    // custom schedule
-		{100, 600, 100, 3, 300},  // 100 * 3
-		{300, 600, 100, 3, 600},  // 900 capped
-		{0, 600, 0, 0, 64},       // out-of-range params clamp to defaults
-		{63, 600, -1, 1, 64},     // growth < 2 clamps to 2
-		{1, 600, 64, 2, 64},      // mid-chunk reveal still lands on schedule
-		{65, 600, 64, 2, 128},
+		{0, 600, 64},
+		{64, 600, 128},
+		{128, 600, 256},
+		{256, 600, 512},
+		{512, 600, 600}, // last geometric point capped at total
+		{600, 600, 600}, // nothing left: target == revealed
+		{700, 600, 700}, // already past total (over-revealed)
+		{0, 40, 40},     // first look larger than the testset
+		{1, 600, 64},    // mid-chunk reveal still lands on schedule
+		{63, 600, 64},
+		{65, 600, 128},
 	}
 	for _, c := range cases {
-		if got := NextLook(c.revealed, c.total, c.first, c.growth); got != c.want {
-			t.Errorf("NextLook(%d, %d, %d, %d) = %d, want %d",
-				c.revealed, c.total, c.first, c.growth, got, c.want)
+		if got := NextLook(c.revealed, c.total); got != c.want {
+			t.Errorf("NextLook(%d, %d) = %d, want %d", c.revealed, c.total, got, c.want)
 		}
 	}
 }
@@ -37,42 +32,25 @@ func TestNextLook(t *testing.T) {
 func TestNextLookMonotone(t *testing.T) {
 	// From any starting point the schedule strictly advances until total,
 	// so the sequential loop can never spin.
-	for _, total := range []int{1, 63, 64, 65, 600, 2048} {
-		r, steps := 0, 0
-		for r < total {
-			next := NextLook(r, total, 64, 2)
+	for _, total := range []int{1, 63, 64, 65, 600, 2048, 5000} {
+		var sched []int
+		for r := 0; r < total; {
+			next := NextLook(r, total)
 			if next <= r {
 				t.Fatalf("total=%d: NextLook(%d) = %d did not advance", total, r, next)
 			}
 			r = next
-			if steps++; steps > 64 {
+			if sched = append(sched, r); len(sched) > 64 {
 				t.Fatalf("total=%d: schedule does not terminate", total)
 			}
 		}
-		if r != total {
-			t.Fatalf("total=%d: schedule ends at %d", total, r)
-		}
-	}
-}
-
-func TestLookSchedule(t *testing.T) {
-	if got, want := LookSchedule(600, 64, 2), []int{64, 128, 256, 512, 600}; !reflect.DeepEqual(got, want) {
-		t.Errorf("LookSchedule(600) = %v, want %v", got, want)
-	}
-	if got, want := LookSchedule(64, 64, 2), []int{64}; !reflect.DeepEqual(got, want) {
-		t.Errorf("LookSchedule(64) = %v, want %v", got, want)
-	}
-	if got := LookSchedule(0, 64, 2); got != nil {
-		t.Errorf("LookSchedule(0) = %v, want nil", got)
-	}
-	for _, total := range []int{1, 65, 600, 5000} {
-		sched := LookSchedule(total, 64, 2)
-		if len(sched) != LookCount(total, 64, 2) {
-			t.Errorf("total=%d: LookCount %d != len(schedule) %d",
-				total, LookCount(total, 64, 2), len(sched))
-		}
 		if sched[len(sched)-1] != total {
-			t.Errorf("total=%d: schedule must end at total, got %v", total, sched)
+			t.Fatalf("total=%d: schedule ends at %d", total, sched[len(sched)-1])
+		}
+		if total == 600 {
+			if want := []int{64, 128, 256, 512, 600}; !reflect.DeepEqual(sched, want) {
+				t.Errorf("schedule(600) = %v, want %v", sched, want)
+			}
 		}
 	}
 }

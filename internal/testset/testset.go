@@ -89,51 +89,8 @@ func (t *Testset) Revealed(i int) bool { return t.revealed.Get(i) }
 // as read-only; it stays live as further labels are revealed.
 func (t *Testset) RevealedBitmap() evaluator.Bitmap { return t.revealed }
 
-// Reveal marks example i's label as revealed and returns it, along with
-// whether this reveal was new (false when already paid for).
-func (t *Testset) Reveal(i int) (label int, fresh bool, err error) {
-	if i < 0 || i >= t.Len() {
-		return 0, false, fmt.Errorf("testset: index %d out of range [0,%d)", i, t.Len())
-	}
-	fresh = !t.revealed.Get(i)
-	if fresh {
-		t.revealed.Set(i)
-		t.revealedCount++
-	}
-	return t.Data.Y[i], fresh, nil
-}
-
 // RevealedCount returns how many labels have been revealed so far.
 func (t *Testset) RevealedCount() int { return t.revealedCount }
-
-// RevealAll reveals every not-yet-revealed label through one bulk oracle
-// request, cross-checking each returned label against the ground truth,
-// and returns how many labels were freshly paid for. When everything is
-// already revealed it returns 0 without touching the oracle.
-func (t *Testset) RevealAll(o labeling.BatchOracle) (fresh int, err error) {
-	idx, err := t.RevealFirst(t.Len()-t.revealedCount, o)
-	return len(idx), err
-}
-
-// RevealWhere reveals the labels of the examples whose bit is set in want
-// and not yet revealed, through one bulk oracle request. It returns the
-// freshly revealed indices (nil when nothing new was needed), so callers
-// maintaining incremental per-example state know exactly which entries
-// changed.
-func (t *Testset) RevealWhere(want evaluator.Bitmap, o labeling.BatchOracle) ([]int, error) {
-	if want.Len() != t.Len() {
-		return nil, fmt.Errorf("testset: reveal bitmap covers %d examples, testset has %d", want.Len(), t.Len())
-	}
-	missing := evaluator.AndNotCount(want, t.revealed)
-	if missing == 0 {
-		return nil, nil
-	}
-	idx := t.unrevealed(want.Words(), missing)
-	if _, err := t.revealBatch(idx, o); err != nil {
-		return nil, err
-	}
-	return idx, nil
-}
 
 // RevealFirst reveals up to limit not-yet-revealed labels in ascending
 // index order, through one bulk oracle request, and returns the freshly
@@ -158,10 +115,13 @@ func (t *Testset) RevealFirst(limit int, o labeling.BatchOracle) ([]int, error) 
 	return idx, nil
 }
 
-// RevealChunk is RevealWhere bounded to the first limit unrevealed
-// examples of want, in ascending index order: the chunked form active
-// labeling reveals its disagreement set through. limit <= 0 means no
-// bound (== RevealWhere). Returns the freshly revealed indices.
+// RevealChunk reveals the labels of the first limit examples whose bit is
+// set in want and that are not yet revealed, in ascending index order,
+// through one bulk oracle request: the form active labeling reveals its
+// disagreement set through. limit <= 0 means no bound. It returns the
+// freshly revealed indices (nil when nothing new was needed), so callers
+// maintaining incremental per-example state know exactly which entries
+// changed.
 func (t *Testset) RevealChunk(want evaluator.Bitmap, limit int, o labeling.BatchOracle) ([]int, error) {
 	if want.Len() != t.Len() {
 		return nil, fmt.Errorf("testset: reveal bitmap covers %d examples, testset has %d", want.Len(), t.Len())
@@ -264,9 +224,6 @@ type Manager struct {
 	budget  int
 	ledger  *adaptivity.Ledger
 	current *Testset
-	// released accumulates retired testsets; the user may hand them to the
-	// development team as validation data (Section 2.3).
-	released []*Testset
 }
 
 // NewManager installs the first testset with the given adaptivity mode and
@@ -284,9 +241,7 @@ func NewManager(kind adaptivity.Kind, budget int, first *data.Dataset) (*Manager
 }
 
 // RestoreManager rebuilds a manager around a recovered testset and
-// ledger position, for crash recovery from a durable log. Retired
-// testsets released before the snapshot are not reconstructed — their
-// statistical role ended when they were released.
+// ledger position, for crash recovery from a durable log.
 func RestoreManager(kind adaptivity.Kind, budget int, current *Testset, used int, retired bool) (*Manager, error) {
 	if current == nil {
 		return nil, fmt.Errorf("testset: nil restored testset")
@@ -324,19 +279,16 @@ func (m *Manager) Record(pass bool) (adaptivity.Event, error) {
 	return m.ledger.Record(pass)
 }
 
-// Rotate installs a fresh dataset as the next-generation testset and
-// returns the retired testset (now releasable to the developer).
-func (m *Manager) Rotate(next *data.Dataset) (*Testset, error) {
+// Rotate installs a fresh dataset as the next-generation testset. The
+// manager drops the retired one: its statistical role ends here, and
+// whoever supplied its data may release it to the developers as a
+// validation set.
+func (m *Manager) Rotate(next *data.Dataset) error {
 	ts, err := New(m.current.Generation+1, next)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	retired := m.current
-	m.released = append(m.released, retired)
 	m.current = ts
 	m.ledger.Reset()
-	return retired, nil
+	return nil
 }
-
-// Released returns the retired testsets, oldest first.
-func (m *Manager) Released() []*Testset { return m.released }

@@ -35,30 +35,38 @@ func TestNewTestset(t *testing.T) {
 	}
 }
 
+// preReveal marks the given examples as already paid for, the way an
+// earlier commit's reveal leaves them.
+func preReveal(t *testing.T, ts *Testset, idx ...int) {
+	t.Helper()
+	want := evaluator.NewBitmap(ts.Len())
+	for _, i := range idx {
+		want.Set(i)
+	}
+	if _, err := ts.RevealChunk(want, 0, labeling.NewTruthOracle(ts.Data.Y)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReveal: a label is paid for once — revealing an already-paid
+// example again is not fresh and is not re-counted.
 func TestReveal(t *testing.T) {
 	ts, _ := New(1, dataset(t, 10, 1))
-	y, fresh, err := ts.Reveal(3)
-	if err != nil || !fresh {
-		t.Fatalf("first reveal: %v %v %v", y, fresh, err)
+	want := evaluator.NewBitmap(10)
+	want.Set(3)
+	idx, err := ts.RevealChunk(want, 0, labeling.NewTruthOracle(ts.Data.Y))
+	if err != nil || len(idx) != 1 || idx[0] != 3 {
+		t.Fatalf("first reveal: %v %v", idx, err)
 	}
-	if y != ts.Data.Y[3] {
-		t.Errorf("revealed label %d != truth %d", y, ts.Data.Y[3])
-	}
-	_, fresh, err = ts.Reveal(3)
-	if err != nil || fresh {
-		t.Error("second reveal must not be fresh")
+	idx, err = ts.RevealChunk(want, 0, labeling.NewTruthOracle(ts.Data.Y))
+	if err != nil || idx != nil {
+		t.Errorf("second reveal must not be fresh: %v %v", idx, err)
 	}
 	if ts.RevealedCount() != 1 {
 		t.Errorf("revealed count = %d", ts.RevealedCount())
 	}
 	if !ts.Revealed(3) || ts.Revealed(4) {
 		t.Error("Revealed() bookkeeping wrong")
-	}
-	if _, _, err := ts.Reveal(-1); err == nil {
-		t.Error("negative index should fail")
-	}
-	if _, _, err := ts.Reveal(10); err == nil {
-		t.Error("out-of-range index should fail")
 	}
 }
 
@@ -84,21 +92,14 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Error("exhausted manager must refuse evaluation")
 	}
 
-	retired, err := m.Rotate(dataset(t, 12, 2))
-	if err != nil {
+	if err := m.Rotate(dataset(t, 12, 2)); err != nil {
 		t.Fatal(err)
-	}
-	if retired.Generation != 1 {
-		t.Errorf("retired generation = %d", retired.Generation)
 	}
 	if m.Current().Generation != 2 || m.Current().Len() != 12 {
 		t.Errorf("current = gen %d len %d", m.Current().Generation, m.Current().Len())
 	}
 	if !m.CanEvaluate() || m.Remaining() != 2 {
 		t.Error("rotation must re-arm the budget")
-	}
-	if len(m.Released()) != 1 || m.Released()[0] != retired {
-		t.Error("released bookkeeping wrong")
 	}
 }
 
@@ -128,70 +129,8 @@ func TestManagerErrors(t *testing.T) {
 		t.Error("invalid dataset should fail")
 	}
 	m, _ := NewManager(adaptivity.None, 1, dataset(t, 10, 1))
-	if _, err := m.Rotate(&empty); err == nil {
+	if err := m.Rotate(&empty); err == nil {
 		t.Error("rotating in invalid data should fail")
-	}
-}
-
-func TestRevealAllBatch(t *testing.T) {
-	ds := dataset(t, 130, 1) // crosses two bitmap words
-	ts, _ := New(1, ds)
-	oracle := labeling.NewTruthOracle(ds.Y)
-	// Pre-reveal a couple so RevealAll mixes fresh and already-paid.
-	ts.Reveal(3)
-	ts.Reveal(64)
-	fresh, err := ts.RevealAll(oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh != 128 {
-		t.Errorf("fresh = %d, want 128", fresh)
-	}
-	if ts.RevealedCount() != 130 {
-		t.Errorf("revealed = %d", ts.RevealedCount())
-	}
-	// Steady state: no oracle needed at all.
-	fresh, err = ts.RevealAll(nil)
-	if err != nil || fresh != 0 {
-		t.Errorf("steady-state RevealAll: fresh=%d err=%v", fresh, err)
-	}
-	if got := ts.RevealedBitmap().Count(); got != 130 {
-		t.Errorf("revealed bitmap count = %d", got)
-	}
-}
-
-func TestRevealWhereBatch(t *testing.T) {
-	ds := dataset(t, 100, 2)
-	ts, _ := New(1, ds)
-	oracle := labeling.NewTruthOracle(ds.Y)
-	want := evaluator.NewBitmap(100)
-	for _, i := range []int{0, 5, 63, 64, 99} {
-		want.Set(i)
-	}
-	ts.Reveal(5) // already paid: must not be re-counted
-	idx, err := ts.RevealWhere(want, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 4 {
-		t.Fatalf("fresh indices = %v, want 4 entries", idx)
-	}
-	for _, i := range idx {
-		if !ts.Revealed(i) {
-			t.Errorf("index %d not marked revealed", i)
-		}
-	}
-	if ts.RevealedCount() != 5 {
-		t.Errorf("revealed = %d, want 5", ts.RevealedCount())
-	}
-	// Second call with the same mask: nothing fresh, no allocation path.
-	idx, err = ts.RevealWhere(want, nil)
-	if err != nil || idx != nil {
-		t.Errorf("steady-state RevealWhere: idx=%v err=%v", idx, err)
-	}
-	// Mismatched bitmap length is rejected.
-	if _, err := ts.RevealWhere(evaluator.NewBitmap(99), oracle); err == nil {
-		t.Error("length mismatch should fail")
 	}
 }
 
@@ -228,17 +167,24 @@ func (o halfLyingOracle) LabelBatch(idx []int) ([]int, error) {
 
 func TestRevealBatchVerification(t *testing.T) {
 	ds := dataset(t, 10, 3)
-	ts, _ := New(1, ds)
-	if _, err := ts.RevealAll(lyingOracle{y: ds.Y}); err == nil {
-		t.Error("oracle/ground-truth mismatch must be detected")
-	}
-	ts2, _ := New(1, ds)
-	if _, err := ts2.RevealAll(shortOracle{}); err == nil {
-		t.Error("short oracle response must be detected")
-	}
-	ts3, _ := New(1, ds)
-	if _, err := ts3.RevealAll(nil); err == nil {
-		t.Error("nil oracle with work to do must fail")
+	want := evaluator.NewBitmap(10)
+	want.SetAll()
+	for name, reveal := range map[string]func(*Testset, labeling.BatchOracle) ([]int, error){
+		"RevealFirst": func(ts *Testset, o labeling.BatchOracle) ([]int, error) { return ts.RevealFirst(10, o) },
+		"RevealChunk": func(ts *Testset, o labeling.BatchOracle) ([]int, error) { return ts.RevealChunk(want, 0, o) },
+	} {
+		ts, _ := New(1, ds)
+		if _, err := reveal(ts, lyingOracle{y: ds.Y}); err == nil {
+			t.Errorf("%s: oracle/ground-truth mismatch must be detected", name)
+		}
+		ts2, _ := New(1, ds)
+		if _, err := reveal(ts2, shortOracle{}); err == nil {
+			t.Errorf("%s: short oracle response must be detected", name)
+		}
+		ts3, _ := New(1, ds)
+		if _, err := reveal(ts3, nil); err == nil {
+			t.Errorf("%s: nil oracle with work to do must fail", name)
+		}
 	}
 }
 
@@ -248,7 +194,7 @@ func TestRevealBatchVerification(t *testing.T) {
 func TestRevealBatchAtomicOnMismatch(t *testing.T) {
 	ds := dataset(t, 10, 3)
 	ts, _ := New(1, ds)
-	if _, err := ts.RevealAll(halfLyingOracle{y: ds.Y}); err == nil {
+	if _, err := ts.RevealFirst(10, halfLyingOracle{y: ds.Y}); err == nil {
 		t.Fatal("mid-batch mismatch must be detected")
 	}
 	if got := ts.RevealedCount(); got != 0 {
@@ -260,9 +206,9 @@ func TestRevealBatchAtomicOnMismatch(t *testing.T) {
 		}
 	}
 	// The verified-good prefix is re-revealable once the oracle is honest.
-	fresh, err := ts.RevealAll(labeling.NewTruthOracle(ds.Y))
-	if err != nil || fresh != 10 {
-		t.Fatalf("recovery reveal: fresh=%d err=%v", fresh, err)
+	idx, err := ts.RevealFirst(10, labeling.NewTruthOracle(ds.Y))
+	if err != nil || len(idx) != 10 {
+		t.Fatalf("recovery reveal: fresh=%d err=%v", len(idx), err)
 	}
 }
 
@@ -272,8 +218,7 @@ func TestRevealFirst(t *testing.T) {
 	oracle := labeling.NewTruthOracle(ds.Y)
 	// Pre-reveal a couple mid-prefix: RevealFirst must skip them and still
 	// deliver exactly `limit` fresh labels in ascending order.
-	ts.Reveal(2)
-	ts.Reveal(64)
+	preReveal(t, ts, 2, 64)
 	idx, err := ts.RevealFirst(10, oracle)
 	if err != nil {
 		t.Fatal(err)
@@ -290,12 +235,13 @@ func TestRevealFirst(t *testing.T) {
 	if ts.RevealedCount() != 12 {
 		t.Errorf("revealed = %d, want 12", ts.RevealedCount())
 	}
-	// A limit past the end reveals everything that is left.
+	// A limit past the end reveals everything that is left in one batch,
+	// the static plan's reveal: the already-paid labels are not re-counted.
 	idx, err = ts.RevealFirst(1000, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idx) != 118 || ts.RevealedCount() != 130 {
+	if len(idx) != 118 || ts.RevealedCount() != 130 || ts.RevealedBitmap().Count() != 130 {
 		t.Errorf("fresh = %d revealed = %d", len(idx), ts.RevealedCount())
 	}
 	// Steady state and degenerate limits reveal nothing.
@@ -319,7 +265,7 @@ func TestRevealChunk(t *testing.T) {
 	for _, i := range []int{1, 5, 40, 63, 64, 65, 99} {
 		want.Set(i)
 	}
-	ts.Reveal(5) // already paid: not part of the chunk budget
+	preReveal(t, ts, 5) // already paid: not part of the chunk budget
 	idx, err := ts.RevealChunk(want, 3, oracle)
 	if err != nil {
 		t.Fatal(err)
@@ -353,12 +299,13 @@ func TestRevealChunk(t *testing.T) {
 	if _, err := ts.RevealChunk(evaluator.NewBitmap(99), 5, oracle); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	// limit <= 0 means unbounded: the whole mask in one call, same as
-	// RevealWhere.
+	// limit <= 0 means unbounded: the whole mask in one call, without
+	// re-counting the already-paid example.
 	ts2, _ := New(1, ds)
+	preReveal(t, ts2, 5)
 	idx, err = ts2.RevealChunk(want, 0, oracle)
-	if err != nil || len(idx) != 7 {
-		t.Errorf("unbounded chunk: idx=%v err=%v", idx, err)
+	if err != nil || len(idx) != 6 || ts2.RevealedCount() != 7 {
+		t.Errorf("unbounded chunk: idx=%v revealed=%d err=%v", idx, ts2.RevealedCount(), err)
 	}
 }
 
@@ -393,6 +340,15 @@ func TestRevealChunkAtomicOnOracleFailure(t *testing.T) {
 		want.Set(i)
 	}
 	const chunk = 10
+	// An unbounded chunk (the static plan's one batch) that fails
+	// outright reveals nothing.
+	ts, _ := New(1, ds)
+	if _, err := ts.RevealChunk(want, 0, &failingOracle{y: ds.Y, after: 0}); err == nil {
+		t.Fatal("expected transport failure")
+	}
+	if ts.RevealedCount() != 0 {
+		t.Fatalf("failed unbounded chunk revealed %d labels, want 0", ts.RevealedCount())
+	}
 	// Fail at every possible look boundary: after 0, 1, ..., 4 good chunks.
 	for failAt := 0; failAt <= 4; failAt++ {
 		ts, _ := New(1, ds)
@@ -443,24 +399,6 @@ func TestRevealChunkAtomicOnOracleFailure(t *testing.T) {
 	}
 }
 
-// TestRevealWhereAtomicOnOracleFailure covers the unchunked batch path:
-// a mid-batch transport failure (not just a verification mismatch)
-// reveals nothing.
-func TestRevealWhereAtomicOnOracleFailure(t *testing.T) {
-	ds := dataset(t, 20, 9)
-	ts, _ := New(1, ds)
-	want := evaluator.NewBitmap(20)
-	for i := 0; i < 20; i++ {
-		want.Set(i)
-	}
-	if _, err := ts.RevealWhere(want, &failingOracle{y: ds.Y, after: 0}); err == nil {
-		t.Fatal("expected transport failure")
-	}
-	if ts.RevealedCount() != 0 {
-		t.Fatalf("failed RevealWhere revealed %d labels, want 0", ts.RevealedCount())
-	}
-}
-
 func TestUnreveal(t *testing.T) {
 	ds := dataset(t, 12, 11)
 	ts, _ := New(1, ds)
@@ -488,8 +426,8 @@ func TestUnreveal(t *testing.T) {
 	// Re-revealing rolled-back indices is fresh again — the re-run pays
 	// through the oracle interface (where the resilient client's cache
 	// makes it free), not through stale testset state.
-	y, fresh, err := ts.Reveal(idx[1])
-	if err != nil || !fresh || y != ds.Y[idx[1]] {
-		t.Fatalf("re-reveal after Unreveal: y=%d fresh=%v err=%v", y, fresh, err)
+	again, err := ts.RevealFirst(1, oracle)
+	if err != nil || len(again) != 1 || again[0] != idx[1] {
+		t.Fatalf("re-reveal after Unreveal: %v err=%v", again, err)
 	}
 }
