@@ -29,28 +29,46 @@ func TestNextLook(t *testing.T) {
 	}
 }
 
+// schedule walks NextLook from zero to total and returns every look.
+func schedule(t *testing.T, total int) []int {
+	t.Helper()
+	var sched []int
+	for r := 0; r < total; {
+		next := NextLook(r, total)
+		if next <= r {
+			t.Fatalf("total=%d: NextLook(%d) = %d did not advance", total, r, next)
+		}
+		r = next
+		if sched = append(sched, r); len(sched) > 64 {
+			t.Fatalf("total=%d: schedule does not terminate", total)
+		}
+	}
+	return sched
+}
+
 func TestNextLookMonotone(t *testing.T) {
 	// From any starting point the schedule strictly advances until total,
 	// so the sequential loop can never spin.
-	for _, total := range []int{1, 63, 64, 65, 600, 2048, 5000} {
-		var sched []int
-		for r := 0; r < total; {
-			next := NextLook(r, total)
-			if next <= r {
-				t.Fatalf("total=%d: NextLook(%d) = %d did not advance", total, r, next)
-			}
-			r = next
-			if sched = append(sched, r); len(sched) > 64 {
-				t.Fatalf("total=%d: schedule does not terminate", total)
-			}
-		}
-		if sched[len(sched)-1] != total {
+	for _, total := range []int{1, 63, 64, 65, 600, 2048} {
+		if sched := schedule(t, total); sched[len(sched)-1] != total {
 			t.Fatalf("total=%d: schedule ends at %d", total, sched[len(sched)-1])
 		}
-		if total == 600 {
-			if want := []int{64, 128, 256, 512, 600}; !reflect.DeepEqual(sched, want) {
-				t.Errorf("schedule(600) = %v, want %v", sched, want)
-			}
+	}
+}
+
+func TestLookSchedule(t *testing.T) {
+	if got, want := schedule(t, 600), []int{64, 128, 256, 512, 600}; !reflect.DeepEqual(got, want) {
+		t.Errorf("schedule(600) = %v, want %v", got, want)
+	}
+	if got, want := schedule(t, 64), []int{64}; !reflect.DeepEqual(got, want) {
+		t.Errorf("schedule(64) = %v, want %v", got, want)
+	}
+	if got := schedule(t, 0); got != nil {
+		t.Errorf("schedule(0) = %v, want nil", got)
+	}
+	for _, total := range []int{1, 65, 600, 5000} {
+		if sched := schedule(t, total); sched[len(sched)-1] != total {
+			t.Errorf("total=%d: schedule must end at total, got %v", total, sched)
 		}
 	}
 }

@@ -134,6 +134,72 @@ func TestManagerErrors(t *testing.T) {
 	}
 }
 
+// TestRevealAllBatch: revealing the whole testset in one batch (a
+// RevealFirst whose limit covers every example) pays only for the labels
+// not already paid for, and in steady state needs no oracle at all.
+func TestRevealAllBatch(t *testing.T) {
+	ds := dataset(t, 130, 1) // crosses two bitmap words
+	ts, _ := New(1, ds)
+	oracle := labeling.NewTruthOracle(ds.Y)
+	// Pre-reveal a couple so the batch mixes fresh and already-paid.
+	preReveal(t, ts, 3, 64)
+	idx, err := ts.RevealFirst(ts.Len(), oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx) != 128 {
+		t.Errorf("fresh = %d, want 128", len(idx))
+	}
+	if ts.RevealedCount() != 130 {
+		t.Errorf("revealed = %d", ts.RevealedCount())
+	}
+	// Steady state: no oracle needed at all.
+	idx, err = ts.RevealFirst(ts.Len(), nil)
+	if err != nil || len(idx) != 0 {
+		t.Errorf("steady-state reveal: fresh=%d err=%v", len(idx), err)
+	}
+	if got := ts.RevealedBitmap().Count(); got != 130 {
+		t.Errorf("revealed bitmap count = %d", got)
+	}
+}
+
+// TestRevealWhereBatch: an unbounded RevealChunk reveals every wanted
+// example in one batch, without re-counting already-paid ones.
+func TestRevealWhereBatch(t *testing.T) {
+	ds := dataset(t, 100, 2)
+	ts, _ := New(1, ds)
+	oracle := labeling.NewTruthOracle(ds.Y)
+	want := evaluator.NewBitmap(100)
+	for _, i := range []int{0, 5, 63, 64, 99} {
+		want.Set(i)
+	}
+	preReveal(t, ts, 5) // already paid: must not be re-counted
+	idx, err := ts.RevealChunk(want, 0, oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx) != 4 {
+		t.Fatalf("fresh indices = %v, want 4 entries", idx)
+	}
+	for _, i := range idx {
+		if !ts.Revealed(i) {
+			t.Errorf("index %d not marked revealed", i)
+		}
+	}
+	if ts.RevealedCount() != 5 {
+		t.Errorf("revealed = %d, want 5", ts.RevealedCount())
+	}
+	// Second call with the same mask: nothing fresh, no allocation path.
+	idx, err = ts.RevealChunk(want, 0, nil)
+	if err != nil || idx != nil {
+		t.Errorf("steady-state reveal: idx=%v err=%v", idx, err)
+	}
+	// Mismatched bitmap length is rejected.
+	if _, err := ts.RevealChunk(evaluator.NewBitmap(99), 0, oracle); err == nil {
+		t.Error("length mismatch should fail")
+	}
+}
+
 // lyingOracle returns wrong labels, and shortOracle returns the wrong
 // count: both must be caught by the batch reveal verification.
 type lyingOracle struct{ y []int }
@@ -340,15 +406,6 @@ func TestRevealChunkAtomicOnOracleFailure(t *testing.T) {
 		want.Set(i)
 	}
 	const chunk = 10
-	// An unbounded chunk (the static plan's one batch) that fails
-	// outright reveals nothing.
-	ts, _ := New(1, ds)
-	if _, err := ts.RevealChunk(want, 0, &failingOracle{y: ds.Y, after: 0}); err == nil {
-		t.Fatal("expected transport failure")
-	}
-	if ts.RevealedCount() != 0 {
-		t.Fatalf("failed unbounded chunk revealed %d labels, want 0", ts.RevealedCount())
-	}
 	// Fail at every possible look boundary: after 0, 1, ..., 4 good chunks.
 	for failAt := 0; failAt <= 4; failAt++ {
 		ts, _ := New(1, ds)
@@ -396,6 +453,24 @@ func TestRevealChunkAtomicOnOracleFailure(t *testing.T) {
 		if ts.RevealedCount() != 50 {
 			t.Fatalf("failAt=%d: recovered to %d revealed, want 50", failAt, ts.RevealedCount())
 		}
+	}
+}
+
+// TestRevealWhereAtomicOnOracleFailure covers the unchunked batch path
+// (an unbounded RevealChunk, the static plan's one batch): a mid-batch
+// transport failure (not just a verification mismatch) reveals nothing.
+func TestRevealWhereAtomicOnOracleFailure(t *testing.T) {
+	ds := dataset(t, 20, 9)
+	ts, _ := New(1, ds)
+	want := evaluator.NewBitmap(20)
+	for i := 0; i < 20; i++ {
+		want.Set(i)
+	}
+	if _, err := ts.RevealChunk(want, 0, &failingOracle{y: ds.Y, after: 0}); err == nil {
+		t.Fatal("expected transport failure")
+	}
+	if ts.RevealedCount() != 0 {
+		t.Fatalf("failed unbounded chunk revealed %d labels, want 0", ts.RevealedCount())
 	}
 }
 
