@@ -88,7 +88,7 @@ func (e *Engine) Commit(m model.Predictor, author, message string) (Result, erro
 		return Result{}, ErrNeedNewTestset
 	}
 	ts := e.tsm.Current()
-	newPreds, ev, borrowed, err := e.evaluateModel(m)
+	cand, ev, borrowed, err := e.evaluateModel(m)
 	if err != nil {
 		return Result{}, err
 	}
@@ -172,24 +172,33 @@ func (e *Engine) Commit(m model.Predictor, author, message string) (Result, erro
 	// Promotion: a commit whose true outcome is pass becomes the baseline
 	// the next commit is compared against.
 	if pass {
-		if borrowed {
-			// The evaluation read the model's own vector in place; the
+		switch {
+		case !borrowed:
+			// The candidate is the engine's own predBuf: swap it with the
+			// retired baseline so both slices keep cycling with zero
+			// allocation.
+			e.active, e.predBuf = cand.ints, e.active
+		case cand.bytes != nil:
+			// The evaluation read the model's own column in place; the
 			// baseline must be engine-owned, so promotion pays the copy
 			// the evaluation skipped.
-			copy(e.predBuf, newPreds)
+			for i, y := range cand.bytes {
+				e.predBuf[i] = int(y)
+			}
 			e.active, e.predBuf = e.predBuf, e.active
-			e.activeMatch, e.newMatch = e.newMatch, e.activeMatch
-		} else {
-			// newPreds is the engine's own predBuf: swap it with the
-			// retired baseline so both slices (and the two correctness
-			// bitmaps) keep cycling with zero allocation.
-			e.active, e.predBuf = newPreds, e.active
-			e.activeMatch, e.newMatch = e.newMatch, e.activeMatch
+		default:
+			copy(e.predBuf, cand.ints)
+			e.active, e.predBuf = e.predBuf, e.active
 		}
+		e.activeMatch, e.newMatch = e.newMatch, e.activeMatch
 		if e.byteCols {
 			// The narrow baseline mirror follows the promotion.
-			for i, y := range e.active {
-				e.active8[i] = uint8(y)
+			if cand.bytes != nil {
+				copy(e.active8, cand.bytes)
+			} else {
+				for i, y := range e.active {
+					e.active8[i] = uint8(y)
+				}
 			}
 		}
 		e.activeName = m.Name()
@@ -222,40 +231,71 @@ func (e *Engine) RotateTestset(next *data.Dataset, oracle labeling.Oracle, activ
 	return e.setActive(activeModel)
 }
 
+// candidate is the prediction column a commit is measured on: a byte
+// column when the model lends one and the alphabet fits a byte, an int
+// column otherwise. Exactly one of bytes and ints is set.
+type candidate struct {
+	bytes []uint8
+	ints  []int
+}
+
+// at returns the candidate's prediction for example i.
+func (c candidate) at(i int) int {
+	if c.bytes != nil {
+		return int(c.bytes[i])
+	}
+	return c.ints[i]
+}
+
 // evaluateModel produces the candidate's predictions and measures the
 // condition through the packed bitmap core. The returned borrowed flag
-// reports that newPreds is the model's own vector (zero-copy fast path):
-// it is only read during this evaluation, and a caller that wants to keep
-// it (promotion) must copy it into engine-owned storage first.
-func (e *Engine) evaluateModel(m model.Predictor) (newPreds []int, ev Evaluation, borrowed bool, err error) {
+// reports that the candidate column is the model's own (zero-copy fast
+// path): it is only read during this evaluation, and a caller that wants
+// to keep it (promotion) must copy it into engine-owned storage first.
+func (e *Engine) evaluateModel(m model.Predictor) (cand candidate, ev Evaluation, borrowed bool, err error) {
 	ts := e.tsm.Current()
-	// Zero-copy tier first: a prediction-vector model (the serving wire
-	// format) is measured in place — the fused pass only reads it, so the
-	// 8n-byte defensive copy would be pure memory traffic.
-	if sp, ok := m.(model.StaticPredictor); ok {
-		newPreds, borrowed = sp.StaticPredictions(ts.Data)
-	}
+	cand, borrowed = lendColumn(m, ts.Data, e.byteCols)
 	if !borrowed {
-		newPreds, err = model.PredictAllInto(m, ts.Data, e.predBuf)
+		preds, err := model.PredictAllInto(m, ts.Data, e.predBuf)
 		if err != nil {
-			return nil, Evaluation{}, false, err
+			return candidate{}, Evaluation{}, false, err
 		}
-		e.predBuf = newPreds
+		e.predBuf = preds
+		cand = candidate{ints: preds}
 	}
 	e.evalReveals = e.evalReveals[:0]
 	switch e.plan.Kind {
 	case core.Pattern1, core.Pattern2:
-		ev, err = e.evaluateActiveLabeling(newPreds)
+		ev, err = e.evaluateActiveLabeling(cand)
 	default:
-		ev, err = e.evaluateFullyLabeled(newPreds)
+		ev, err = e.evaluateFullyLabeled(cand)
 	}
 	if err != nil {
 		e.rollbackReveals()
-		return nil, Evaluation{}, false, err
+		return candidate{}, Evaluation{}, false, err
 	}
 	e.evalReveals = e.evalReveals[:0]
 	ev.Pass = e.cfg.Mode.Collapse(ev.Truth)
-	return newPreds, ev, borrowed, nil
+	return cand, ev, borrowed, nil
+}
+
+// lendColumn is the zero-copy tier: a prediction-vector model (the
+// serving wire format) is measured in place — the fused pass only reads
+// it, so a defensive copy would be pure memory traffic. Its byte column
+// comes first when the alphabet fits a byte, then its int vector. False
+// means the model lends nothing valid for ds.
+func lendColumn(m model.Predictor, ds *data.Dataset, byteCols bool) (candidate, bool) {
+	if bp, ok := m.(model.BytePredictor); ok && byteCols {
+		if col, ok := bp.ByteColumn(ds); ok {
+			return candidate{bytes: col}, true
+		}
+	}
+	if sp, ok := m.(model.StaticPredictor); ok {
+		if col, ok := sp.StaticPredictions(ds); ok {
+			return candidate{ints: col}, true
+		}
+	}
+	return candidate{}, false
 }
 
 // rollbackReveals un-reveals every label the failed evaluation paid for:
@@ -289,11 +329,14 @@ func (e *Engine) rollbackReveals() {
 
 // fusedPass fills the diff and new-model correctness bitmaps for the
 // candidate, through the narrow byte columns when the alphabet allows.
-func (e *Engine) fusedPass(newPreds []int) {
-	if e.byteCols {
-		evaluator.CommitBitmapsBytes(newPreds, e.active8, e.labels8, &e.diff, &e.newMatch)
-	} else {
-		evaluator.CommitBitmaps(e.active, newPreds, e.labels, &e.diff, &e.newMatch)
+func (e *Engine) fusedPass(cand candidate) {
+	switch {
+	case cand.bytes != nil:
+		evaluator.CommitBitmapsBytes(cand.bytes, e.active8, e.labels8, &e.diff, &e.newMatch)
+	case e.byteCols:
+		evaluator.CommitBitmapsBytes(cand.ints, e.active8, e.labels8, &e.diff, &e.newMatch)
+	default:
+		evaluator.CommitBitmaps(e.active, cand.ints, e.labels, &e.diff, &e.newMatch)
 	}
 }
 
@@ -307,11 +350,11 @@ func (e *Engine) fusedPass(newPreds []int) {
 // and the exact evaluation. With early decision disabled there are no
 // checks and a single look reveals the whole testset — the static plan's
 // one oracle batch.
-func (e *Engine) evaluateFullyLabeled(newPreds []int) (Evaluation, error) {
+func (e *Engine) evaluateFullyLabeled(cand candidate) (Evaluation, error) {
 	ts := e.tsm.Current()
 	n := ts.Len()
 	startUnrevealed := n - ts.RevealedCount()
-	e.fusedPass(newPreds)
+	e.fusedPass(cand)
 	fresh, looks := 0, 0
 	for {
 		revealed := ts.RevealedCount()
@@ -340,7 +383,7 @@ func (e *Engine) evaluateFullyLabeled(newPreds []int) (Evaluation, error) {
 		if err != nil {
 			return Evaluation{}, err
 		}
-		e.patchRevealed(newPreds, freshIdx)
+		e.patchRevealed(cand, freshIdx)
 		fresh += len(freshIdx)
 		looks++
 	}
@@ -367,7 +410,7 @@ func (e *Engine) evaluateFullyLabeled(newPreds []int) (Evaluation, error) {
 // patchRevealed folds freshly revealed labels into the packed measurement
 // state: the label scratch columns and both correctness bitmaps, exactly
 // the bits a full fused pass over the now-revealed labels would set.
-func (e *Engine) patchRevealed(newPreds []int, freshIdx []int) {
+func (e *Engine) patchRevealed(cand candidate, freshIdx []int) {
 	ts := e.tsm.Current()
 	e.evalReveals = append(e.evalReveals, freshIdx...)
 	for _, idx := range freshIdx {
@@ -379,7 +422,7 @@ func (e *Engine) patchRevealed(newPreds []int, freshIdx []int) {
 		if e.active[idx] == y {
 			e.activeMatch.Set(idx)
 		}
-		if newPreds[idx] == y {
+		if cand.at(idx) == y {
 			e.newMatch.Set(idx)
 		}
 	}
@@ -409,10 +452,10 @@ func (e *Engine) setEstVals(ev Evaluation) {
 // collapsed the conjunction. With early decision disabled a single look
 // reveals the whole disagreement set, unless a label-free clause before
 // the n-o clause is already False: then the static plan pays nothing.
-func (e *Engine) evaluateActiveLabeling(newPreds []int) (Evaluation, error) {
+func (e *Engine) evaluateActiveLabeling(cand candidate) (Evaluation, error) {
 	ts := e.tsm.Current()
 	n := ts.Len()
-	e.fusedPass(newPreds)
+	e.fusedPass(cand)
 	diffCount := e.diff.Count()
 	dHat := float64(diffCount) / float64(n)
 	staticCost := e.activeStaticCost(dHat, evaluator.AndNotCount(e.diff, ts.RevealedBitmap()))
@@ -447,7 +490,7 @@ func (e *Engine) evaluateActiveLabeling(newPreds []int) (Evaluation, error) {
 		if err != nil {
 			return Evaluation{}, err
 		}
-		e.patchRevealed(newPreds, freshIdx)
+		e.patchRevealed(cand, freshIdx)
 		fresh += len(freshIdx)
 		looks++
 	}

@@ -257,12 +257,14 @@ func byteMovemask(m uint64) uint64 {
 // engine-owned baseline and label columns are uint8, with 255 as the
 // "unrevealed" sentinel — a sentinel no valid prediction can equal, so
 // correctness over the revealed subset needs no separate labeled mask.
-// Eight examples are compared per 64-bit word (XOR + zero-byte SWAR), and
-// only the candidate column still streams as []int (it arrives on the
-// wire that way), so the pass moves ~1/3 of the memory traffic of the int
-// version. Same contract otherwise: equal lengths, diff = pred != base,
+// Eight examples are compared per 64-bit word (XOR + zero-byte SWAR). The
+// candidate column is generic over its width: a []uint8 candidate (the
+// served path, where the wire decoder writes one byte per example) is
+// loaded eight examples per word like the engine's own columns, and an
+// []int one, whose values must be in [0, 255), is narrowed as it is
+// read. Same contract otherwise: equal lengths, diff = pred != base,
 // match = revealed && pred == label.
-func CommitBitmapsBytes(pred []int, base8, labels8 []uint8, diff, match *Bitmap) {
+func CommitBitmapsBytes[P uint8 | int](pred []P, base8, labels8 []uint8, diff, match *Bitmap) {
 	n := len(pred)
 	if len(base8) != n || len(labels8) != n {
 		panic(fmt.Sprintf("evaluator: CommitBitmapsBytes column lengths differ: pred=%d base=%d labels=%d",
@@ -286,11 +288,25 @@ func CommitBitmapsBytes(pred []int, base8, labels8 []uint8, diff, match *Bitmap)
 	})
 }
 
+// loadByteWord packs p[0..7], each narrowed to a byte, into one
+// little-endian word. For a []uint8 the compiler merges the eight loads
+// into one, as it does for binary.LittleEndian.Uint64.
+func loadByteWord[P uint8 | int](p []P) uint64 {
+	_ = p[7]
+	return uint64(uint8(p[0])) |
+		uint64(uint8(p[1]))<<8 |
+		uint64(uint8(p[2]))<<16 |
+		uint64(uint8(p[3]))<<24 |
+		uint64(uint8(p[4]))<<32 |
+		uint64(uint8(p[5]))<<40 |
+		uint64(uint8(p[6]))<<48 |
+		uint64(uint8(p[7]))<<56
+}
+
 // fillCommitWordsBytes packs the word range [wLo, wHi) of the byte-column
-// fused pass: 8 predictions are assembled into one word and compared
-// against 8 baseline and 8 label bytes with two XOR + zero-byte-mask
-// sequences.
-func fillCommitWordsBytes(pred []int, base8, labels8 []uint8, diffW, matchW []uint64, n, wLo, wHi int) {
+// fused pass: 8 predictions are loaded as one word and compared against 8
+// baseline and 8 label bytes with two XOR + zero-byte-mask sequences.
+func fillCommitWordsBytes[P uint8 | int](pred []P, base8, labels8 []uint8, diffW, matchW []uint64, n, wLo, wHi int) {
 	pred = pred[:n]
 	base8 = base8[:n]
 	labels8 = labels8[:n]
@@ -303,14 +319,7 @@ func fillCommitWordsBytes(pred []int, base8, labels8 []uint8, diffW, matchW []ui
 		var dw, mw uint64
 		i := lo
 		for ; i+8 <= hi; i += 8 {
-			p := uint64(uint8(pred[i])) |
-				uint64(uint8(pred[i+1]))<<8 |
-				uint64(uint8(pred[i+2]))<<16 |
-				uint64(uint8(pred[i+3]))<<24 |
-				uint64(uint8(pred[i+4]))<<32 |
-				uint64(uint8(pred[i+5]))<<40 |
-				uint64(uint8(pred[i+6]))<<48 |
-				uint64(uint8(pred[i+7]))<<56
+			p := loadByteWord(pred[i : i+8])
 			b := binary.LittleEndian.Uint64(base8[i : i+8])
 			l := binary.LittleEndian.Uint64(labels8[i : i+8])
 			s := uint(i - lo)

@@ -345,20 +345,23 @@ func FuzzBitmapRoundTrip(f *testing.F) {
 	})
 }
 
-// TestCommitBitmapsBytesVsInt: the narrow-column SWAR pass is bit-for-bit
-// identical to the int fused pass on random columns, including tails that
-// are not multiples of 8 and unlabeled entries.
+// TestCommitBitmapsBytesVsInt: the narrow-column SWAR pass, with an int
+// and with a byte candidate column, is bit-for-bit identical to the int
+// fused pass on random columns, including tails that are not multiples of
+// 8 and unlabeled entries.
 func TestCommitBitmapsBytesVsInt(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{1, 7, 8, 9, 63, 64, 65, 200, 1021, 70000} {
 		for _, classes := range []int{2, 5, 255} {
 			base, pred, labels := randVectors(rng, n, classes, 0.3)
-			var dInt, mInt, dByte, mByte Bitmap
+			var dInt, mInt, dByte, mByte, d8, m8 Bitmap
 			CommitBitmaps(base, pred, labels, &dInt, &mInt)
 			base8 := make([]uint8, n)
 			labels8 := make([]uint8, n)
+			pred8 := make([]uint8, n)
 			for i := 0; i < n; i++ {
 				base8[i] = uint8(base[i])
+				pred8[i] = uint8(pred[i])
 				if labels[i] < 0 {
 					labels8[i] = 255
 				} else {
@@ -366,10 +369,15 @@ func TestCommitBitmapsBytesVsInt(t *testing.T) {
 				}
 			}
 			CommitBitmapsBytes(pred, base8, labels8, &dByte, &mByte)
+			CommitBitmapsBytes(pred8, base8, labels8, &d8, &m8)
 			for i := 0; i < n; i++ {
 				if dInt.Get(i) != dByte.Get(i) || mInt.Get(i) != mByte.Get(i) {
 					t.Fatalf("n=%d classes=%d: byte pass differs at %d (diff %v/%v match %v/%v)",
 						n, classes, i, dInt.Get(i), dByte.Get(i), mInt.Get(i), mByte.Get(i))
+				}
+				if dInt.Get(i) != d8.Get(i) || mInt.Get(i) != m8.Get(i) {
+					t.Fatalf("n=%d classes=%d: byte pass on a byte candidate differs at %d (diff %v/%v match %v/%v)",
+						n, classes, i, dInt.Get(i), d8.Get(i), mInt.Get(i), m8.Get(i))
 				}
 			}
 		}

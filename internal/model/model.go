@@ -42,6 +42,17 @@ type StaticPredictor interface {
 	StaticPredictions(ds *data.Dataset) ([]int, bool)
 }
 
+// BytePredictor is the narrow tier of StaticPredictor: a predictor whose
+// prediction vector for the dataset exists in memory one byte per example
+// (the serving path, where the wire decoder writes the column) hands that
+// column out. ByteColumn returns (nil, false) unless the column covers the
+// dataset and every entry is inside [0, ds.Classes); callers then fall
+// back to StaticPredictions or PredictAllInto, which report the precise
+// error. The ownership contract is StaticPredictor's.
+type BytePredictor interface {
+	ByteColumn(ds *data.Dataset) ([]uint8, bool)
+}
+
 // PredictAll evaluates a predictor over an entire dataset. Predictions
 // outside the dataset's label alphabet are rejected: a silent out-of-range
 // prediction would skew every downstream estimate, so the failure is

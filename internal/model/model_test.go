@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/easeml/ci/internal/data"
@@ -367,6 +369,58 @@ func TestPredictAllBulkErrorParity(t *testing.T) {
 	}
 	if _, err := PredictAllInto(nil, ds, nil); err == nil {
 		t.Error("nil predictor should fail")
+	}
+}
+
+// TestFixedBytesMatchesInts: a byte column and the same vector as ints
+// answer every tier identically: ByteColumn, StaticPredictions (the byte
+// wrapper has no int vector to lend), PredictAllInto and its range error,
+// which names the first offending example whatever the width.
+func TestFixedBytesMatchesInts(t *testing.T) {
+	ds := &data.Dataset{Name: "idx", Classes: 4}
+	for i := 0; i < 6; i++ {
+		ds.X = append(ds.X, []float64{float64(i)})
+		ds.Y = append(ds.Y, i%4)
+	}
+	for _, preds := range [][]int{
+		{0, 1, 2, 3, 0, 1},
+		{0, 1, 2, 7, 0, 255},
+		{0, 1, 2, 255, 0, 1},
+		{0, 1, 2, 3, 0, 1, 200}, // out of range past the dataset only
+		{0, 1, 2},               // short
+	} {
+		col := make([]uint8, len(preds))
+		var max uint8
+		for i, y := range preds {
+			col[i] = uint8(y)
+			if col[i] > max {
+				max = col[i]
+			}
+		}
+		wide, narrow := NewFixedPredictions("m", preds), NewFixedBytes("m", col, max)
+		b1, ok1 := wide.ByteColumn(ds)
+		b2, ok2 := narrow.ByteColumn(ds)
+		if ok1 != ok2 || !reflect.DeepEqual(b1, b2) {
+			t.Errorf("%v: ByteColumn %v/%v vs %v/%v", preds, b1, ok1, b2, ok2)
+		}
+		if _, ok := narrow.StaticPredictions(ds); ok {
+			t.Errorf("%v: a byte vector lent an int vector", preds)
+		}
+		got1, err1 := PredictAll(wide, ds)
+		got2, err2 := PredictAll(narrow, ds)
+		if fmt.Sprint(err1) != fmt.Sprint(err2) || !reflect.DeepEqual(got1, got2) {
+			t.Errorf("%v: PredictAll %v/%v vs %v/%v", preds, got1, err1, got2, err2)
+		}
+		if !reflect.DeepEqual(wide.Predictions(), narrow.Predictions()) {
+			t.Errorf("%v: Predictions differ", preds)
+		}
+		if narrow.Predict([]float64{1}) != preds[1] || narrow.Predict([]float64{float64(len(preds))}) != -1 {
+			t.Errorf("%v: Predict lookup wrong", preds)
+		}
+	}
+	if _, err := PredictAll(NewFixedBytes("m", []uint8{0, 1, 2, 7, 0, 255}, 255), ds); err == nil ||
+		err.Error() != "model: m predicted 7 for example 3, outside [0,4)" {
+		t.Errorf("byte range error = %v", err)
 	}
 }
 

@@ -168,49 +168,101 @@ func SimulatedPair(labels []int, classes int, accOld, accNew, disagree float64, 
 // FixedPredictions wraps a precomputed prediction vector as a Predictor
 // keyed by example index. The feature vector's first component is the
 // example index; this is how simulated models plug into the engine, which
-// otherwise works with real feature-based predictors. The wrapped slice
-// must not be mutated after construction (the range scan is cached).
+// otherwise works with real feature-based predictors.
+//
+// The vector is held one byte per example when every prediction fits a
+// byte: NewFixedBytes wraps such a column as given, and an int vector
+// from NewFixedPredictions is narrowed once, on first use, in the same
+// pass that finds its range. ByteColumn hands that column to the
+// engine's byte kernel, so int and byte vectors are measured by the same
+// code. The wrapped slice must not be mutated after construction (the
+// narrowing is cached).
 type FixedPredictions struct {
 	name  string
-	preds []int
+	n     int
+	preds []int // the int vector; nil when built from bytes
 
-	// scanOnce computes the prediction range once, so the bulk path's
-	// per-call validation is an O(1) min/max comparison instead of an
-	// O(n) rescan.
+	// preds8 is the byte column: NewFixedBytes's, or the cached narrowing
+	// of preds (nil when some prediction does not fit a byte). minPred and
+	// maxPred are the vector's range, so per-call validation is an O(1)
+	// comparison instead of an O(n) rescan.
 	scanOnce         sync.Once
+	preds8           []uint8
 	minPred, maxPred int
 }
 
-// NewFixedPredictions builds the wrapper.
+// NewFixedPredictions builds the wrapper around an int vector.
 func NewFixedPredictions(name string, preds []int) *FixedPredictions {
-	return &FixedPredictions{name: name, preds: preds}
+	return &FixedPredictions{name: name, n: len(preds), preds: preds}
+}
+
+// NewFixedBytes builds the wrapper around a byte column whose largest
+// entry is max: the decoder that filled the column tracks it, so the
+// range check needs no pass over the column.
+func NewFixedBytes(name string, preds []uint8, max uint8) *FixedPredictions {
+	f := &FixedPredictions{name: name, n: len(preds), preds8: preds, maxPred: int(max)}
+	if len(preds) == 0 {
+		f.maxPred = -1
+	}
+	return f
 }
 
 // Name implements Predictor.
 func (f *FixedPredictions) Name() string { return f.name }
 
+// at returns the prediction for example i < f.n.
+func (f *FixedPredictions) at(i int) int {
+	if f.preds != nil {
+		return f.preds[i]
+	}
+	return int(f.preds8[i])
+}
+
 // Predict implements Predictor: x[0] must be the example index.
 func (f *FixedPredictions) Predict(x []float64) int {
 	idx := int(x[0])
-	if idx < 0 || idx >= len(f.preds) {
+	if idx < 0 || idx >= f.n {
 		return -1
 	}
-	return f.preds[idx]
+	return f.at(idx)
 }
 
-// Predictions exposes the raw vector. Callers must not mutate it.
-func (f *FixedPredictions) Predictions() []int { return f.preds }
+// Predictions returns the vector as ints: the wrapped slice itself, or a
+// widened copy of a byte column. Callers must not mutate it.
+func (f *FixedPredictions) Predictions() []int {
+	if f.preds != nil || f.preds8 == nil {
+		return f.preds
+	}
+	out := make([]int, f.n)
+	for i, y := range f.preds8 {
+		out[i] = int(y)
+	}
+	return out
+}
 
-// StaticPredictions implements StaticPredictor: the wrapped vector is
-// handed out without copying when it covers the dataset and every entry
-// is inside the label alphabet (checked against the cached range scan).
-// Out-of-range or undersized vectors report false so the copying path can
-// produce its precise error.
-func (f *FixedPredictions) StaticPredictions(ds *data.Dataset) ([]int, bool) {
-	if len(f.preds) < ds.Len() {
+// ByteColumn implements BytePredictor: the byte column is handed out
+// without copying when it covers the dataset and its largest entry is
+// inside the label alphabet. Out-of-range or undersized vectors report
+// false so the copying path can produce its precise error.
+func (f *FixedPredictions) ByteColumn(ds *data.Dataset) ([]uint8, bool) {
+	if f.n < ds.Len() {
 		return nil, false
 	}
-	f.scanRange()
+	f.scan()
+	if f.preds8 == nil || f.maxPred >= ds.Classes {
+		return nil, false
+	}
+	return f.preds8[:ds.Len()], true
+}
+
+// StaticPredictions implements StaticPredictor for an int vector, handed
+// out without copying on the same conditions as ByteColumn. A vector
+// built from bytes has no int form to lend and reports false.
+func (f *FixedPredictions) StaticPredictions(ds *data.Dataset) ([]int, bool) {
+	if f.preds == nil || f.n < ds.Len() {
+		return nil, false
+	}
+	f.scan()
 	if f.minPred < 0 || f.maxPred >= ds.Classes {
 		return nil, false
 	}
@@ -219,36 +271,47 @@ func (f *FixedPredictions) StaticPredictions(ds *data.Dataset) ([]int, bool) {
 
 // PredictAllInto implements BulkPredictor: predictions are positional, so
 // the bulk path is a range-checked copy — no per-example interface call,
-// no float64 round trip through the feature vector. This is the engine's
-// steady-state commit path (the serving wire format is a prediction
-// vector), so it is kept allocation-free.
+// no float64 round trip through the feature vector. It is kept
+// allocation-free after the first call.
 func (f *FixedPredictions) PredictAllInto(ds *data.Dataset, dst []int) error {
-	if len(dst) > len(f.preds) {
+	if len(dst) > f.n {
 		// Mirror what element-wise PredictAll reports when it walks past
 		// the end of the vector (Predict returns -1 there).
 		return fmt.Errorf("model: %s predicted -1 for example %d, outside [0,%d)",
-			f.name, len(f.preds), ds.Classes)
+			f.name, f.n, ds.Classes)
 	}
-	f.scanRange()
+	f.scan()
 	if f.minPred < 0 || f.maxPred >= ds.Classes {
 		// The vector holds a prediction outside this dataset's alphabet
 		// somewhere; find the first one inside dst's range (the global
 		// min/max may sit past it, in which case the prefix is fine).
 		for i := range dst {
-			if y := f.preds[i]; y < 0 || y >= ds.Classes {
+			if y := f.at(i); y < 0 || y >= ds.Classes {
 				return fmt.Errorf("model: %s predicted %d for example %d, outside [0,%d)",
 					f.name, y, i, ds.Classes)
 			}
 		}
 	}
-	copy(dst, f.preds)
+	if f.preds != nil {
+		copy(dst, f.preds)
+		return nil
+	}
+	for i := range dst {
+		dst[i] = int(f.preds8[i])
+	}
 	return nil
 }
 
-// scanRange caches the vector's min/max prediction.
-func (f *FixedPredictions) scanRange() {
+// scan caches an int vector's range and, when every prediction fits a
+// byte, its byte column, in one pass. A byte vector's range was set at
+// construction.
+func (f *FixedPredictions) scan() {
+	if f.preds == nil {
+		return
+	}
 	f.scanOnce.Do(func() {
 		f.minPred, f.maxPred = 0, -1
+		col := make([]uint8, f.n)
 		for k, y := range f.preds {
 			if k == 0 || y < f.minPred {
 				f.minPred = y
@@ -256,6 +319,10 @@ func (f *FixedPredictions) scanRange() {
 			if k == 0 || y > f.maxPred {
 				f.maxPred = y
 			}
+			col[k] = uint8(y)
+		}
+		if f.minPred >= 0 && f.maxPred <= 255 {
+			f.preds8 = col
 		}
 	})
 }

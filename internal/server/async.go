@@ -12,7 +12,6 @@ import (
 	"github.com/easeml/ci/internal/bounds"
 	"github.com/easeml/ci/internal/engine"
 	"github.com/easeml/ci/internal/labeling"
-	"github.com/easeml/ci/internal/model"
 	"github.com/easeml/ci/internal/notify"
 	"github.com/easeml/ci/internal/queue"
 	"github.com/easeml/ci/internal/script"
@@ -102,14 +101,14 @@ func commitErrorStatus(err error) int {
 // enqueue time) because a rotation or another commit may land between
 // submission and execution, and because replay must reproduce the exact
 // accept/reject decision the live run made.
-func evalCommit(cfg *script.Config, eng *engine.Engine, labelQuota int, req AsyncCommitRequest) (CommitResponse, error) {
-	if got, want := len(req.Predictions), eng.Testsets().Current().Len(); got != want {
+func evalCommit(cfg *script.Config, eng *engine.Engine, labelQuota int, job *commitJob) (CommitResponse, error) {
+	if got, want := job.predictionCount(), eng.Testsets().Current().Len(); got != want {
 		return CommitResponse{}, badRequestError{fmt.Sprintf("predictions length %d != testset size %d", got, want)}
 	}
 	if spent := eng.LabelCost().Total(); labelQuota > 0 && spent >= labelQuota {
 		return CommitResponse{}, quotaError{fmt.Sprintf("label quota exhausted: %d labels spent of %d", spent, labelQuota)}
 	}
-	res, err := eng.Commit(model.NewFixedPredictions(req.Model, req.Predictions), req.Author, req.Message)
+	res, err := eng.Commit(job.predictor(), job.Author, job.Message)
 	if err != nil {
 		return CommitResponse{}, err
 	}
@@ -122,14 +121,14 @@ func evalCommit(cfg *script.Config, eng *engine.Engine, labelQuota int, req Asyn
 // appended here is the transaction's commit point: a job whose record
 // made it to disk never re-executes, a job whose record didn't is
 // re-enqueued on restart — exactly-once either way.
-func (s *Server) executeCommitJob(j *queue.Job[AsyncCommitRequest, CommitResponse]) (CommitResponse, error) {
+func (s *Server) executeCommitJob(j *queue.Job[commitJob, CommitResponse]) (CommitResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wlog != nil && s.walFailed.Load() {
 		return CommitResponse{}, errWALPoisoned
 	}
 	start := time.Now()
-	resp, err := evalCommit(s.cfg, s.eng, s.labelQuota, j.Req)
+	resp, err := evalCommit(s.cfg, s.eng, s.labelQuota, &j.Req)
 	if err == nil {
 		s.commitsEvaluated.Add(1)
 		s.commitEvalNs.Add(uint64(time.Since(start).Nanoseconds()))
@@ -194,7 +193,7 @@ func (s *Server) handleCommitAsync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req AsyncCommitRequest
+	var req commitJob
 	if err := s.readCommitRequest(w, r, &req, true); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return
@@ -263,7 +262,7 @@ func (s *Server) handleCommitJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // jobStatus shapes a job into its wire status.
-func jobStatus(job *queue.Job[AsyncCommitRequest, CommitResponse]) JobStatusResponse {
+func jobStatus(job *queue.Job[commitJob, CommitResponse]) JobStatusResponse {
 	state, res, err := job.Peek()
 	out := JobStatusResponse{JobID: job.ID, Seq: job.Seq, State: state.String()}
 	switch state {
@@ -282,7 +281,7 @@ func jobStatus(job *queue.Job[AsyncCommitRequest, CommitResponse]) JobStatusResp
 // breaking — OnFinish executes on the commit worker, and a slow or down
 // subscriber must not stall the queue behind one job's callback. The
 // job result itself stays pollable whatever happens to its delivery.
-func (s *Server) deliverWebhook(job *queue.Job[AsyncCommitRequest, CommitResponse]) {
+func (s *Server) deliverWebhook(job *queue.Job[commitJob, CommitResponse]) {
 	if job.Req.Webhook == "" {
 		return
 	}

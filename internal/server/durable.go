@@ -64,10 +64,12 @@ type recGenesis struct {
 	Model       string  `json:"model"`
 }
 
+// recSubmit records an accepted job. Its JSON is written by appendJSON
+// (record.go) and read back by encoding/json.
 type recSubmit struct {
-	Job string             `json:"job"`
-	Seq int                `json:"seq"`
-	Req AsyncCommitRequest `json:"req"`
+	Job string    `json:"job"`
+	Seq int       `json:"seq"`
+	Req commitJob `json:"req"`
 }
 
 // recCommit is the exactly-once commit point of a job: Res holds the
@@ -142,21 +144,24 @@ const (
 
 // jobEntry mirrors one job's WAL records: what was submitted, how it
 // ended, and whether its webhook outcome was recorded. The table exists
-// so compaction can snapshot the queue without re-reading the log.
+// so compaction can snapshot the queue without re-reading the log. Its
+// JSON, a snapshot row, is written by appendJSON (record.go) and read
+// back by encoding/json.
 type jobEntry struct {
-	ID          string             `json:"id"`
-	Seq         int                `json:"seq"`
-	Req         AsyncCommitRequest `json:"req"`
-	State       string             `json:"state"`
-	Res         json.RawMessage    `json:"res,omitempty"`
-	Err         string             `json:"err,omitempty"`
-	WebhookDone bool               `json:"webhook_done,omitempty"`
+	ID          string          `json:"id"`
+	Seq         int             `json:"seq"`
+	Req         commitJob       `json:"req"`
+	State       string          `json:"state"`
+	Res         json.RawMessage `json:"res,omitempty"`
+	Err         string          `json:"err,omitempty"`
+	WebhookDone bool            `json:"webhook_done,omitempty"`
 }
 
 // walSnapshot is the compaction payload: the engine's full durable state
 // plus the job table, covering every record up to the snapshot point.
 // Genesis carries the config fingerprint forward once compaction has
-// truncated the genesis record out of the log.
+// truncated the genesis record out of the log. Its JSON is written by
+// AppendJSON (record.go) and read back by encoding/json.
 type walSnapshot struct {
 	Genesis    string       `json:"genesis"`
 	Engine     engine.State `json:"engine"`
@@ -464,7 +469,7 @@ func recoverDurable(cfg *script.Config, g Genesis, opts Options, snap *wal.Snaps
 			}
 			v := &auditVerifier{pending: audit}
 			eng.SetJournal(v)
-			resp, err := evalCommit(cfg, eng, labelQuota, e.Req)
+			resp, err := evalCommit(cfg, eng, labelQuota, &e.Req)
 			eng.SetJournal(nil)
 			audit = nil
 			if v.err != nil {
@@ -553,7 +558,7 @@ func recoverDurable(cfg *script.Config, g Genesis, opts Options, snap *wal.Snaps
 	// order.
 	for _, id := range d.order {
 		e := d.table[id]
-		r := queue.Restored[AsyncCommitRequest, CommitResponse]{ID: e.ID, Seq: e.Seq, Req: e.Req}
+		r := queue.Restored[commitJob, CommitResponse]{ID: e.ID, Seq: e.Seq, Req: e.Req}
 		switch e.State {
 		case jobDone:
 			r.State = queue.Done
@@ -661,7 +666,7 @@ func (s *Server) walAppendSyncLocked(typ string, payload any) error {
 // submit record reaches disk before the 202 is possible, so an accepted
 // job is always a recoverable job. An append failure aborts the
 // submission (no job exists) and poisons the server.
-func (s *Server) walOnSubmit(j *queue.Job[AsyncCommitRequest, CommitResponse]) error {
+func (s *Server) walOnSubmit(j *queue.Job[commitJob, CommitResponse]) error {
 	if s.walFailed.Load() {
 		return errWALPoisoned
 	}
@@ -681,7 +686,7 @@ func (s *Server) walOnSubmit(j *queue.Job[AsyncCommitRequest, CommitResponse]) e
 // walOnCancel runs under the queue lock before a cancelable job's state
 // changes: record first, cancel second, so a canceled job can never
 // resurrect as queued after a crash.
-func (s *Server) walOnCancel(j *queue.Job[AsyncCommitRequest, CommitResponse]) error {
+func (s *Server) walOnCancel(j *queue.Job[commitJob, CommitResponse]) error {
 	if s.walFailed.Load() {
 		return errWALPoisoned
 	}

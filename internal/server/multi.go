@@ -51,13 +51,17 @@ type Multi struct {
 	pool        *queue.Pool
 	autoSalvage bool
 
-	mu      sync.RWMutex // guards tenants and sick
+	mu      sync.RWMutex // guards tenants, sick and quotas
 	tenants map[string]*Server
 	// sick maps project IDs whose write-ahead state refused to open
 	// (wal.ErrCorrupt) to the reason. A sick tenant answers 503 with a
 	// structured degraded body instead of taking the control plane down;
 	// everything else keeps serving.
 	sick map[string]string
+	// quotas holds each registered project's quotas from its spec, set at
+	// create and at recovery, so project info never decodes a stored spec
+	// (two arrays of one int per example) to read two ints.
+	quotas map[string]projectQuotas
 
 	// controlSalvages counts auto-salvage runs on the control log itself;
 	// backups/backupBytes count unscoped (whole-control-plane) backups.
@@ -213,6 +217,7 @@ func NewMulti(g Genesis, opts MultiOptions) (*Multi, error) {
 		autoSalvage: opts.AutoSalvage,
 		tenants:     make(map[string]*Server),
 		sick:        make(map[string]string),
+		quotas:      make(map[string]projectQuotas),
 	}
 	// Clear the tenant-only hooks off the template; each tenant gets its
 	// own closures.
@@ -269,6 +274,7 @@ func NewMulti(g Genesis, opts MultiOptions) (*Multi, error) {
 		perr := json.Unmarshal(p.Spec, &sp)
 		var pg Genesis
 		if perr == nil {
+			m.setQuotas(p.ID, sp)
 			pg, perr = sp.genesis()
 		}
 		if perr == nil {
@@ -337,6 +343,16 @@ func (m *Multi) buildTenant(id string, g Genesis, topts Options) (*Server, error
 }
 
 // markSick records a tenant whose write-ahead state refused to open.
+// projectQuotas are the quotas a registered project's spec sets.
+type projectQuotas struct{ queueCapacity, labelQuota int }
+
+// setQuotas records a registered project's quotas from its spec.
+func (m *Multi) setQuotas(id string, sp ProjectSpec) {
+	m.mu.Lock()
+	m.quotas[id] = projectQuotas{queueCapacity: sp.QueueCapacity, labelQuota: sp.LabelQuota}
+	m.mu.Unlock()
+}
+
 func (m *Multi) markSick(id string, err error) {
 	m.mu.Lock()
 	m.sick[id] = err.Error()
@@ -644,8 +660,9 @@ func (m *Multi) projectInfos() []ProjectInfo {
 }
 
 func (m *Multi) projectInfo(p registry.Project) ProjectInfo {
-	var sp ProjectSpec
-	_ = json.Unmarshal(p.Spec, &sp)
+	m.mu.RLock()
+	q := m.quotas[p.ID]
+	m.mu.RUnlock()
 	state := string(p.State)
 	if _, sick := m.sickReason(p.ID); sick {
 		state = StorageSalvageRequired
@@ -654,8 +671,8 @@ func (m *Multi) projectInfo(p registry.Project) ProjectInfo {
 		ID:            p.ID,
 		State:         state,
 		Weight:        m.poolWeight(p.ID),
-		QueueCapacity: sp.QueueCapacity,
-		LabelQuota:    sp.LabelQuota,
+		QueueCapacity: q.queueCapacity,
+		LabelQuota:    q.labelQuota,
 	}
 }
 
@@ -722,6 +739,7 @@ func (m *Multi) handleCreateProject(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
+	m.setQuotas(req.ID, req.ProjectSpec)
 	p, _ := m.reg.Get(req.ID)
 	writeJSON(w, http.StatusCreated, m.projectInfo(p))
 }
@@ -827,6 +845,9 @@ func (m *Multi) handleDeleteProject(w http.ResponseWriter, id string) {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
+	m.mu.Lock()
+	delete(m.quotas, id)
+	m.mu.Unlock()
 	if m.dataDir != "" {
 		_ = os.RemoveAll(filepath.Join(m.dataDir, id))
 	}

@@ -316,6 +316,45 @@ func TestMultiQueueDepthQuota(t *testing.T) {
 	}
 }
 
+// TestMultiProjectInfoQuotas: project info reports the quotas of the
+// spec a project was created with, from the create response to a listing
+// after a restart, and forgets them with the project.
+func TestMultiProjectInfoQuotas(t *testing.T) {
+	dir := t.TempDir()
+	m := newTestMulti(t, MultiOptions{DataDir: dir})
+	spec := testSpec(t, 3, testSize, 2)
+	spec.QueueCapacity, spec.LabelQuota = 7, 900
+	want := ProjectInfo{ID: "quoted", State: "active", Weight: 1, QueueCapacity: 7, LabelQuota: 900}
+	check := func(m *Multi, rec *httptest.ResponseRecorder) {
+		t.Helper()
+		var got ProjectInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got != want {
+			t.Fatalf("project info %s (err %v), want %+v", rec.Body.String(), err, want)
+		}
+		var list ProjectListResponse
+		if err := json.Unmarshal(doH(t, m, http.MethodGet, "/api/v1/projects", nil).Body.Bytes(), &list); err != nil ||
+			len(list.Projects) != 2 || list.Projects[1] != want {
+			t.Fatalf("project list %+v (err %v), want %+v second", list, err, want)
+		}
+	}
+	rec := doH(t, m, http.MethodPost, "/api/v1/projects", CreateProjectRequest{ID: "quoted", ProjectSpec: spec})
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create = %d: %s", rec.Code, rec.Body.String())
+	}
+	check(m, rec)
+	m.Close()
+
+	m = newTestMulti(t, MultiOptions{DataDir: dir})
+	defer m.Close()
+	check(m, doH(t, m, http.MethodGet, "/api/v1/projects/quoted", nil))
+	if rec := doH(t, m, http.MethodDelete, "/api/v1/projects/quoted", nil); rec.Code != http.StatusOK {
+		t.Fatalf("delete = %d: %s", rec.Code, rec.Body.String())
+	}
+	if _, ok := m.quotas["quoted"]; ok {
+		t.Fatal("deleted project's quotas kept")
+	}
+}
+
 // TestMultiSharedPlanCache: tenants with identical scripts share the
 // process-wide plan cache — the second project's engine construction hits
 // the entry the first one planted.

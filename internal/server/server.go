@@ -124,7 +124,7 @@ type Server struct {
 	// can bound and size a body without waiting for the engine lock.
 	testsetLen atomic.Int64
 
-	jobs     *queue.Queue[AsyncCommitRequest, CommitResponse]
+	jobs     *queue.Queue[commitJob, CommitResponse]
 	webhooks notify.Notifier
 	// deliver wraps the webhook notifier with the durable retry queue:
 	// exponential backoff, bounded attempts, and per-subscriber circuit
@@ -384,7 +384,7 @@ type durableState struct {
 	table     map[string]*jobEntry
 	order     []string
 	nextSeq   int
-	restored  []queue.Restored[AsyncCommitRequest, CommitResponse]
+	restored  []queue.Restored[commitJob, CommitResponse]
 	tornAudit int
 }
 
@@ -412,7 +412,7 @@ func newServer(cfg *script.Config, eng *engine.Engine, opts Options, d *durableS
 	// anyway (more workers add no throughput), and a single drainer is
 	// what makes completion order equal FIFO submission order — the
 	// property the sync/async equivalence guarantee rests on.
-	qopts := queue.Options[AsyncCommitRequest, CommitResponse]{
+	qopts := queue.Options[commitJob, CommitResponse]{
 		Capacity: opts.QueueCapacity,
 		Workers:  1,
 		Retain:   opts.QueueRetain,
@@ -569,7 +569,7 @@ func (s *Server) installOracle() error {
 // journals the park (audit trail only — the job's recoverability comes
 // from its submit record having no commit record yet) and arms the
 // release timer from the provider's retry hint.
-func (s *Server) onParkHook(j *queue.Job[AsyncCommitRequest, CommitResponse], err error) {
+func (s *Server) onParkHook(j *queue.Job[commitJob, CommitResponse], err error) {
 	if s.wlog != nil && !s.walFailed.Load() {
 		s.tableMu.Lock()
 		_ = s.walAppendSyncLocked(recTypePark, recPark{Job: j.ID, Err: err.Error()})
@@ -581,7 +581,7 @@ func (s *Server) onParkHook(j *queue.Job[AsyncCommitRequest, CommitResponse], er
 // onReleaseHook runs per job as parked work rejoins the pending queue;
 // the multi-tenant pool needs a kick per job or the fair scheduler would
 // see no pending credit for the tenant.
-func (s *Server) onReleaseHook(*queue.Job[AsyncCommitRequest, CommitResponse]) {
+func (s *Server) onReleaseHook(*queue.Job[commitJob, CommitResponse]) {
 	if s.onEnqueue != nil {
 		s.onEnqueue()
 	}
@@ -635,7 +635,7 @@ func (s *Server) CloseIntake() { s.jobs.CloseIntake() }
 // acceptance: the WAL submit record first (record-then-accept — an
 // accepted job is a recoverable job), then the scheduler kick. The
 // enqueue-side mirror of onCancelHook.
-func (s *Server) onSubmitHook(j *queue.Job[AsyncCommitRequest, CommitResponse]) error {
+func (s *Server) onSubmitHook(j *queue.Job[commitJob, CommitResponse]) error {
 	if s.wlog != nil {
 		if err := s.walOnSubmit(j); err != nil {
 			return err
@@ -649,7 +649,7 @@ func (s *Server) onSubmitHook(j *queue.Job[AsyncCommitRequest, CommitResponse]) 
 
 // onCancelHook runs under the queue lock for a cancelable job: the WAL
 // record first (record-then-cancel), then the scheduler un-kick.
-func (s *Server) onCancelHook(j *queue.Job[AsyncCommitRequest, CommitResponse]) error {
+func (s *Server) onCancelHook(j *queue.Job[commitJob, CommitResponse]) error {
 	if s.wlog != nil {
 		if err := s.walOnCancel(j); err != nil {
 			return err
@@ -1138,7 +1138,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req AsyncCommitRequest
+	var req commitJob
 	if err := s.readCommitRequest(w, r, &req, false); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return

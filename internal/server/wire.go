@@ -5,14 +5,78 @@ package server
 // at large testsets decoding a body costs more than acting on it. Bodies
 // in the layout every JSON encoder writes are read in one pass over the
 // bytes; everything else goes to encoding/json, which stays the
-// specification of what a body means.
+// specification of what a body means. A commit's predictions are read
+// into a byte column whenever every value fits one, so from here on a
+// commit costs one byte per example: in the queue, in the engine's fused
+// kernel and in the journal.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"strconv"
+
+	"github.com/easeml/ci/internal/model"
 )
+
+// commitJob is a commit as the queue carries, retains and journals it:
+// the request's text fields and its candidate column. The column is one
+// byte per example when every prediction is in [0, 255], with max8 its
+// largest entry, and ints otherwise. At most one of preds8 and preds is
+// non-nil; both are nil for a request without predictions, and an empty
+// array is an empty non-nil column, so the journal keeps encoding/json's
+// distinction between null and [].
+type commitJob struct {
+	Model, Author, Message, Webhook string
+
+	preds8 []uint8
+	max8   uint8
+	preds  []int
+}
+
+// jobFromRequest shapes a request decoded by encoding/json into a job,
+// narrowing its predictions to bytes when they all fit.
+func jobFromRequest(r AsyncCommitRequest) commitJob {
+	j := commitJob{Model: r.Model, Author: r.Author, Message: r.Message, Webhook: r.Webhook}
+	if r.Predictions == nil {
+		return j
+	}
+	col := make([]uint8, len(r.Predictions))
+	for i, y := range r.Predictions {
+		if uint(y) > 255 {
+			j.preds = r.Predictions
+			return j
+		}
+		col[i] = uint8(y)
+		j.max8 = max(j.max8, col[i])
+	}
+	j.preds8 = col
+	return j
+}
+
+// predictionCount is the length of the candidate column.
+func (j *commitJob) predictionCount() int {
+	if j.preds != nil {
+		return len(j.preds)
+	}
+	return len(j.preds8)
+}
+
+// predictor wraps the candidate column for the engine without copying it.
+func (j *commitJob) predictor() *model.FixedPredictions {
+	if j.preds != nil {
+		return model.NewFixedPredictions(j.Model, j.preds)
+	}
+	return model.NewFixedBytes(j.Model, j.preds8, j.max8)
+}
+
+// UnmarshalJSON decodes a journaled request (a submit record's or a
+// snapshot job's "req") exactly as encoding/json decodes an
+// AsyncCommitRequest, through the commit body decoder.
+func (j *commitJob) UnmarshalJSON(b []byte) error {
+	return decodeCommitRequest(b, len(b), j, true)
+}
 
 // commitBodyLimit is the largest commit body accepted for a testset of n
 // examples: 1 MiB for the text fields, plus 32 bytes a prediction — room
@@ -35,16 +99,16 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 }
 
 // readCommitRequest reads a commit body, refusing one over
-// commitBodyLimit with *http.MaxBytesError, and decodes it into req.
+// commitBodyLimit with *http.MaxBytesError, and decodes it into job.
 // withWebhook is true on the async endpoint only; the sync endpoint
 // ignores "webhook".
-func (s *Server) readCommitRequest(w http.ResponseWriter, r *http.Request, req *AsyncCommitRequest, withWebhook bool) error {
+func (s *Server) readCommitRequest(w http.ResponseWriter, r *http.Request, job *commitJob, withWebhook bool) error {
 	n := int(s.testsetLen.Load())
 	body, err := readBody(w, r, commitBodyLimit(n))
 	if err != nil {
 		return err
 	}
-	return decodeCommitRequest(body, n, req, withWebhook)
+	return decodeCommitRequest(body, n, job, withWebhook)
 }
 
 // readRotateRequest reads a rotation body, refusing one over
@@ -58,29 +122,31 @@ func (s *Server) readRotateRequest(w http.ResponseWriter, r *http.Request, req *
 	return decodeRotateRequest(body, n, req)
 }
 
-// decodeCommitRequest decodes a commit body into req exactly as
-// encoding/json would: same struct, same error text. n, the testset size,
-// sizes the predictions slice.
+// decodeCommitRequest decodes a commit body into job exactly as
+// encoding/json decodes it into an AsyncCommitRequest: same values, same
+// error text. n, the testset size, sizes the predictions column.
 //
 // A canonical body is read in one pass (see decodeCanonicalCommit). On any
-// other body req is reset and encoding/json decodes the same bytes, so a
-// non-canonical body keeps its result, its tolerance of trailing data and
-// its error. Without withWebhook the fallback decodes into the embedded
-// CommitRequest, which ignores "webhook" whatever its value, and the fast
-// path drops the field to match.
-func decodeCommitRequest(body []byte, n int, req *AsyncCommitRequest, withWebhook bool) error {
-	if decodeCanonicalCommit(body, n, req) {
+// other body encoding/json decodes the same bytes, so a non-canonical body
+// keeps its result, its tolerance of trailing data and its error. Without
+// withWebhook the fallback decodes into the embedded CommitRequest, which
+// ignores "webhook" whatever its value, and the fast path drops the field
+// to match.
+func decodeCommitRequest(body []byte, n int, job *commitJob, withWebhook bool) error {
+	if decodeCanonicalCommit(body, n, job) {
 		if !withWebhook {
-			req.Webhook = ""
+			job.Webhook = ""
 		}
 		return nil
 	}
-	*req = AsyncCommitRequest{}
-	var dst any = req
+	var req AsyncCommitRequest
+	var dst any = &req
 	if !withWebhook {
 		dst = &req.CommitRequest
 	}
-	return json.NewDecoder(bytes.NewReader(body)).Decode(dst)
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(dst)
+	*job = jobFromRequest(req)
+	return err
 }
 
 // decodeRotateRequest decodes a rotation body into req exactly as
@@ -124,25 +190,30 @@ const (
 //   - only JSON's four whitespace bytes, and nothing after the object but
 //     whitespace.
 //
-// On false req holds partial values and the caller must reset it.
-func decodeCanonicalCommit(b []byte, n int, req *AsyncCommitRequest) bool {
-	*req = AsyncCommitRequest{}
+// On false job holds partial values and the caller must not use it.
+func decodeCanonicalCommit(b []byte, n int, job *commitJob) bool {
+	*job = commitJob{}
 	return scanObject(b, func(key []byte, i int) (field uint8, j int, ok bool) {
 		switch string(key) {
 		case "model":
-			req.Model, j, ok = scanStringValue(b, i)
+			job.Model, j, ok = scanStringValue(b, i)
 			return fieldModel, j, ok
 		case "author":
-			req.Author, j, ok = scanStringValue(b, i)
+			job.Author, j, ok = scanStringValue(b, i)
 			return fieldAuthor, j, ok
 		case "message":
-			req.Message, j, ok = scanStringValue(b, i)
+			job.Message, j, ok = scanStringValue(b, i)
 			return fieldMessage, j, ok
 		case "predictions":
-			req.Predictions, j, ok = scanInts(b, i, n)
+			// A later duplicate key fails the object, so the column need
+			// not be cleared here.
+			if job.preds8, job.max8, j, ok = scanBytes(b, i, n); !ok {
+				job.preds8 = nil
+				job.preds, j, ok = scanInts(b, i, n)
+			}
 			return fieldPredictions, j, ok
 		case "webhook":
-			req.Webhook, j, ok = scanStringValue(b, i)
+			job.Webhook, j, ok = scanStringValue(b, i)
 			return fieldWebhook, j, ok
 		}
 		return 0, i, false
@@ -288,6 +359,92 @@ func scanInts(b []byte, i, n int) ([]int, int, bool) {
 		}
 		if b[i] != ',' {
 			return nil, i, false
+		}
+		i = skipSpace(b, i+1)
+	}
+}
+
+// SWAR constants for scanBytes's word lane, which reads four "d," pairs
+// (a one-digit value and its comma) per little-endian 8-byte load.
+const (
+	laneOdd    = 0xff00ff00ff00ff00 // the comma bytes
+	laneCommas = 0x2c002c002c002c00 // ',' in every odd byte
+	laneZeros  = 0x3000300030003000 // '0' in every odd byte
+	laneDigits = 0x000f000f000f000f // the digit values of the even bytes
+	nibbleHi   = 0xf0f0f0f0f0f0f0f0
+	digitBias  = 0x0606060606060606
+	allThrees  = 0x3333333333333333
+)
+
+// digitCommaWord reports whether the 8 bytes of w are four "d," pairs.
+// With '0' put in the comma bytes, every byte is an ASCII digit exactly
+// when its high nibble is 3 and it stays below 0x40 after adding 6. A
+// byte whose addition carries into its neighbour has high nibble F and
+// fails on its own, so the carry cannot change the answer.
+func digitCommaWord(w uint64) bool {
+	if w&laneOdd != laneCommas {
+		return false
+	}
+	x := w&^laneOdd | laneZeros
+	return x&nibbleHi|((x+digitBias)&nibbleHi)>>4 == allThrees
+}
+
+// scanBytes reads a canonical array of values in [0, 255] starting at
+// b[i] into a byte column, tracking its largest value, and returns the
+// index after the closing bracket. It accepts a subset of what scanInts
+// accepts, with the same values: false on any other array, which the
+// caller hands to scanInts.
+func scanBytes(b []byte, i, n int) (col []uint8, mx uint8, j int, ok bool) {
+	if i >= len(b) || b[i] != '[' {
+		return nil, 0, i, false
+	}
+	// As in scanInts, the body bounds the count too.
+	out := make([]uint8, 0, min(n, (len(b)-i)/2+1))
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == ']' {
+		return out, 0, i + 1, true
+	}
+	for {
+		// Class labels are mostly one digit: take four "d," pairs per
+		// word, then single pairs, before the general element scan.
+		for i+8 <= len(b) {
+			w := binary.LittleEndian.Uint64(b[i:])
+			if !digitCommaWord(w) {
+				break
+			}
+			d := w & laneDigits
+			d0, d1, d2, d3 := uint8(d), uint8(d>>16), uint8(d>>32), uint8(d>>48)
+			out = append(out, d0, d1, d2, d3)
+			mx = max(mx, d0, d1, d2, d3)
+			i += 8
+		}
+		i = skipSpace(b, i)
+		if i+1 < len(b) && b[i]-'0' <= 9 && b[i+1] == ',' {
+			d := b[i] - '0'
+			out = append(out, d)
+			mx = max(mx, d)
+			i = skipSpace(b, i+2)
+			continue
+		}
+		start, v := i, 0
+		for i < len(b) && b[i]-'0' <= 9 && i-start < 4 {
+			v = v*10 + int(b[i]-'0')
+			i++
+		}
+		if d := i - start; d == 0 || d > 3 || v > 255 || (d > 1 && b[start] == '0') {
+			return nil, 0, i, false
+		}
+		out = append(out, uint8(v))
+		mx = max(mx, uint8(v))
+		i = skipSpace(b, i)
+		if i >= len(b) {
+			return nil, 0, i, false
+		}
+		if b[i] == ']' {
+			return out, mx, i + 1, true
+		}
+		if b[i] != ',' {
+			return nil, 0, i, false
 		}
 		i = skipSpace(b, i+1)
 	}

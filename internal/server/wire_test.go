@@ -92,36 +92,124 @@ var decodeCases = []struct {
 	{"null top level", `null`, false},
 	{"empty body", ``, false},
 	{"whitespace body", " \n", false},
+	// The byte column and its word lane: four "d," pairs per 8-byte load.
+	{"byte range ends", `{"predictions":[255,0,254,9,10,99,100]}`, true},
+	{"255 then 256", `{"predictions":[255,256]}`, true},
+	{"256 mid word", `{"predictions":[1,2,3,256,4,5,6,7,8,9]}`, true},
+	{"negative mid word", `{"predictions":[1,2,3,-1,4,5,6,7,8,9]}`, true},
+	{"negative zero mid word", `{"predictions":[1,2,3,-0,4,5,6,7,8]}`, true},
+	{"leading zero mid word", `{"predictions":[1,2,01,3,4,5,6,7,8]}`, false},
+	{"leading zero 3 digits", `{"predictions":[0255]}`, false},
+	{"4 digits", `{"predictions":[1000,1,2]}`, true},
+	{"4 digits mid word", `{"predictions":[1,2,3,4,5,6,7,1234,8,9,0,1,2,3,4,5]}`, true},
+	{"space after comma in word", `{"predictions":[1,2, 3,4,5,6,7,8,9]}`, true},
+	{"space before comma in word", `{"predictions":[1,2 ,3,4,5,6,7,8,9]}`, true},
+	{"newline after word", "{\"predictions\":[1,2,3,4,\n5,6,7,8,9]}", true},
+	{"letter in word", `{"predictions":[1,2,x,4,5,6,7,8,9]}`, false},
+	{"colon in word", `{"predictions":[1,2,:,4,5,6,7,8,9]}`, false},
+	{"slash in word", `{"predictions":[1,2,/,4,5,6,7,8,9]}`, false},
+	{"semicolons", `{"predictions":[1;2;3;4;5;6;7;8;9]}`, false},
+	{"high byte in word", "{\"predictions\":[1,2,\xb3,4,5,6,7,8,9]}", false},
+	{"carrying byte in word", "{\"predictions\":[1,\xfa,2,4,5,6,7,8,9]}", false},
+	{"comma pair at end", `{"predictions":[1,2,3,4,5,6,7,8,]}`, false},
+}
+
+// wordLaneCases are canonical one-digit arrays of every length from 1 to
+// 17, each starting at every offset mod 8 of the body, so the word lane
+// meets the closing bracket at every position of its load.
+func wordLaneCases() []struct {
+	name      string
+	body      string
+	canonical bool
+} {
+	var out []struct {
+		name      string
+		body      string
+		canonical bool
+	}
+	for size := 1; size <= 17; size++ {
+		var arr strings.Builder
+		for i := 0; i < size; i++ {
+			if i > 0 {
+				arr.WriteByte(',')
+			}
+			arr.WriteByte(byte('0' + (i*7)%10))
+		}
+		for pad := 0; pad < 8; pad++ {
+			out = append(out, struct {
+				name      string
+				body      string
+				canonical bool
+			}{
+				fmt.Sprintf("lane size %d offset %d", size, pad),
+				fmt.Sprintf(`{"model":"%s","predictions":[%s]}`, strings.Repeat("m", pad), arr.String()),
+				true,
+			})
+		}
+	}
+	return out
+}
+
+// request widens a job back into the wire type it was decoded from: the
+// byte column becomes ints, and a nil column stays nil.
+func (j commitJob) request() AsyncCommitRequest {
+	r := AsyncCommitRequest{CommitRequest: CommitRequest{Model: j.Model, Author: j.Author, Message: j.Message, Predictions: j.preds}, Webhook: j.Webhook}
+	if j.preds8 != nil {
+		r.Predictions = make([]int, len(j.preds8))
+		for i, y := range j.preds8 {
+			r.Predictions[i] = int(y)
+		}
+	}
+	return r
+}
+
+// checkJobColumn requires the column invariants: at most one width set,
+// and max8 the byte column's largest value.
+func checkJobColumn(t *testing.T, body []byte, j commitJob) {
+	t.Helper()
+	if j.preds != nil && j.preds8 != nil {
+		t.Fatalf("%q: both columns set", body)
+	}
+	var mx uint8
+	for _, y := range j.preds8 {
+		mx = max(mx, y)
+	}
+	if mx != j.max8 {
+		t.Fatalf("%q: max8 %d, column max %d", body, j.max8, mx)
+	}
 }
 
 // checkMatchesJSON requires decodeCommitRequest to agree with
 // encoding/json on body for both endpoints: the async endpoint against a
 // decode into AsyncCommitRequest, the sync one against a decode into
-// CommitRequest. Accept or reject, the decoded struct (reflect.DeepEqual,
-// so nil and empty slices differ) and the error text must all match.
+// CommitRequest. Accept or reject, the decoded job widened back to the
+// wire type (reflect.DeepEqual, so nil and empty slices differ) and the
+// error text must all match.
 func checkMatchesJSON(t *testing.T, body []byte, n int) {
 	t.Helper()
 	var want AsyncCommitRequest
 	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
-	// A stale value in req proves the decoder starts from the zero value.
-	got := AsyncCommitRequest{CommitRequest: CommitRequest{Model: "stale", Predictions: []int{9}}, Webhook: "stale"}
+	// A stale value in the job proves the decoder starts from the zero
+	// value.
+	got := commitJob{Model: "stale", preds: []int{9}, preds8: []uint8{7}, max8: 7, Webhook: "stale"}
 	gotErr := decodeCommitRequest(body, n, &got, true)
 	compareDecode(t, "async", body, got, want, gotErr, wantErr)
 
 	var wantSync CommitRequest
 	wantSyncErr := json.NewDecoder(bytes.NewReader(body)).Decode(&wantSync)
-	got = AsyncCommitRequest{CommitRequest: CommitRequest{Author: "stale"}, Webhook: "stale"}
+	got = commitJob{Author: "stale", Webhook: "stale"}
 	gotErr = decodeCommitRequest(body, n, &got, false)
 	compareDecode(t, "sync", body, got, AsyncCommitRequest{CommitRequest: wantSync}, gotErr, wantSyncErr)
 }
 
-func compareDecode(t *testing.T, endpoint string, body []byte, got, want AsyncCommitRequest, gotErr, wantErr error) {
+func compareDecode(t *testing.T, endpoint string, body []byte, got commitJob, want AsyncCommitRequest, gotErr, wantErr error) {
 	t.Helper()
 	if errText(gotErr) != errText(wantErr) {
 		t.Fatalf("%s %q: error %q, encoding/json says %q", endpoint, body, errText(gotErr), errText(wantErr))
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s %q: decoded %#v, encoding/json says %#v", endpoint, body, got, want)
+	checkJobColumn(t, body, got)
+	if r := got.request(); !reflect.DeepEqual(r, want) {
+		t.Fatalf("%s %q: decoded %#v, encoding/json says %#v", endpoint, body, r, want)
 	}
 }
 
@@ -133,10 +221,10 @@ func errText(err error) string {
 }
 
 func TestDecodeCommitRequestMatchesJSON(t *testing.T) {
-	for _, tc := range decodeCases {
+	for _, tc := range append(decodeCases, wordLaneCases()...) {
 		t.Run(tc.name, func(t *testing.T) {
-			var req AsyncCommitRequest
-			if got := decodeCanonicalCommit([]byte(tc.body), 4, &req); got != tc.canonical {
+			var job commitJob
+			if got := decodeCanonicalCommit([]byte(tc.body), 4, &job); got != tc.canonical {
 				t.Errorf("canonical = %v, want %v", got, tc.canonical)
 			}
 			for _, n := range []int{0, 1, 4, 1000} {
@@ -147,38 +235,44 @@ func TestDecodeCommitRequestMatchesJSON(t *testing.T) {
 }
 
 // TestDecodeCommitRequestLargeBodies covers the bodies the served path
-// sees: thousands of predictions, compact and indented.
+// sees: thousands of predictions, compact and indented, as wide ints,
+// as class ids and across the whole byte range.
 func TestDecodeCommitRequestLargeBodies(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	preds := make([]int, 5000)
-	for i := range preds {
-		preds[i] = rng.Intn(1 << 20)
-		if i%3 == 0 {
-			preds[i] = -preds[i]
+	for _, bound := range []int{1 << 20, testClasses, 256} {
+		preds := make([]int, 5000)
+		for i := range preds {
+			preds[i] = rng.Intn(bound)
+			if bound > 256 && i%3 == 0 {
+				preds[i] = -preds[i]
+			}
 		}
-	}
-	req := AsyncCommitRequest{CommitRequest: CommitRequest{Model: "big", Author: "a", Message: "m", Predictions: preds}}
-	compact, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indented, err := json.MarshalIndent(req, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, body := range [][]byte{compact, indented} {
-		var got AsyncCommitRequest
-		if !decodeCanonicalCommit(body, len(preds), &got) {
-			t.Fatalf("body of %d bytes not canonical", len(body))
+		req := AsyncCommitRequest{CommitRequest: CommitRequest{Model: "big", Author: "a", Message: "m", Predictions: preds}}
+		compact, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, n := range []int{0, 10, len(preds), 2 * len(preds)} {
-			checkMatchesJSON(t, body, n)
+		indented, err := json.MarshalIndent(req, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range [][]byte{compact, indented} {
+			var got commitJob
+			if !decodeCanonicalCommit(body, len(preds), &got) {
+				t.Fatalf("body of %d bytes not canonical", len(body))
+			}
+			if wide := bound > 256; (got.preds != nil) != wide {
+				t.Fatalf("values below %d: int column %v, want %v", bound, got.preds != nil, wide)
+			}
+			for _, n := range []int{0, 10, len(preds), 2 * len(preds)} {
+				checkMatchesJSON(t, body, n)
+			}
 		}
 	}
 }
 
 func FuzzDecodeCommitRequest(f *testing.F) {
-	for _, tc := range decodeCases {
+	for _, tc := range append(decodeCases, wordLaneCases()...) {
 		f.Add([]byte(tc.body), uint16(4))
 	}
 	f.Fuzz(func(t *testing.T, body []byte, n uint16) {
@@ -186,7 +280,10 @@ func FuzzDecodeCommitRequest(f *testing.F) {
 	})
 }
 
-var decodeSink AsyncCommitRequest
+var (
+	decodeSink     commitJob
+	decodeJSONSink AsyncCommitRequest
+)
 
 // BenchmarkDecodeCommitRequest times the commit-body decode on the
 // served benchmark's shape of body (4-class predictions, compact), for
@@ -220,8 +317,8 @@ func BenchmarkDecodeCommitRequest(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				decodeSink = AsyncCommitRequest{}
-				if err := json.NewDecoder(bytes.NewReader(body)).Decode(&decodeSink); err != nil {
+				decodeJSONSink = AsyncCommitRequest{}
+				if err := json.NewDecoder(bytes.NewReader(body)).Decode(&decodeJSONSink); err != nil {
 					b.Fatal(err)
 				}
 			}

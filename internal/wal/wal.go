@@ -31,6 +31,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 )
 
@@ -61,6 +62,25 @@ type Record struct {
 type Snapshot struct {
 	LastSeq uint64
 	Data    json.RawMessage
+}
+
+// Encoder is a payload that appends its own JSON encoding to dst: the
+// bytes json.Marshal would write for it, so replay decodes them with
+// encoding/json as before. Append, Compact and SnapshotBytes use it in
+// place of encoding/json's reflection, which lets a large record be
+// encoded in one pass straight into its line.
+type Encoder interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// encodePayload appends payload's JSON to dst, through its own encoder
+// when it has one.
+func encodePayload(dst []byte, payload any) ([]byte, error) {
+	if e, ok := payload.(Encoder); ok {
+		return e.AppendJSON(dst)
+	}
+	b, err := json.Marshal(payload)
+	return append(dst, b...), err
 }
 
 // Options tunes a Log.
@@ -175,10 +195,10 @@ func Open(dir string, opts Options) (*Log, *Snapshot, []Record, error) {
 // crcOf computes the record checksum over seq, type, and the exact
 // payload bytes — the same input at write and read time.
 func crcOf(seq uint64, typ string, data []byte) uint32 {
-	h := crc32.New(castagnoli)
-	fmt.Fprintf(h, "%d|%s|", seq, typ)
-	h.Write(data)
-	return h.Sum32()
+	var buf [48]byte
+	pre := strconv.AppendUint(buf[:0], seq, 10)
+	pre = append(append(append(pre, '|'), typ...), '|')
+	return crc32.Update(crc32.Update(0, castagnoli, pre), castagnoli, data)
 }
 
 // envelope is the wire shape of one log line (and of the snapshot file,
@@ -279,22 +299,31 @@ func readSnapshot(fsys FS, path string) (*Snapshot, error) {
 // Append encodes one typed record, assigns it the next sequence number,
 // and writes it to the log. It does not fsync — callers group the records
 // of one logical transaction and call Sync once at its commit point.
+//
+// The line is built in one buffer: the payload is encoded behind room
+// reserved for the envelope's head, which is written in front of it once
+// the sequence number and CRC are known.
 func (l *Log) Append(typ string, payload any) (uint64, error) {
-	data, err := json.Marshal(payload)
+	reserve := lineHeadMax(typ)
+	buf, err := encodePayload(make([]byte, reserve, reserve+512), payload)
 	if err != nil {
 		return 0, fmt.Errorf("wal: encoding %s record: %w", typ, err)
 	}
+	data := buf[reserve:]
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	seq := l.nextSeq + 1
-	line := fmt.Sprintf("{\"s\":%d,\"t\":%q,\"c\":%d,\"d\":%s}\n", seq, typ, crcOf(seq, typ, data), data)
+	head := appendLineHead(buf[:0], seq, typ, crcOf(seq, typ, data))
+	start := reserve - len(head)
+	copy(buf[start:reserve], head)
+	line := append(buf[start:], '}', '\n')
 	if l.opts.WriteHook != nil {
-		if err := l.opts.WriteHook([]byte(line)); err != nil {
+		if err := l.opts.WriteHook(line); err != nil {
 			l.stats.AppendErrors++
 			return 0, fmt.Errorf("wal: appending %s record: %w", typ, err)
 		}
 	}
-	n, err := l.f.Write([]byte(line))
+	n, err := l.f.Write(line)
 	if err != nil {
 		l.stats.AppendErrors++
 		if n > 0 {
@@ -316,6 +345,25 @@ func (l *Log) Append(typ string, payload any) (uint64, error) {
 	l.stats.LastSeq = seq
 	l.stats.SizeBytes = l.size
 	return seq, nil
+}
+
+// lineHeadMax bounds the length of a line's head, everything before the
+// payload: two uint64-sized numbers and typ quoted, at most four bytes
+// for each of its bytes plus the quotes.
+func lineHeadMax(typ string) int {
+	return len(`{"s":,"t":,"c":,"d":`) + 2*20 + 4*len(typ) + 2
+}
+
+// appendLineHead appends the head of a record line: the bytes that
+// fmt's "{\"s\":%d,\"t\":%q,\"c\":%d,\"d\":" writes.
+func appendLineHead(b []byte, seq uint64, typ string, crc uint32) []byte {
+	b = append(b, `{"s":`...)
+	b = strconv.AppendUint(b, seq, 10)
+	b = append(b, `,"t":`...)
+	b = strconv.AppendQuote(b, typ)
+	b = append(b, `,"c":`...)
+	b = strconv.AppendUint(b, uint64(crc), 10)
+	return append(b, `,"d":`...)
 }
 
 // Sync flushes appended records to stable storage (no-op under NoSync).
@@ -364,7 +412,7 @@ func (l *Log) Stats() Stats {
 // (snapshot, log) pair or the new snapshot with a log whose records are
 // all covered by it (and skipped at replay by their sequence numbers).
 func (l *Log) Compact(payload any) error {
-	data, err := json.Marshal(payload)
+	data, err := encodePayload(nil, payload)
 	if err != nil {
 		return fmt.Errorf("wal: encoding snapshot: %w", err)
 	}
@@ -430,7 +478,14 @@ func (l *Log) syncDirLocked() {
 // exact on-disk bytes. Shared by Compact and the online-backup path, so
 // a restored backup is indistinguishable from a compacted data dir.
 func encodeSnapshot(seq uint64, data []byte) []byte {
-	return []byte(fmt.Sprintf("{\"s\":%d,\"c\":%d,\"d\":%s}\n", seq, crcOf(seq, "snapshot", data), data))
+	b := make([]byte, 0, len(data)+48)
+	b = append(b, `{"s":`...)
+	b = strconv.AppendUint(b, seq, 10)
+	b = append(b, `,"c":`...)
+	b = strconv.AppendUint(b, uint64(crcOf(seq, "snapshot", data)), 10)
+	b = append(b, `,"d":`...)
+	b = append(b, data...)
+	return append(b, '}', '\n')
 }
 
 // SnapshotBytes encodes payload as a snapshot covering every record
@@ -438,7 +493,7 @@ func encodeSnapshot(seq uint64, data []byte) []byte {
 // encoder. The caller must guarantee payload materializes all records up
 // to LastSeq — the same freeze contract as Compact.
 func (l *Log) SnapshotBytes(payload any) ([]byte, error) {
-	data, err := json.Marshal(payload)
+	data, err := encodePayload(nil, payload)
 	if err != nil {
 		return nil, fmt.Errorf("wal: encoding snapshot: %w", err)
 	}
