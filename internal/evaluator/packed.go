@@ -1,7 +1,6 @@
 package evaluator
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -290,7 +289,8 @@ func CommitBitmapsBytes[P uint8 | int](pred []P, base8, labels8 []uint8, diff, m
 
 // loadByteWord packs p[0..7], each narrowed to a byte, into one
 // little-endian word. For a []uint8 the compiler merges the eight loads
-// into one, as it does for binary.LittleEndian.Uint64.
+// into one, as it does for binary.LittleEndian.Uint64 — which, called
+// from a generic function, is not inlined.
 func loadByteWord[P uint8 | int](p []P) uint64 {
 	_ = p[7]
 	return uint64(uint8(p[0])) |
@@ -320,8 +320,8 @@ func fillCommitWordsBytes[P uint8 | int](pred []P, base8, labels8 []uint8, diffW
 		i := lo
 		for ; i+8 <= hi; i += 8 {
 			p := loadByteWord(pred[i : i+8])
-			b := binary.LittleEndian.Uint64(base8[i : i+8])
-			l := binary.LittleEndian.Uint64(labels8[i : i+8])
+			b := loadByteWord(base8[i : i+8])
+			l := loadByteWord(labels8[i : i+8])
 			s := uint(i - lo)
 			eqBase := zeroByteMask(p ^ b)
 			dw |= byteMovemask(^eqBase&swarHi) << s
