@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"github.com/easeml/ci/internal/model"
 )
@@ -87,15 +88,28 @@ func commitBodyLimit(n int) int64 { return 1<<20 + 32*int64(n) }
 // testset has n examples: room for two commit-sized arrays.
 func rotateBodyLimit(n int) int64 { return 2 * commitBodyLimit(n) }
 
-// readBody reads a request body of at most limit bytes, refusing a longer
-// one with *http.MaxBytesError.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	var buf bytes.Buffer
+// bodyBufs recycles request-body buffers. A decoded request keeps no
+// reference to its body (strings and columns are copied out), so once a
+// body is decoded its buffer can read the next one: a commit allocates
+// its column, not its body.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBody reads a request body of at most limit bytes into a recycled
+// buffer, refusing a longer one with *http.MaxBytesError, and hands it to
+// decode, which must not retain it.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, decode func(body []byte) error) error {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		bodyBufs.Put(buf)
+	}()
 	if r.ContentLength > 0 && r.ContentLength <= limit {
 		buf.Grow(int(r.ContentLength) + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
-	return buf.Bytes(), err
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		return err
+	}
+	return decode(buf.Bytes())
 }
 
 // readCommitRequest reads a commit body, refusing one over
@@ -104,22 +118,18 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 // ignores "webhook".
 func (s *Server) readCommitRequest(w http.ResponseWriter, r *http.Request, job *commitJob, withWebhook bool) error {
 	n := int(s.testsetLen.Load())
-	body, err := readBody(w, r, commitBodyLimit(n))
-	if err != nil {
-		return err
-	}
-	return decodeCommitRequest(body, n, job, withWebhook)
+	return decodeBody(w, r, commitBodyLimit(n), func(body []byte) error {
+		return decodeCommitRequest(body, n, job, withWebhook)
+	})
 }
 
 // readRotateRequest reads a rotation body, refusing one over
 // rotateBodyLimit with *http.MaxBytesError, and decodes it into req.
 func (s *Server) readRotateRequest(w http.ResponseWriter, r *http.Request, req *RotateRequest) error {
 	n := int(s.testsetLen.Load())
-	body, err := readBody(w, r, rotateBodyLimit(n))
-	if err != nil {
-		return err
-	}
-	return decodeRotateRequest(body, n, req)
+	return decodeBody(w, r, rotateBodyLimit(n), func(body []byte) error {
+		return decodeRotateRequest(body, n, req)
+	})
 }
 
 // decodeCommitRequest decodes a commit body into job exactly as

@@ -191,14 +191,20 @@ func checkMatchesJSON(t *testing.T, body []byte, n int) {
 	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
 	// A stale value in the job proves the decoder starts from the zero
 	// value.
+	// Scribbling over the body after the decode proves the job keeps no
+	// reference to it, which lets the body's buffer be recycled.
+	buf := append([]byte(nil), body...)
 	got := commitJob{Model: "stale", preds: []int{9}, preds8: []uint8{7}, max8: 7, Webhook: "stale"}
-	gotErr := decodeCommitRequest(body, n, &got, true)
+	gotErr := decodeCommitRequest(buf, n, &got, true)
+	clear(buf)
 	compareDecode(t, "async", body, got, want, gotErr, wantErr)
 
 	var wantSync CommitRequest
 	wantSyncErr := json.NewDecoder(bytes.NewReader(body)).Decode(&wantSync)
+	copy(buf, body)
 	got = commitJob{Author: "stale", Webhook: "stale"}
-	gotErr = decodeCommitRequest(body, n, &got, false)
+	gotErr = decodeCommitRequest(buf, n, &got, false)
+	clear(buf)
 	compareDecode(t, "sync", body, got, AsyncCommitRequest{CommitRequest: wantSync}, gotErr, wantSyncErr)
 }
 
