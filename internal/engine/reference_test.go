@@ -338,6 +338,8 @@ type refRig struct {
 	eng    *Engine
 	ref    *reference
 	oracle *countingOracle
+	// commits counts commit calls, to alternate candidate widths.
+	commits int
 }
 
 // newRefRig builds an engine (full adaptivity, fp-free) over labels and
@@ -363,7 +365,7 @@ func newRefRig(t *testing.T, cond string, rel float64, steps int, labels, h0Pred
 // or the reveal set.
 func (r *refRig) commit(t *testing.T, tag string, name string, preds []int) (Result, error) {
 	t.Helper()
-	res, err := r.eng.Commit(model.NewFixedPredictions(name, preds), "dev", tag)
+	res, err := r.eng.Commit(r.candidate(name, preds), "dev", tag)
 	if err != nil {
 		return res, err
 	}
@@ -397,6 +399,26 @@ func (r *refRig) commit(t *testing.T, tag string, name string, preds []int) (Res
 		t.Fatalf("%s: engine made %d oracle round trips so far, reference %d", tag, r.oracle.calls, r.ref.batches)
 	}
 	return res, nil
+}
+
+// candidate wraps preds as an int vector on odd calls and, on even ones,
+// as the byte column the served path builds whenever every prediction
+// fits a byte, so both candidate widths meet the reference.
+func (r *refRig) candidate(name string, preds []int) model.Predictor {
+	r.commits++
+	if r.commits%2 == 1 {
+		return model.NewFixedPredictions(name, preds)
+	}
+	col := make([]uint8, len(preds))
+	var mx uint8
+	for i, y := range preds {
+		if y < 0 || y > 255 {
+			return model.NewFixedPredictions(name, preds)
+		}
+		col[i] = uint8(y)
+		mx = max(mx, col[i])
+	}
+	return model.NewFixedBytes(name, col, mx)
 }
 
 // rotate installs the same fresh testset and carried baseline on both.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -313,5 +314,65 @@ func TestEmptyAndWhitespacePayloads(t *testing.T) {
 	var m map[string]any
 	if err := json.Unmarshal(recs[0].Data, &m); err != nil || m["note"] != "a|b\nc" {
 		t.Fatalf("payload = %v err=%v", m, err)
+	}
+}
+
+// rawPayload encodes itself through Encoder.
+type rawPayload string
+
+func (p rawPayload) AppendJSON(dst []byte) ([]byte, error) { return append(dst, p...), nil }
+
+// TestLineBytesMatchFormat pins the on-disk line and snapshot formats to
+// the fmt-built lines and the fmt-fed CRC they were defined by, for
+// reflected and self-encoding payloads and for types %q must escape.
+func TestLineBytesMatchFormat(t *testing.T) {
+	oldCRC := func(seq uint64, typ string, data []byte) uint32 {
+		h := crc32.New(castagnoli)
+		fmt.Fprintf(h, "%d|%s|", seq, typ)
+		h.Write(data)
+		return h.Sum32()
+	}
+	dir := t.TempDir()
+	log, _, _, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	payloads := []any{
+		map[string]int{"a": 1},
+		rawPayload(`{"job":"job-1","req":{"predictions":[0,1,2,3]}}`),
+		rawPayload("[" + strings.Repeat("[1,2,3,4],", 300) + "0]"),
+		struct{ S string }{"< >"},
+	}
+	for i, typ := range []string{"job.submit", `q"uote`, "\xff\x01", "é", strings.Repeat("long.", 40)} {
+		p := payloads[i%len(payloads)]
+		data, err := encodePayload(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := log.Append(typ, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "{\"s\":%d,\"t\":%q,\"c\":%d,\"d\":%s}\n", seq, typ, oldCRC(seq, typ, data), data)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Fatalf("log lines:\n got  %q\n want %q", got, want.String())
+	}
+	p := rawPayload(`{"state":[1,2]}`)
+	snap, err := log.SnapshotBytes(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := log.LastSeq()
+	if w := fmt.Sprintf("{\"s\":%d,\"c\":%d,\"d\":%s}\n", seq, oldCRC(seq, "snapshot", []byte(p)), p); string(snap) != w {
+		t.Fatalf("snapshot bytes:\n got  %q\n want %q", snap, w)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
