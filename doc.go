@@ -73,7 +73,11 @@
 // (internal/engine) keeps the promoted baseline's correctness bitmap
 // cached across commits, narrows its label and baseline columns to bytes
 // when the alphabet allows (eight examples compared per word via a
-// zero-byte SWAR mask), reveals labels through batched oracle calls
+// zero-byte SWAR mask), measures the candidate on its own byte column
+// when it has one (the server decodes a commit's predictions straight
+// into bytes, queues and journals them that way, so a served commit
+// costs one byte per example end to end), reveals labels through batched
+// oracle calls
 // (labeling.BatchOracle, testset.RevealFirst/RevealChunk) instead of n
 // round trips, and reuses its prediction buffers — so a steady-state
 // commit evaluation allocates nothing (BenchmarkCommitEval at n=1e5,

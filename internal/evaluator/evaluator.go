@@ -19,7 +19,10 @@
 // label alphabets that fit a byte (classes <= 255, with 255 as the
 // unrevealed sentinel), comparing eight examples per 64-bit word via a
 // zero-byte SWAR mask — the configuration the engine runs when it can,
-// since it moves an eighth of the memory traffic per engine-owned column.
+// since it moves an eighth of the memory traffic per column. Its
+// candidate column is generic over width: the served path hands it the
+// byte column the wire decoder wrote, and an int vector is narrowed as it
+// is read, so there is one kernel for both.
 // Compiled formulas (compiled.go) hoist clause linearization out of the
 // per-commit path, so steady-state evaluation allocates nothing.
 //

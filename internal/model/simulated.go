@@ -197,14 +197,10 @@ func NewFixedPredictions(name string, preds []int) *FixedPredictions {
 }
 
 // NewFixedBytes builds the wrapper around a byte column whose largest
-// entry is max: the decoder that filled the column tracks it, so the
+// entry is largest: the decoder that filled the column tracks it, so the
 // range check needs no pass over the column.
-func NewFixedBytes(name string, preds []uint8, max uint8) *FixedPredictions {
-	f := &FixedPredictions{name: name, n: len(preds), preds8: preds, maxPred: int(max)}
-	if len(preds) == 0 {
-		f.maxPred = -1
-	}
-	return f
+func NewFixedBytes(name string, preds []uint8, largest uint8) *FixedPredictions {
+	return &FixedPredictions{name: name, n: len(preds), preds8: preds, maxPred: int(largest)}
 }
 
 // Name implements Predictor.

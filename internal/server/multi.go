@@ -342,7 +342,6 @@ func (m *Multi) buildTenant(id string, g Genesis, topts Options) (*Server, error
 	return NewFromGenesis(g, topts)
 }
 
-// markSick records a tenant whose write-ahead state refused to open.
 // projectQuotas are the quotas a registered project's spec sets.
 type projectQuotas struct{ queueCapacity, labelQuota int }
 
@@ -353,6 +352,7 @@ func (m *Multi) setQuotas(id string, sp ProjectSpec) {
 	m.mu.Unlock()
 }
 
+// markSick records a tenant whose write-ahead state refused to open.
 func (m *Multi) markSick(id string, err error) {
 	m.mu.Lock()
 	m.sick[id] = err.Error()

@@ -44,15 +44,16 @@ func jobFromRequest(r AsyncCommitRequest) commitJob {
 		return j
 	}
 	col := make([]uint8, len(r.Predictions))
+	var mx uint8
 	for i, y := range r.Predictions {
 		if uint(y) > 255 {
 			j.preds = r.Predictions
 			return j
 		}
 		col[i] = uint8(y)
-		j.max8 = max(j.max8, col[i])
+		mx = max(mx, col[i])
 	}
-	j.preds8 = col
+	j.preds8, j.max8 = col, mx
 	return j
 }
 

@@ -112,6 +112,8 @@ var decodeCases = []struct {
 	{"high byte in word", "{\"predictions\":[1,2,\xb3,4,5,6,7,8,9]}", false},
 	{"carrying byte in word", "{\"predictions\":[1,\xfa,2,4,5,6,7,8,9]}", false},
 	{"comma pair at end", `{"predictions":[1,2,3,4,5,6,7,8,]}`, false},
+	{"byte then negative, non-canonical", `{"predictions":[7,-1],"extra":1}`, false},
+	{"bytes, non-canonical", `{"predictions":[7,255],"extra":1}`, false},
 }
 
 // wordLaneCases are canonical one-digit arrays of every length from 1 to
