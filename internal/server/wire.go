@@ -23,38 +23,17 @@ import (
 
 // commitJob is a commit as the queue carries, retains and journals it:
 // the request's text fields and its candidate column. The column is one
-// byte per example when every prediction is in [0, 255], with max8 its
-// largest entry, and ints otherwise. At most one of preds8 and preds is
-// non-nil; both are nil for a request without predictions, and an empty
-// array is an empty non-nil column, so the journal keeps encoding/json's
-// distinction between null and [].
+// byte per example when the body was canonical and every prediction is in
+// [0, 255], with max8 its largest entry, and ints otherwise. At most one
+// of preds8 and preds is non-nil; both are nil for a request without
+// predictions, and an empty array is an empty non-nil column, so the
+// journal keeps encoding/json's distinction between null and [].
 type commitJob struct {
 	Model, Author, Message, Webhook string
 
 	preds8 []uint8
 	max8   uint8
 	preds  []int
-}
-
-// jobFromRequest shapes a request decoded by encoding/json into a job,
-// narrowing its predictions to bytes when they all fit.
-func jobFromRequest(r AsyncCommitRequest) commitJob {
-	j := commitJob{Model: r.Model, Author: r.Author, Message: r.Message, Webhook: r.Webhook}
-	if r.Predictions == nil {
-		return j
-	}
-	col := make([]uint8, len(r.Predictions))
-	var mx uint8
-	for i, y := range r.Predictions {
-		if uint(y) > 255 {
-			j.preds = r.Predictions
-			return j
-		}
-		col[i] = uint8(y)
-		mx = max(mx, col[i])
-	}
-	j.preds8, j.max8 = col, mx
-	return j
 }
 
 // predictionCount is the length of the candidate column.
@@ -139,7 +118,8 @@ func (s *Server) readRotateRequest(w http.ResponseWriter, r *http.Request, req *
 //
 // A canonical body is read in one pass (see decodeCanonicalCommit). On any
 // other body encoding/json decodes the same bytes, so a non-canonical body
-// keeps its result, its tolerance of trailing data and its error. Without
+// keeps its result, its tolerance of trailing data and its error, and its
+// predictions stay ints (the engine narrows them to measure them). Without
 // withWebhook the fallback decodes into the embedded CommitRequest, which
 // ignores "webhook" whatever its value, and the fast path drops the field
 // to match.
@@ -156,7 +136,7 @@ func decodeCommitRequest(body []byte, n int, job *commitJob, withWebhook bool) e
 		dst = &req.CommitRequest
 	}
 	err := json.NewDecoder(bytes.NewReader(body)).Decode(dst)
-	*job = jobFromRequest(req)
+	*job = commitJob{Model: req.Model, Author: req.Author, Message: req.Message, Webhook: req.Webhook, preds: req.Predictions}
 	return err
 }
 
