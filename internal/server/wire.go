@@ -5,10 +5,10 @@ package server
 // at large testsets decoding a body costs more than acting on it. Bodies
 // in the layout every JSON encoder writes are read in one pass over the
 // bytes; everything else goes to encoding/json, which stays the
-// specification of what a body means. A commit's predictions are read
-// into a byte column whenever every value fits one, so from here on a
-// commit costs one byte per example: in the queue, in the engine's fused
-// kernel and in the journal.
+// specification of what a body means. A canonical commit's predictions
+// are read into a byte column whenever every value fits one, so from here
+// on such a commit costs one byte per example: in the queue, in the
+// engine's fused kernel and in the journal.
 
 import (
 	"bytes"
