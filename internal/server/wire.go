@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"github.com/easeml/ci/internal/model"
 )
@@ -68,28 +67,15 @@ func commitBodyLimit(n int) int64 { return 1<<20 + 32*int64(n) }
 // testset has n examples: room for two commit-sized arrays.
 func rotateBodyLimit(n int) int64 { return 2 * commitBodyLimit(n) }
 
-// bodyBufs recycles request-body buffers. A decoded request keeps no
-// reference to its body (strings and columns are copied out), so once a
-// body is decoded its buffer can read the next one: a commit allocates
-// its column, not its body.
-var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// decodeBody reads a request body of at most limit bytes into a recycled
-// buffer, refusing a longer one with *http.MaxBytesError, and hands it to
-// decode, which must not retain it.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, decode func(body []byte) error) error {
-	buf := bodyBufs.Get().(*bytes.Buffer)
-	defer func() {
-		buf.Reset()
-		bodyBufs.Put(buf)
-	}()
+// readBody reads a request body of at most limit bytes, refusing a longer
+// one with *http.MaxBytesError.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
 	if r.ContentLength > 0 && r.ContentLength <= limit {
 		buf.Grow(int(r.ContentLength) + bytes.MinRead)
 	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
-		return err
-	}
-	return decode(buf.Bytes())
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
 }
 
 // readCommitRequest reads a commit body, refusing one over
@@ -98,18 +84,22 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, decode func
 // ignores "webhook".
 func (s *Server) readCommitRequest(w http.ResponseWriter, r *http.Request, job *commitJob, withWebhook bool) error {
 	n := int(s.testsetLen.Load())
-	return decodeBody(w, r, commitBodyLimit(n), func(body []byte) error {
-		return decodeCommitRequest(body, n, job, withWebhook)
-	})
+	body, err := readBody(w, r, commitBodyLimit(n))
+	if err != nil {
+		return err
+	}
+	return decodeCommitRequest(body, n, job, withWebhook)
 }
 
 // readRotateRequest reads a rotation body, refusing one over
 // rotateBodyLimit with *http.MaxBytesError, and decodes it into req.
 func (s *Server) readRotateRequest(w http.ResponseWriter, r *http.Request, req *RotateRequest) error {
 	n := int(s.testsetLen.Load())
-	return decodeBody(w, r, rotateBodyLimit(n), func(body []byte) error {
-		return decodeRotateRequest(body, n, req)
-	})
+	body, err := readBody(w, r, rotateBodyLimit(n))
+	if err != nil {
+		return err
+	}
+	return decodeRotateRequest(body, n, req)
 }
 
 // decodeCommitRequest decodes a commit body into job exactly as
@@ -196,12 +186,7 @@ func decodeCanonicalCommit(b []byte, n int, job *commitJob) bool {
 			job.Message, j, ok = scanStringValue(b, i)
 			return fieldMessage, j, ok
 		case "predictions":
-			// A later duplicate key fails the object, so the column need
-			// not be cleared here.
-			if job.preds8, job.max8, j, ok = scanBytes(b, i, n); !ok {
-				job.preds8 = nil
-				job.preds, j, ok = scanInts(b, i, n)
-			}
+			job.preds8, job.max8, job.preds, j, ok = scanPredictions(b, i, n)
 			return fieldPredictions, j, ok
 		case "webhook":
 			job.Webhook, j, ok = scanStringValue(b, i)
@@ -316,6 +301,13 @@ func scanInts(b []byte, i, n int) ([]int, int, bool) {
 	if i < len(b) && b[i] == ']' {
 		return out, i + 1, true
 	}
+	return scanIntElems(b, i, out)
+}
+
+// scanIntElems reads the rest of a canonical int array, from the element
+// starting at b[i] to the closing bracket, appending to out. It returns
+// out and the index after the bracket.
+func scanIntElems(b []byte, i int, out []int) ([]int, int, bool) {
 	for {
 		// Class labels are mostly one digit: take "d," pairs without the
 		// general element scan below.
@@ -355,8 +347,8 @@ func scanInts(b []byte, i, n int) ([]int, int, bool) {
 	}
 }
 
-// SWAR constants for scanBytes's word lane, which reads four "d," pairs
-// (a one-digit value and its comma) per little-endian 8-byte load.
+// SWAR constants for scanPredictions's word lane, which reads four "d,"
+// pairs (a one-digit value and its comma) per little-endian 8-byte load.
 const (
 	laneOdd    = 0xff00ff00ff00ff00 // the comma bytes
 	laneCommas = 0x2c002c002c002c00 // ',' in every odd byte
@@ -380,41 +372,42 @@ func digitCommaWord(w uint64) bool {
 	return x&nibbleHi|((x+digitBias)&nibbleHi)>>4 == allThrees
 }
 
-// scanBytes reads a canonical array of values in [0, 255] starting at
-// b[i] into a byte column, tracking its largest value, and returns the
-// index after the closing bracket. It accepts a subset of what scanInts
-// accepts, with the same values: false on any other array, which the
-// caller hands to scanInts.
-func scanBytes(b []byte, i, n int) (col []uint8, mx uint8, j int, ok bool) {
+// scanPredictions reads a canonical int array starting at b[i], with the
+// values scanInts reads, and returns the index after the closing bracket.
+// While every value is in [0, 255] it fills a byte column and tracks the
+// column's largest value; at the first value that is not, it widens what
+// it has read to ints and finishes the array as scanInts would, returning
+// the int column instead. At most one of col and wide is non-nil.
+func scanPredictions(b []byte, i, n int) (col []uint8, mx uint8, wide []int, j int, ok bool) {
 	if i >= len(b) || b[i] != '[' {
-		return nil, 0, i, false
+		return nil, 0, nil, i, false
 	}
 	// As in scanInts, the body bounds the count too.
 	out := make([]uint8, 0, min(n, (len(b)-i)/2+1))
 	i = skipSpace(b, i+1)
 	if i < len(b) && b[i] == ']' {
-		return out, 0, i + 1, true
+		return out, 0, nil, i + 1, true
 	}
 	for {
-		// Class labels are mostly one digit: take four "d," pairs per
-		// word, then single pairs, before the general element scan.
-		for i+8 <= len(b) {
-			w := binary.LittleEndian.Uint64(b[i:])
-			if !digitCommaWord(w) {
-				break
-			}
-			d := w & laneDigits
-			d0, d1, d2, d3 := uint8(d), uint8(d>>16), uint8(d>>32), uint8(d>>48)
-			out = append(out, d0, d1, d2, d3)
-			mx = max(mx, d0, d1, d2, d3)
-			i += 8
-		}
-		i = skipSpace(b, i)
+		// Class labels are mostly one digit: after a "d," pair, take four
+		// more per word while they last. Wider values skip the word load.
 		if i+1 < len(b) && b[i]-'0' <= 9 && b[i+1] == ',' {
 			d := b[i] - '0'
 			out = append(out, d)
 			mx = max(mx, d)
 			i = skipSpace(b, i+2)
+			for i+8 <= len(b) {
+				w := binary.LittleEndian.Uint64(b[i:])
+				if !digitCommaWord(w) {
+					break
+				}
+				d := w & laneDigits
+				d0, d1, d2, d3 := uint8(d), uint8(d>>16), uint8(d>>32), uint8(d>>48)
+				out = append(out, d0, d1, d2, d3)
+				mx = max(mx, d0, d1, d2, d3)
+				i += 8
+			}
+			i = skipSpace(b, i)
 			continue
 		}
 		start, v := i, 0
@@ -423,19 +416,26 @@ func scanBytes(b []byte, i, n int) (col []uint8, mx uint8, j int, ok bool) {
 			i++
 		}
 		if d := i - start; d == 0 || d > 3 || v > 255 || (d > 1 && b[start] == '0') {
-			return nil, 0, i, false
+			// Not a byte value: a sign, a fourth digit, a value over 255,
+			// or no canonical value at all, which scanIntElems rejects.
+			wide := make([]int, len(out), cap(out))
+			for k, c := range out {
+				wide[k] = int(c)
+			}
+			wide, j, ok = scanIntElems(b, start, wide)
+			return nil, 0, wide, j, ok
 		}
 		out = append(out, uint8(v))
 		mx = max(mx, uint8(v))
 		i = skipSpace(b, i)
 		if i >= len(b) {
-			return nil, 0, i, false
+			return nil, 0, nil, i, false
 		}
 		if b[i] == ']' {
-			return out, mx, i + 1, true
+			return out, mx, nil, i + 1, true
 		}
 		if b[i] != ',' {
-			return nil, 0, i, false
+			return nil, 0, nil, i, false
 		}
 		i = skipSpace(b, i+1)
 	}

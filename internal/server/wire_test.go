@@ -112,6 +112,11 @@ var decodeCases = []struct {
 	{"high byte in word", "{\"predictions\":[1,2,\xb3,4,5,6,7,8,9]}", false},
 	{"carrying byte in word", "{\"predictions\":[1,\xfa,2,4,5,6,7,8,9]}", false},
 	{"comma pair at end", `{"predictions":[1,2,3,4,5,6,7,8,]}`, false},
+	{"two and three digits", `{"predictions":[10,99,100,3,4,5,6,7,8,9,42]}`, true},
+	{"wide first", `{"predictions":[300,1,2,3,4,5,6,7,8,9]}`, true},
+	{"widened after a spaced word", `{"predictions":[1, 2,3,4,5,6,7,8,300 , 4 ]}`, true},
+	{"widened then fraction", `{"predictions":[1,2,3,4,5,6,7,8,300,1.5]}`, false},
+	{"widened then leading zero", `{"predictions":[1,2,-3,01]}`, false},
 	{"byte then negative, non-canonical", `{"predictions":[7,-1],"extra":1}`, false},
 	{"bytes, non-canonical", `{"predictions":[7,255],"extra":1}`, false},
 }
@@ -193,20 +198,14 @@ func checkMatchesJSON(t *testing.T, body []byte, n int) {
 	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
 	// A stale value in the job proves the decoder starts from the zero
 	// value.
-	// Scribbling over the body after the decode proves the job keeps no
-	// reference to it, which lets the body's buffer be recycled.
-	buf := append([]byte(nil), body...)
 	got := commitJob{Model: "stale", preds: []int{9}, preds8: []uint8{7}, max8: 7, Webhook: "stale"}
-	gotErr := decodeCommitRequest(buf, n, &got, true)
-	clear(buf)
+	gotErr := decodeCommitRequest(body, n, &got, true)
 	compareDecode(t, "async", body, got, want, gotErr, wantErr)
 
 	var wantSync CommitRequest
 	wantSyncErr := json.NewDecoder(bytes.NewReader(body)).Decode(&wantSync)
-	copy(buf, body)
 	got = commitJob{Author: "stale", Webhook: "stale"}
-	gotErr = decodeCommitRequest(buf, n, &got, false)
-	clear(buf)
+	gotErr = decodeCommitRequest(body, n, &got, false)
 	compareDecode(t, "sync", body, got, AsyncCommitRequest{CommitRequest: wantSync}, gotErr, wantSyncErr)
 }
 
@@ -247,7 +246,7 @@ func TestDecodeCommitRequestMatchesJSON(t *testing.T) {
 // as class ids and across the whole byte range.
 func TestDecodeCommitRequestLargeBodies(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, bound := range []int{1 << 20, testClasses, 256} {
+	for _, bound := range []int{1 << 20, testClasses, 100, 256, 1000} {
 		preds := make([]int, 5000)
 		for i := range preds {
 			preds[i] = rng.Intn(bound)
@@ -293,15 +292,20 @@ var (
 	decodeJSONSink AsyncCommitRequest
 )
 
-// BenchmarkDecodeCommitRequest times the commit-body decode on the
-// served benchmark's shape of body (4-class predictions, compact), for
-// the one-pass decoder and for encoding/json on the same bytes.
+// BenchmarkDecodeCommitRequest times the commit-body decode on compact
+// bodies, for the one-pass decoder and for encoding/json on the same
+// bytes. The served benchmark's shape is 4 classes (one-digit values);
+// 100 classes gives two- and three-digit values that still fit a byte,
+// and 1000 classes values that do not.
 func BenchmarkDecodeCommitRequest(b *testing.B) {
-	for _, n := range []int{5000, 100000} {
+	for _, shape := range []struct{ n, classes int }{
+		{5000, testClasses}, {100000, testClasses}, {100000, 100}, {100000, 1000},
+	} {
+		n := shape.n
 		rng := rand.New(rand.NewSource(1))
 		preds := make([]int, n)
 		for i := range preds {
-			preds[i] = rng.Intn(testClasses)
+			preds[i] = rng.Intn(shape.classes)
 		}
 		body, err := json.Marshal(AsyncCommitRequest{CommitRequest: CommitRequest{
 			Model: "bench-model", Author: "bench", Message: "candidate", Predictions: preds,
@@ -312,7 +316,7 @@ func BenchmarkDecodeCommitRequest(b *testing.B) {
 		if !decodeCanonicalCommit(body, n, &decodeSink) {
 			b.Fatal("benchmark body is not canonical")
 		}
-		b.Run(fmt.Sprintf("n=%d/decoder=onepass", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/classes=%d/decoder=onepass", n, shape.classes), func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -321,7 +325,7 @@ func BenchmarkDecodeCommitRequest(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("n=%d/decoder=encoding_json", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/classes=%d/decoder=encoding_json", n, shape.classes), func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
