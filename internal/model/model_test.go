@@ -373,9 +373,11 @@ func TestPredictAllBulkErrorParity(t *testing.T) {
 }
 
 // TestFixedBytesMatchesInts: a byte column and the same vector as ints
-// answer every tier identically: ByteColumn, StaticPredictions (the byte
-// wrapper has no int vector to lend), PredictAllInto and its range error,
-// which names the first offending example whatever the width.
+// lend the same column, each in its own width and on the same conditions
+// (the byte wrapper through ByteColumn only, the int one through
+// StaticPredictions only), and answer PredictAllInto identically, down to
+// its range error, which names the first offending example whatever the
+// width.
 func TestFixedBytesMatchesInts(t *testing.T) {
 	ds := &data.Dataset{Name: "idx", Classes: 4}
 	for i := 0; i < 6; i++ {
@@ -398,13 +400,21 @@ func TestFixedBytesMatchesInts(t *testing.T) {
 			}
 		}
 		wide, narrow := NewFixedPredictions("m", preds), NewFixedBytes("m", col, max)
-		b1, ok1 := wide.ByteColumn(ds)
+		i1, ok1 := wide.StaticPredictions(ds)
 		b2, ok2 := narrow.ByteColumn(ds)
-		if ok1 != ok2 || !reflect.DeepEqual(b1, b2) {
-			t.Errorf("%v: ByteColumn %v/%v vs %v/%v", preds, b1, ok1, b2, ok2)
+		if ok1 != ok2 || len(i1) != len(b2) {
+			t.Errorf("%v: StaticPredictions %v/%v vs ByteColumn %v/%v", preds, i1, ok1, b2, ok2)
+		}
+		for i := range b2 {
+			if i1[i] != int(b2[i]) {
+				t.Errorf("%v: lent columns differ at %d", preds, i)
+			}
 		}
 		if _, ok := narrow.StaticPredictions(ds); ok {
 			t.Errorf("%v: a byte vector lent an int vector", preds)
+		}
+		if _, ok := wide.ByteColumn(ds); ok {
+			t.Errorf("%v: an int vector lent a byte column", preds)
 		}
 		got1, err1 := PredictAll(wide, ds)
 		got2, err2 := PredictAll(narrow, ds)

@@ -170,24 +170,23 @@ func SimulatedPair(labels []int, classes int, accOld, accNew, disagree float64, 
 // example index; this is how simulated models plug into the engine, which
 // otherwise works with real feature-based predictors.
 //
-// The vector is held one byte per example when every prediction fits a
-// byte: NewFixedBytes wraps such a column as given, and an int vector
-// from NewFixedPredictions is narrowed once, on first use, in the same
-// pass that finds its range. ByteColumn hands that column to the
-// engine's byte kernel, so int and byte vectors are measured by the same
-// code. The wrapped slice must not be mutated after construction (the
-// narrowing is cached).
+// The vector is an int vector (NewFixedPredictions) or a byte column
+// (NewFixedBytes, the serving path, where the wire decoder writes it).
+// The engine borrows either in place: a byte column through ByteColumn,
+// an int vector through StaticPredictions; both reach the same
+// width-generic kernel. The wrapped slice must not be mutated after
+// construction (the range scan is cached).
 type FixedPredictions struct {
 	name  string
 	n     int
 	preds []int // the int vector; nil when built from bytes
 
-	// preds8 is the byte column: NewFixedBytes's, or the cached narrowing
-	// of preds (nil when some prediction does not fit a byte). minPred and
-	// maxPred are the vector's range, so per-call validation is an O(1)
-	// comparison instead of an O(n) rescan.
+	preds8 []uint8 // the byte column; nil when built from ints
+
+	// minPred and maxPred are the vector's range, so per-call validation
+	// is an O(1) comparison instead of an O(n) rescan. An int vector's is
+	// scanned once, on first use; a byte column's is set at construction.
 	scanOnce         sync.Once
-	preds8           []uint8
 	minPred, maxPred int
 }
 
@@ -226,7 +225,7 @@ func (f *FixedPredictions) Predict(x []float64) int {
 // Predictions returns the vector as ints: the wrapped slice itself, or a
 // widened copy of a byte column. Callers must not mutate it.
 func (f *FixedPredictions) Predictions() []int {
-	if f.preds != nil || f.preds8 == nil {
+	if f.preds8 == nil {
 		return f.preds
 	}
 	out := make([]int, f.n)
@@ -236,29 +235,27 @@ func (f *FixedPredictions) Predictions() []int {
 	return out
 }
 
-// ByteColumn implements BytePredictor: the byte column is handed out
+// ByteColumn implements BytePredictor: a byte column is handed out
 // without copying when it covers the dataset and its largest entry is
-// inside the label alphabet. Out-of-range or undersized vectors report
-// false so the copying path can produce its precise error.
+// inside the label alphabet. An int vector has no byte column to lend,
+// and out-of-range or undersized columns report false so the copying
+// path can produce its precise error.
 func (f *FixedPredictions) ByteColumn(ds *data.Dataset) ([]uint8, bool) {
-	if f.n < ds.Len() {
-		return nil, false
-	}
-	f.scan()
-	if f.preds8 == nil || f.maxPred >= ds.Classes {
+	if f.preds8 == nil || f.n < ds.Len() || f.maxPred >= ds.Classes {
 		return nil, false
 	}
 	return f.preds8[:ds.Len()], true
 }
 
 // StaticPredictions implements StaticPredictor for an int vector, handed
-// out without copying on the same conditions as ByteColumn. A vector
-// built from bytes has no int form to lend and reports false.
+// out without copying when it covers the dataset and every entry is
+// inside the label alphabet (checked against the cached range scan). A
+// byte column has no int form to lend and reports false.
 func (f *FixedPredictions) StaticPredictions(ds *data.Dataset) ([]int, bool) {
 	if f.preds == nil || f.n < ds.Len() {
 		return nil, false
 	}
-	f.scan()
+	f.scanRange()
 	if f.minPred < 0 || f.maxPred >= ds.Classes {
 		return nil, false
 	}
@@ -276,7 +273,7 @@ func (f *FixedPredictions) PredictAllInto(ds *data.Dataset, dst []int) error {
 		return fmt.Errorf("model: %s predicted -1 for example %d, outside [0,%d)",
 			f.name, f.n, ds.Classes)
 	}
-	f.scan()
+	f.scanRange()
 	if f.minPred < 0 || f.maxPred >= ds.Classes {
 		// The vector holds a prediction outside this dataset's alphabet
 		// somewhere; find the first one inside dst's range (the global
@@ -298,16 +295,14 @@ func (f *FixedPredictions) PredictAllInto(ds *data.Dataset, dst []int) error {
 	return nil
 }
 
-// scan caches an int vector's range and, when every prediction fits a
-// byte, its byte column, in one pass. A byte vector's range was set at
+// scanRange caches an int vector's range. A byte column's was set at
 // construction.
-func (f *FixedPredictions) scan() {
+func (f *FixedPredictions) scanRange() {
 	if f.preds == nil {
 		return
 	}
 	f.scanOnce.Do(func() {
 		f.minPred, f.maxPred = 0, -1
-		col := make([]uint8, f.n)
 		for k, y := range f.preds {
 			if k == 0 || y < f.minPred {
 				f.minPred = y
@@ -315,10 +310,6 @@ func (f *FixedPredictions) scan() {
 			if k == 0 || y > f.maxPred {
 				f.maxPred = y
 			}
-			col[k] = uint8(y)
-		}
-		if f.minPred >= 0 && f.maxPred <= 255 {
-			f.preds8 = col
 		}
 	})
 }
