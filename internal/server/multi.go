@@ -352,6 +352,13 @@ func (m *Multi) setQuotas(id string, sp ProjectSpec) {
 	m.mu.Unlock()
 }
 
+// dropQuotas forgets a project's quotas.
+func (m *Multi) dropQuotas(id string) {
+	m.mu.Lock()
+	delete(m.quotas, id)
+	m.mu.Unlock()
+}
+
 // markSick records a tenant whose write-ahead state refused to open.
 func (m *Multi) markSick(id string, err error) {
 	m.mu.Lock()
@@ -719,11 +726,21 @@ func (m *Multi) handleCreateProject(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "control plane is shutting down")
 		return
 	}
+	// The quotas go in before the create record makes the project visible
+	// to listings, and come out again if the create fails; an ID already
+	// registered keeps its own.
+	_, dup := m.reg.Get(req.ID)
+	if !dup {
+		m.setQuotas(req.ID, req.ProjectSpec)
+	}
 	// Record-then-open: the registry's create record is durable before
 	// the tenant exists, so a crash mid-open leaves a registered project
 	// that reopens (or refuses loudly) at the next start — never a
 	// half-known one.
 	if err := m.reg.Create(req.ID, spec); err != nil {
+		if !dup {
+			m.dropQuotas(req.ID)
+		}
 		status := http.StatusUnprocessableEntity
 		if errors.Is(err, registry.ErrExists) {
 			status = http.StatusConflict
@@ -733,13 +750,13 @@ func (m *Multi) handleCreateProject(w http.ResponseWriter, r *http.Request) {
 	}
 	if _, err := m.openTenant(req.ID, g, req.Weight, m.tenantOptions(req.ID, req.ProjectSpec)); err != nil {
 		_ = m.reg.Delete(req.ID)
+		m.dropQuotas(req.ID)
 		if m.dataDir != "" {
 			_ = os.RemoveAll(filepath.Join(m.dataDir, req.ID))
 		}
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	m.setQuotas(req.ID, req.ProjectSpec)
 	p, _ := m.reg.Get(req.ID)
 	writeJSON(w, http.StatusCreated, m.projectInfo(p))
 }
@@ -845,9 +862,7 @@ func (m *Multi) handleDeleteProject(w http.ResponseWriter, id string) {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	m.mu.Lock()
-	delete(m.quotas, id)
-	m.mu.Unlock()
+	m.dropQuotas(id)
 	if m.dataDir != "" {
 		_ = os.RemoveAll(filepath.Join(m.dataDir, id))
 	}

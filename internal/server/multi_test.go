@@ -342,6 +342,14 @@ func TestMultiProjectInfoQuotas(t *testing.T) {
 		t.Fatalf("create = %d: %s", rec.Code, rec.Body.String())
 	}
 	check(m, rec)
+	// A second create of the same ID is refused and leaves the first
+	// one's quotas.
+	dupSpec := spec
+	dupSpec.QueueCapacity, dupSpec.LabelQuota = 1, 1
+	if rec := doH(t, m, http.MethodPost, "/api/v1/projects", CreateProjectRequest{ID: "quoted", ProjectSpec: dupSpec}); rec.Code != http.StatusConflict {
+		t.Fatalf("duplicate create = %d: %s", rec.Code, rec.Body.String())
+	}
+	check(m, doH(t, m, http.MethodGet, "/api/v1/projects/quoted", nil))
 	m.Close()
 
 	m = newTestMulti(t, MultiOptions{DataDir: dir})
