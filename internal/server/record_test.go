@@ -35,6 +35,51 @@ type (
 	}
 )
 
+// TestRecordShapesMatchTypes: the reference shapes above have the fields
+// of recSubmit, jobEntry and walSnapshot, in order, with the same names,
+// json tags and types, except for the request (a commitJob, journaled as
+// the AsyncCommitRequest it was decoded from) and the job table that
+// holds it. The request's wire fields are pinned to the ones
+// commitJob.appendJSON writes. A field added to any of these types fails
+// here until the appender and the reference shape write it.
+func TestRecordShapesMatchTypes(t *testing.T) {
+	for _, pair := range []struct {
+		real, ref any
+		retyped   string
+	}{
+		{recSubmit{}, reflectSubmit{}, "Req"},
+		{jobEntry{}, reflectJobEntry{}, "Req"},
+		{walSnapshot{}, reflectSnapshot{}, "Jobs"},
+	} {
+		rt, ft := reflect.TypeOf(pair.real), reflect.TypeOf(pair.ref)
+		if rt.NumField() != ft.NumField() {
+			t.Errorf("%v has %d fields, its reference shape %d", rt, rt.NumField(), ft.NumField())
+			continue
+		}
+		for i := 0; i < rt.NumField(); i++ {
+			a, b := rt.Field(i), ft.Field(i)
+			if a.Name != b.Name || a.Tag != b.Tag || (a.Name != pair.retyped && a.Type != b.Type) {
+				t.Errorf("%v field %d is %s %v `%s`, reference %s %v `%s`", rt, i, a.Name, a.Type, a.Tag, b.Name, b.Type, b.Tag)
+			}
+		}
+	}
+	var tags []string
+	var walk func(reflect.Type)
+	walk = func(rt reflect.Type) {
+		for i := 0; i < rt.NumField(); i++ {
+			if f := rt.Field(i); f.Anonymous {
+				walk(f.Type)
+			} else {
+				tags = append(tags, f.Tag.Get("json"))
+			}
+		}
+	}
+	walk(reflect.TypeOf(AsyncCommitRequest{}))
+	if want := []string{"model", "author", "message", "predictions", "webhook,omitempty"}; !reflect.DeepEqual(tags, want) {
+		t.Errorf("AsyncCommitRequest json fields %q, commitJob.appendJSON writes %q", tags, want)
+	}
+}
+
 // Column kinds the fuzzer picks between.
 const (
 	colNil = iota
