@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -47,7 +49,7 @@ func pinSpec() ProjectSpec {
 	}
 }
 
-func mustMarshal(t *testing.T, v any, indent bool) string {
+func mustMarshal(t testing.TB, v any, indent bool) string {
 	t.Helper()
 	var b []byte
 	var err error
@@ -66,7 +68,7 @@ func mustMarshal(t *testing.T, v any, indent bool) string {
 // TestCreateProjectPins pins, in the order they are sent to one
 // control plane. $L and $P stand for pinLabels and pinPreds, and $M for
 // the elements of pinLabels after its first.
-func createPinBodies(t *testing.T) []struct{ name, body string } {
+func createPinBodies(t testing.TB) []struct{ name, body string } {
 	full := func(id string) CreateProjectRequest { return CreateProjectRequest{ID: id, ProjectSpec: pinSpec()} }
 	base := func(id, rest string) string {
 		return `{"id":"` + id + `","condition":"n > 0.6 +/- 0.1","reliability":0.99,"steps":4,"labels":$L,"classes":4,"model_predictions":$P` + rest + `}`
@@ -243,4 +245,272 @@ func TestCreateProjectPins(t *testing.T) {
 		transcribe(&out, id+" status after restart", doH(t, d, http.MethodGet, projectsPath+"/"+id+"/status", nil))
 	}
 	checkGolden(t, filepath.Join("testdata", "create", "restart.txt"), out.Bytes())
+}
+
+// benchCreateBody is a compact create body for an n-example, 4-class
+// project under the served benchmark's condition for that size.
+func benchCreateBody(b testing.TB, id string, n int) []byte {
+	b.Helper()
+	cond := "n - o > 0.02 +/- 0.03"
+	if n > 5000 {
+		cond = "d < 0.1 +/- 0.02 /\\ n - o > 0.02 +/- 0.02"
+	}
+	rng := rand.New(rand.NewSource(1))
+	sp := ProjectSpec{Condition: cond, Reliability: 0.99, Steps: 32, Classes: testClasses,
+		Labels: make([]int, n), ModelPredictions: make([]int, n)}
+	for i := range sp.Labels {
+		sp.Labels[i] = rng.Intn(testClasses)
+		sp.ModelPredictions[i] = rng.Intn(testClasses)
+	}
+	body, err := json.Marshal(CreateProjectRequest{ID: id, ProjectSpec: sp})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+// BenchmarkCreateProject times POST /api/v1/projects through the handler
+// of an in-memory control plane: decode, validation, the stored spec and
+// the tenant's engine. decoder=onepass sends the compact body a JSON
+// encoder writes; decoder=encoding_json sends the same body with its
+// "id" key spelled "ID", which encoding/json reads alike but the one-pass
+// decoder hands to encoding/json. Each project is deleted off the clock.
+func BenchmarkCreateProject(b *testing.B) {
+	for _, n := range []int{5000, 100000} {
+		for _, decoder := range []string{"onepass", "encoding_json"} {
+			b.Run(fmt.Sprintf("n=%d/decoder=%s", n, decoder), func(b *testing.B) {
+				body := benchCreateBody(b, "bench", n)
+				if decoder == "encoding_json" {
+					body = bytes.Replace(body, []byte(`{"id":`), []byte(`{"ID":`), 1)
+				}
+				g, _ := durableGenesis(b, 3, testSize)
+				m, err := NewMulti(g, MultiOptions{Tenant: Options{Webhooks: notify.NewOutbox()}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer m.Close()
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rec := postH(m, projectsPath, body)
+					if rec.Code != http.StatusCreated {
+						b.Fatalf("create status = %d: %s", rec.Code, rec.Body.String())
+					}
+					b.StopTimer()
+					del := httptest.NewRecorder()
+					m.ServeHTTP(del, httptest.NewRequest(http.MethodDelete, projectsPath+"/bench", nil))
+					if del.Code != http.StatusOK {
+						b.Fatalf("delete status = %d: %s", del.Code, del.Body.String())
+					}
+					b.StartTimer()
+				}
+			})
+		}
+	}
+}
+
+// createDecodeCases are the create bodies the table test checks, beside
+// the pinned ones, and the fuzzer starts from. canonical says whether the
+// one-pass path must take the body itself rather than hand it to
+// encoding/json. $L and $P are substituted as in createPinBodies.
+var createDecodeCases = []struct {
+	name      string
+	body      string
+	canonical bool
+}{
+	{"benchmark condition escaped", `{"id":"p","condition":"d < 0.1 +/- 0.02 /\\ n - o > 0.02 +/- 0.02","reliability":0.99,"steps":32,"labels":$L,"classes":4,"model_predictions":$P}`, true},
+	{"all fourteen keys", `{"id":"p","condition":"c","reliability":0.5,"steps":1,"mode":"m","adaptivity":"a","email":"e","labels":[1],"classes":2,"model":"h","model_predictions":[0],"weight":1,"queue_capacity":2,"label_quota":3}`, true},
+	{"key order", `{"model_predictions":[0],"labels":[1],"label_quota":-3,"id":"p","reliability":1}`, true},
+	{"empty object", `{}`, true},
+	{"only id", `{"id":"p"}`, true},
+	{"empty arrays", `{"labels":[],"model_predictions":[ ]}`, true},
+	{"spaced", " \t{ \"id\" : \"p\" ,\r\n \"labels\" : [ 1 , -2 ] }\n ", true},
+	{"predictions first", `{"model_predictions":[1,2,3],"labels":[1,2,3,4,5]}`, true},
+	{"predictions shorter", `{"labels":[1,2,3],"model_predictions":[1]}`, true},
+	{"escaped quote at end", `{"id":"a\\"}`, true},
+	{"escaped slash", `{"condition":"a\/b"}`, true},
+	{"unicode escape", `{"condition":"\u00e9\u2028"}`, true},
+	{"surrogate pair", `{"condition":"\ud83d\ude00"}`, true},
+	{"lone low surrogate", `{"condition":"\udc00"}`, true},
+	{"raw U+2028", "{\"condition\":\"a\u2028b\"}", true},
+	{"invalid UTF-8", "{\"condition\":\"\xff\xfe\"}", true},
+	{"truncated UTF-8", "{\"condition\":\"\xe2\x80\"}", true},
+	{"DEL", "{\"condition\":\"\x7f\"}", true},
+	{"bad unicode escape", `{"condition":"\uzzzz"}`, false},
+	{"short unicode escape", `{"condition":"\u12"}`, false},
+	{"bad escape", `{"condition":"\q"}`, false},
+	{"unterminated escape", `{"condition":"a\"}`, false},
+	{"backslash at end", `{"condition":"a\`, false},
+	{"control byte", "{\"condition\":\"a\nb\"}", false},
+	{"tab in string", "{\"condition\":\"a\tb\"}", false},
+	{"escaped key", `{"\u0069d":"p"}`, false},
+	{"reliability zero", `{"reliability":0}`, true},
+	{"reliability negative zero", `{"reliability":-0}`, true},
+	{"reliability negative", `{"reliability":-0.5}`, true},
+	{"reliability exponent", `{"reliability":99e-2}`, true},
+	{"reliability upper exponent", `{"reliability":9.9E-1}`, true},
+	{"reliability plus exponent", `{"reliability":1e+2}`, true},
+	{"reliability fraction and exponent", `{"reliability":1.5e3}`, true},
+	{"reliability many digits", `{"reliability":0.98999999999999999999999999}`, true},
+	{"reliability subnormal", `{"reliability":5e-324}`, true},
+	{"reliability underflow", `{"reliability":1e-400}`, true},
+	{"reliability max", `{"reliability":1.7976931348623157e308}`, true},
+	{"reliability overflow", `{"reliability":1e400}`, false},
+	{"reliability overflow negative", `{"reliability":-1e400}`, false},
+	{"reliability leading zero", `{"reliability":01}`, false},
+	{"reliability leading dot", `{"reliability":.5}`, false},
+	{"reliability trailing dot", `{"reliability":1.}`, false},
+	{"reliability plus", `{"reliability":+1}`, false},
+	{"reliability bare minus", `{"reliability":-}`, false},
+	{"reliability bare exponent", `{"reliability":1e}`, false},
+	{"reliability signed bare exponent", `{"reliability":1e+}`, false},
+	{"reliability hex", `{"reliability":0x1p-2}`, false},
+	{"reliability underscore", `{"reliability":1_0}`, false},
+	{"reliability Infinity", `{"reliability":Infinity}`, false},
+	{"reliability NaN", `{"reliability":NaN}`, false},
+	{"reliability string", `{"reliability":"0.5"}`, false},
+	{"reliability null", `{"reliability":null}`, false},
+	{"steps negative zero", `{"steps":-0}`, true},
+	{"steps 18 digits", `{"steps":999999999999999999}`, true},
+	{"steps 19 digits", `{"steps":1000000000000000000}`, false},
+	{"steps leading zero", `{"steps":04}`, false},
+	{"steps fraction", `{"steps":4.0}`, false},
+	{"steps exponent", `{"steps":4e0}`, false},
+	{"steps string", `{"steps":"4"}`, false},
+	{"classes null", `{"classes":null}`, false},
+	{"weight true", `{"weight":true}`, false},
+	{"labels null", `{"labels":null}`, false},
+	{"predictions null", `{"model_predictions":null}`, false},
+	{"label leading zero", `{"labels":[01]}`, false},
+	{"label fraction", `{"labels":[1.5]}`, false},
+	{"labels trailing comma", `{"labels":[1,]}`, false},
+	{"labels object", `{"labels":{}}`, false},
+	{"id null", `{"id":null}`, false},
+	{"id number", `{"id":7}`, false},
+	{"mixed-case key", `{"Labels":[1]}`, false},
+	{"upper id", `{"ID":"p"}`, false},
+	{"duplicate id", `{"id":"a","id":"b"}`, false},
+	{"duplicate labels", `{"labels":[1],"labels":[2,3]}`, false},
+	{"duplicate reliability", `{"reliability":0.5,"reliability":0.9}`, false},
+	{"unknown key", `{"id":"p","tags":[]}`, false},
+	{"embedded struct name", `{"ProjectSpec":{"steps":1}}`, false},
+	{"trailing data", `{"id":"p"} x`, false},
+	{"trailing object", `{"id":"p"}{}`, false},
+	{"truncated", `{"id":"p"`, false},
+	{"null body", `null`, false},
+	{"array body", `[]`, false},
+	{"empty body", ``, false},
+	{"BOM", "\xef\xbb\xbf{}", false},
+}
+
+// checkCreateMatchesJSON requires the create decoder to agree with
+// encoding/json on body, accept or reject: the decoded request
+// (reflect.DeepEqual, so nil and empty slices differ) and the error text.
+// On every accepted body the stored spec appendJSON writes must be
+// json.Marshal's bytes, and must decode back to the spec. The stored-spec
+// decoder must agree with json.Unmarshal into a ProjectSpec.
+func checkCreateMatchesJSON(t *testing.T, body []byte) {
+	t.Helper()
+	var want CreateProjectRequest
+	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+	// A stale value proves the decoder starts from the zero value.
+	got := CreateProjectRequest{ID: "stale", ProjectSpec: ProjectSpec{Labels: []int{9}, Steps: 9, Email: "stale"}}
+	gotErr := decodeCreateRequest(body, &got)
+	if errText(gotErr) != errText(wantErr) {
+		t.Fatalf("%q: error %q, encoding/json says %q", body, errText(gotErr), errText(wantErr))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: decoded %#v, encoding/json says %#v", body, got, want)
+	}
+
+	var wantSpec ProjectSpec
+	wantSpecErr := json.Unmarshal(body, &wantSpec)
+	gotSpec := ProjectSpec{Mode: "stale", ModelPredictions: []int{}}
+	gotSpecErr := decodeProjectSpec(body, &gotSpec)
+	if errText(gotSpecErr) != errText(wantSpecErr) || !reflect.DeepEqual(gotSpec, wantSpec) {
+		t.Fatalf("%q: stored spec decoded %#v, %q; json.Unmarshal says %#v, %q", body, gotSpec, errText(gotSpecErr), wantSpec, errText(wantSpecErr))
+	}
+
+	if gotErr != nil {
+		return
+	}
+	spec, err := got.ProjectSpec.appendJSON([]byte("prefix"))
+	wantBytes, wantMarshalErr := json.Marshal(got.ProjectSpec)
+	if errText(err) != errText(wantMarshalErr) {
+		t.Fatalf("%q: appendJSON error %q, json.Marshal says %q", body, errText(err), errText(wantMarshalErr))
+	}
+	if err != nil {
+		return
+	}
+	if !bytes.Equal(spec, append([]byte("prefix"), wantBytes...)) {
+		t.Fatalf("%q: stored spec\n%s\njson.Marshal writes\n%s", body, spec, wantBytes)
+	}
+	var back ProjectSpec
+	if err := decodeProjectSpec(wantBytes, &back); err != nil || !reflect.DeepEqual(back, got.ProjectSpec) {
+		t.Fatalf("%q: stored spec %s decodes to %#v, %v; want %#v", body, wantBytes, back, err, got.ProjectSpec)
+	}
+}
+
+func TestDecodeCreateRequestMatchesJSON(t *testing.T) {
+	for _, tc := range createDecodeCases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := createPinBody(tc.body)
+			var req CreateProjectRequest
+			if got := decodeCanonicalSpec(body, &req, true); got != tc.canonical {
+				t.Errorf("canonical = %v, want %v", got, tc.canonical)
+			}
+			checkCreateMatchesJSON(t, body)
+		})
+	}
+	for _, tc := range createPinBodies(t) {
+		t.Run("pin/"+tc.name, func(t *testing.T) {
+			checkCreateMatchesJSON(t, createPinBody(tc.body))
+		})
+	}
+}
+
+// TestDecodeCreateRequestLargeBodies covers the bodies the served path
+// sees: compact and indented json.Marshal output of benchmark-sized
+// specs, whose condition encoding/json escapes. Both are read in one
+// pass, and the stored spec too; the second array is sized from the
+// first.
+func TestDecodeCreateRequestLargeBodies(t *testing.T) {
+	for _, n := range []int{5000, 100000} {
+		compact := benchCreateBody(t, "big", n)
+		var req CreateProjectRequest
+		if err := json.Unmarshal(compact, &req); err != nil {
+			t.Fatal(err)
+		}
+		indented := []byte(mustMarshal(t, req, true))
+		for _, body := range [][]byte{compact, indented} {
+			var got CreateProjectRequest
+			if !decodeCanonicalSpec(body, &got, true) {
+				t.Fatalf("n=%d: body of %d bytes not canonical", n, len(body))
+			}
+			if cap(got.ModelPredictions) != n {
+				t.Fatalf("n=%d: predictions column has capacity %d", n, cap(got.ModelPredictions))
+			}
+			checkCreateMatchesJSON(t, body)
+			spec, err := got.ProjectSpec.appendJSON(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !decodeCanonicalSpec(spec, &got, false) {
+				t.Fatalf("n=%d: stored spec not canonical", n)
+			}
+		}
+	}
+}
+
+func FuzzDecodeCreateRequest(f *testing.F) {
+	for _, tc := range createDecodeCases {
+		f.Add(createPinBody(tc.body))
+	}
+	for _, tc := range createPinBodies(f) {
+		f.Add(createPinBody(tc.body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkCreateMatchesJSON(t, body)
+	})
 }

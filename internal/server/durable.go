@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"github.com/easeml/ci/internal/data"
 	"github.com/easeml/ci/internal/engine"
@@ -234,25 +235,47 @@ func (g Genesis) genesisRecord() recGenesis {
 }
 
 // datasetFromLabels builds the index-featured dataset the HTTP surface
-// trades in: example i has feature vector [i] and label labels[i]. The
-// feature rows share one backing array, and Y is a copy of labels.
+// trades in: example i has feature vector [i] and label labels[i]. X is
+// the first len(labels) rows of the process-wide index table (see
+// indexRows), shared read-only by every dataset built here: genesis,
+// project create, rotation and replay. Y is a copy of labels.
 func datasetFromLabels(name string, labels []int, classes int) (*data.Dataset, error) {
 	for i, y := range labels {
 		if y < 0 || y >= classes {
 			return nil, fmt.Errorf("label %d out of range at %d", y, i)
 		}
 	}
-	feat := make([]float64, len(labels))
-	x := make([][]float64, len(labels))
-	for i := range feat {
-		feat[i] = float64(i)
-		x[i] = feat[i : i+1 : i+1]
-	}
-	ds := &data.Dataset{Name: name, X: x, Y: append([]int(nil), labels...), Classes: classes}
+	ds := &data.Dataset{Name: name, X: indexRows(len(labels)), Y: append([]int(nil), labels...), Classes: classes}
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
 	return ds, nil
+}
+
+// indexTable holds the index features: row i is [i]. It grows to the
+// largest n asked for, by building a new table, and no row is written
+// after it is built, so the rows can be shared by every dataset.
+var indexTable struct {
+	sync.Mutex
+	rows [][]float64
+}
+
+// indexRows returns the first n rows of the index table. Its length and
+// capacity are both n, and each row's capacity is 1, so an append to the
+// table or to a row copies instead of writing into a neighbour.
+func indexRows(n int) [][]float64 {
+	indexTable.Lock()
+	defer indexTable.Unlock()
+	if n > len(indexTable.rows) {
+		feat := make([]float64, n)
+		rows := make([][]float64, n)
+		for i := range feat {
+			feat[i] = float64(i)
+			rows[i] = feat[i : i+1 : i+1]
+		}
+		indexTable.rows = rows
+	}
+	return indexTable.rows[:n:n]
 }
 
 // NewDurable builds a server whose state survives crashes: every

@@ -22,7 +22,7 @@ import (
 // durableGenesis mirrors newServerWith's engine construction exactly, so
 // a durable server and an in-memory oracle built from the same numbers
 // produce byte-identical histories.
-func durableGenesis(t *testing.T, steps, size int) (Genesis, []int) {
+func durableGenesis(t testing.TB, steps, size int) (Genesis, []int) {
 	t.Helper()
 	labels := make([]int, size)
 	for i := range labels {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -271,7 +270,7 @@ func NewMulti(g Genesis, opts MultiOptions) (*Multi, error) {
 	// tenants whose logs are fine.
 	for _, p := range reg.List() {
 		var sp ProjectSpec
-		perr := json.Unmarshal(p.Spec, &sp)
+		perr := decodeProjectSpec(p.Spec, &sp)
 		var pg Genesis
 		if perr == nil {
 			m.setQuotas(p.ID, sp)
@@ -696,8 +695,11 @@ func (m *Multi) poolWeight(id string) int {
 
 func (m *Multi) handleCreateProject(w http.ResponseWriter, r *http.Request) {
 	var req CreateProjectRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(w, r, createBodyLimit)
+	if err == nil {
+		err = decodeCreateRequest(body, &req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 		return
 	}
@@ -714,7 +716,7 @@ func (m *Multi) handleCreateProject(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad project spec: "+err.Error())
 		return
 	}
-	spec, err := json.Marshal(req.ProjectSpec)
+	spec, err := req.ProjectSpec.appendJSON(nil)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

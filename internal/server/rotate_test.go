@@ -322,3 +322,44 @@ func BenchmarkRotate(b *testing.B) {
 		})
 	}
 }
+
+// TestRotateConcurrent: rotations racing each other through the handler
+// each install a testset, in some order, with the class count the server
+// was built with. Run under -race: the handler builds its dataset before
+// it takes the engine lock, so nothing it reads there may be written by a
+// rotation holding that lock.
+func TestRotateConcurrent(t *testing.T) {
+	const n, workers, rotations = 2000, 2, 50
+	srv, _ := newServerWith(t, script.AdaptivityFull, 3, n, Options{})
+	defer srv.Close()
+	bodies := make([][]byte, workers)
+	for w := range bodies {
+		body, err := json.Marshal(benchRotateRequest(n, int64(w)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[w] = body
+	}
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		go func(body []byte) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < rotations; i++ {
+				if rec := postRaw(srv, "/api/v1/testset", body); rec.Code != http.StatusOK {
+					t.Errorf("rotate status = %d: %s", rec.Code, rec.Body.String())
+					return
+				}
+			}
+		}(bodies[w])
+	}
+	for w := 0; w < workers; w++ {
+		<-done
+	}
+	cur := srv.eng.Testsets().Current()
+	if want := 1 + workers*rotations; cur.Generation != want {
+		t.Fatalf("generation %d after %d rotations, want %d", cur.Generation, workers*rotations, want)
+	}
+	if cur.Data.Classes != testClasses || cur.Len() != n {
+		t.Fatalf("testset has %d classes and %d examples, want %d and %d", cur.Data.Classes, cur.Len(), testClasses, n)
+	}
+}

@@ -35,6 +35,10 @@
 //	                         in any valid JSON layout, at most 2 MiB + 64
 //	                         bytes per current testset example (larger
 //	                         bodies answer 400)
+//	POST /api/v1/projects    {"id":..., "condition":..., "labels":[...],
+//	                         "model_predictions":[...], ...} (see Multi and
+//	                         ProjectSpec) in any valid JSON layout, at most
+//	                         8 MiB (larger bodies answer 400)
 //	POST /api/v1/admin/reset-caches clear plan cache + exact-bound memo,
 //	                                returning the pre-reset counters
 //
@@ -123,6 +127,9 @@ type Server struct {
 	// testsetLen mirrors the current testset's size so commit handlers
 	// can bound and size a body without waiting for the engine lock.
 	testsetLen atomic.Int64
+	// classes is the label alphabet's size. A rotation keeps it, so it is
+	// read once here and a rotation builds its dataset outside the lock.
+	classes int
 
 	jobs     *queue.Queue[commitJob, CommitResponse]
 	webhooks notify.Notifier
@@ -394,6 +401,7 @@ func newServer(cfg *script.Config, eng *engine.Engine, opts Options, d *durableS
 	}
 	s := &Server{eng: eng, cfg: cfg, mux: http.NewServeMux(), plans: planner.Default}
 	s.testsetLen.Store(int64(eng.Testsets().Current().Len()))
+	s.classes = eng.Testsets().Current().Data.Classes
 	s.onEnqueue = opts.OnEnqueue
 	s.onDequeue = opts.OnDequeue
 	s.labelQuota = opts.LabelQuota
@@ -1177,7 +1185,7 @@ func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "labels and active_predictions must be non-empty and equal length")
 		return
 	}
-	next, err := datasetFromLabels("rotated", req.Labels, s.cfgClasses())
+	next, err := datasetFromLabels("rotated", req.Labels, s.classes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -1222,11 +1230,6 @@ func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"generation": gen,
 	})
-}
-
-// cfgClasses infers the label alphabet from the installed testset.
-func (s *Server) cfgClasses() int {
-	return s.eng.Testsets().Current().Data.Classes
 }
 
 // resultToResponse applies the adaptivity mode's information flow: in the

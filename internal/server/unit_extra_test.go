@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"testing"
 
+	"github.com/easeml/ci/internal/data"
 	"github.com/easeml/ci/internal/engine"
 	"github.com/easeml/ci/internal/queue"
 	"github.com/easeml/ci/internal/script"
@@ -38,6 +39,43 @@ func TestDatasetFromLabelsRejectsBadLabels(t *testing.T) {
 	}
 	if _, err := datasetFromLabels("x", []int{0, -1}, 2); err == nil {
 		t.Error("negative label should fail")
+	}
+}
+
+// TestDatasetFromLabelsSharesIndexRows: datasets built from labels share
+// the index rows, row i being [i], and neither a larger dataset built
+// later nor an append to one dataset's X or to one of its rows changes
+// another's.
+func TestDatasetFromLabelsSharesIndexRows(t *testing.T) {
+	small, err := datasetFromLabels("small", []int{0, 1, 0}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := datasetFromLabels("big", make([]int, 5000), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := datasetFromLabels("again", []int{1, 1, 0}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again.X[0][0] != &big.X[0][0] {
+		t.Error("a dataset built after the table grew does not share its rows")
+	}
+	if len(small.X) != 3 || cap(small.X) != 3 || len(big.X) != 5000 || cap(big.X) != 5000 {
+		t.Fatalf("X has length %d, capacity %d and length %d, capacity %d", len(small.X), cap(small.X), len(big.X), cap(big.X))
+	}
+	_ = append(again.X, []float64{-1})
+	_ = append(again.X[1], -1)
+	for _, ds := range []*data.Dataset{small, big, again} {
+		for i, x := range ds.X {
+			if len(x) != 1 || cap(x) != 1 || x[0] != float64(i) {
+				t.Fatalf("%s row %d is %v with capacity %d", ds.Name, i, x, cap(x))
+			}
+		}
+	}
+	if again.Y[0] != 1 || small.Y[0] != 0 {
+		t.Fatal("labels are not copied per dataset")
 	}
 }
 

@@ -1,11 +1,12 @@
 package server
 
-// The commit and rotation bodies' wire decoder. A commit carries one
-// prediction per testset example and a rotation two ints per example, so
-// at large testsets decoding a body costs more than acting on it. Bodies
-// in the layout every JSON encoder writes are read in one pass over the
-// bytes; everything else goes to encoding/json, which stays the
-// specification of what a body means. A canonical commit's predictions
+// The commit, rotation and project-create bodies' wire decoder. A commit
+// carries one prediction per testset example, and a rotation or a
+// project create two ints per example, so at large testsets decoding a
+// body costs more than acting on it. Bodies in the layout every JSON
+// encoder writes are read in one pass over the bytes; everything else
+// goes to encoding/json, which stays the specification of what a body
+// means. A canonical commit's predictions
 // are read into a byte column whenever every value fits one, so from here
 // on such a commit costs one byte per example: in the queue, in the
 // engine's fused kernel and in the journal.
@@ -141,6 +142,34 @@ func decodeRotateRequest(body []byte, n int, req *RotateRequest) error {
 	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
 }
 
+// createBodyLimit is the largest project-create body accepted.
+const createBodyLimit = 8 << 20
+
+// decodeCreateRequest decodes a project-create body into req exactly as
+// encoding/json decodes it: same values, same error text. A canonical
+// body is read in one pass (see decodeCanonicalSpec); any other goes to
+// encoding/json, which keeps its result, its tolerance of trailing data
+// and its error.
+func decodeCreateRequest(body []byte, req *CreateProjectRequest) error {
+	if decodeCanonicalSpec(body, req, true) {
+		return nil
+	}
+	*req = CreateProjectRequest{}
+	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
+}
+
+// decodeProjectSpec decodes a registered project's stored spec exactly as
+// json.Unmarshal decodes it, reading a canonical spec in one pass.
+func decodeProjectSpec(b []byte, sp *ProjectSpec) error {
+	var req CreateProjectRequest
+	if decodeCanonicalSpec(b, &req, false) {
+		*sp = req.ProjectSpec
+		return nil
+	}
+	*sp = ProjectSpec{}
+	return json.Unmarshal(b, sp)
+}
+
 // maxIntDigits keeps every canonical prediction inside int's range: 18
 // digits where int has 64 bits, 9 where it has 32.
 const maxIntDigits = 9 * (strconv.IntSize / 32)
@@ -159,6 +188,23 @@ const (
 	fieldActivePredictions
 )
 
+const (
+	fieldID = 1 << iota
+	fieldCondition
+	fieldReliability
+	fieldSteps
+	fieldMode
+	fieldAdaptivity
+	fieldEmail
+	fieldSpecLabels
+	fieldClasses
+	fieldModelName
+	fieldModelPredictions
+	fieldWeight
+	fieldQueueCapacity
+	fieldLabelQuota
+)
+
 // decodeCanonicalCommit decodes body into req if it is canonical, and
 // reports whether it was. Canonical is a strict subset of JSON that
 // encoding/json decodes into exactly the values set here:
@@ -174,7 +220,7 @@ const (
 // On false job holds partial values and the caller must not use it.
 func decodeCanonicalCommit(b []byte, n int, job *commitJob) bool {
 	*job = commitJob{}
-	return scanObject(b, func(key []byte, i int) (field uint8, j int, ok bool) {
+	return scanObject(b, func(key []byte, i int) (field uint16, j int, ok bool) {
 		switch string(key) {
 		case "model":
 			job.Model, j, ok = scanStringValue(b, i)
@@ -201,7 +247,7 @@ func decodeCanonicalCommit(b []byte, n int, job *commitJob) bool {
 // canonical form.
 func decodeCanonicalRotate(b []byte, n int, req *RotateRequest) bool {
 	*req = RotateRequest{}
-	return scanObject(b, func(key []byte, i int) (field uint8, j int, ok bool) {
+	return scanObject(b, func(key []byte, i int) (field uint16, j int, ok bool) {
 		switch string(key) {
 		case "labels":
 			req.Labels, j, ok = scanInts(b, i, n)
@@ -214,12 +260,82 @@ func decodeCanonicalRotate(b []byte, n int, req *RotateRequest) bool {
 	})
 }
 
+// decodeCanonicalSpec is decodeCanonicalCommit for a project-create body,
+// or with withID false for a stored spec, which has no "id". The keys are
+// the wire names of CreateProjectRequest; strings are any JSON string
+// (see scanJSONString), "reliability" any JSON number, the other numbers
+// canonical ints and the two arrays canonical int arrays. The second
+// array is sized from the first's length.
+func decodeCanonicalSpec(b []byte, req *CreateProjectRequest, withID bool) bool {
+	*req = CreateProjectRequest{}
+	sp := &req.ProjectSpec
+	ints := func(i int) ([]int, int, bool) {
+		n := len(b)
+		if sp.Labels != nil {
+			n = len(sp.Labels)
+		} else if sp.ModelPredictions != nil {
+			n = len(sp.ModelPredictions)
+		}
+		return scanInts(b, i, n)
+	}
+	return scanObject(b, func(key []byte, i int) (field uint16, j int, ok bool) {
+		switch string(key) {
+		case "id":
+			if !withID {
+				return 0, i, false
+			}
+			req.ID, j, ok = scanJSONString(b, i)
+			return fieldID, j, ok
+		case "condition":
+			sp.Condition, j, ok = scanJSONString(b, i)
+			return fieldCondition, j, ok
+		case "reliability":
+			sp.Reliability, j, ok = scanFloat(b, i)
+			return fieldReliability, j, ok
+		case "steps":
+			sp.Steps, j, ok = scanInt(b, i)
+			return fieldSteps, j, ok
+		case "mode":
+			sp.Mode, j, ok = scanJSONString(b, i)
+			return fieldMode, j, ok
+		case "adaptivity":
+			sp.Adaptivity, j, ok = scanJSONString(b, i)
+			return fieldAdaptivity, j, ok
+		case "email":
+			sp.Email, j, ok = scanJSONString(b, i)
+			return fieldEmail, j, ok
+		case "labels":
+			sp.Labels, j, ok = ints(i)
+			return fieldSpecLabels, j, ok
+		case "classes":
+			sp.Classes, j, ok = scanInt(b, i)
+			return fieldClasses, j, ok
+		case "model":
+			sp.ModelName, j, ok = scanJSONString(b, i)
+			return fieldModelName, j, ok
+		case "model_predictions":
+			sp.ModelPredictions, j, ok = ints(i)
+			return fieldModelPredictions, j, ok
+		case "weight":
+			sp.Weight, j, ok = scanInt(b, i)
+			return fieldWeight, j, ok
+		case "queue_capacity":
+			sp.QueueCapacity, j, ok = scanInt(b, i)
+			return fieldQueueCapacity, j, ok
+		case "label_quota":
+			sp.LabelQuota, j, ok = scanInt(b, i)
+			return fieldLabelQuota, j, ok
+		}
+		return 0, i, false
+	})
+}
+
 // scanObject walks a canonical object that is all of b but whitespace.
 // For each key it calls value with the key and the index of its value;
 // value reads the value and returns the key's field bit and the index
 // after the value, or false for an unknown key or a non-canonical value.
 // scanObject reports whether the object was canonical with no key twice.
-func scanObject(b []byte, value func(key []byte, i int) (field uint8, j int, ok bool)) bool {
+func scanObject(b []byte, value func(key []byte, i int) (field uint16, j int, ok bool)) bool {
 	i := skipSpace(b, 0)
 	if i >= len(b) || b[i] != '{' {
 		return false
@@ -228,7 +344,7 @@ func scanObject(b []byte, value func(key []byte, i int) (field uint8, j int, ok 
 	if i < len(b) && b[i] == '}' {
 		return skipSpace(b, i+1) == len(b)
 	}
-	var seen uint8
+	var seen uint16
 	for {
 		key, j, ok := scanString(b, i)
 		if !ok {
@@ -288,6 +404,107 @@ func scanStringValue(b []byte, i int) (string, int, bool) {
 	return string(s), j, ok
 }
 
+// scanJSONString reads any JSON string starting at b[i] and returns its
+// value and the index after the closing quote. A string of printable
+// ASCII with no backslash is copied; any other is handed, as one quoted
+// token, to encoding/json, so escapes, non-ASCII text and invalid UTF-8
+// keep its meaning. A token it refuses, such as one holding a control
+// byte, is not canonical.
+func scanJSONString(b []byte, i int) (string, int, bool) {
+	if i >= len(b) || b[i] != '"' {
+		return "", i, false
+	}
+	plain := true
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			if plain {
+				return string(b[i+1 : j]), j + 1, true
+			}
+			var s string
+			if json.Unmarshal(b[i:j+1], &s) != nil {
+				return "", j, false
+			}
+			return s, j + 1, true
+		case c == '\\':
+			plain = false
+			j++ // the escaped byte cannot end the string
+		case c < 0x20 || c > 0x7e:
+			plain = false
+		}
+	}
+	return "", len(b), false
+}
+
+// scanInt reads a canonical int starting at b[i]: an optional minus and
+// at most maxIntDigits digits with no leading zero. It returns the value
+// and the index after it; a fraction or exponent is left for the caller,
+// which finds no separator there.
+func scanInt(b []byte, i int) (int, int, bool) {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start, v := i, 0
+	for i < len(b) && b[i]-'0' <= 9 {
+		v = v*10 + int(b[i]-'0')
+		i++
+	}
+	if d := i - start; d == 0 || d > maxIntDigits || (d > 1 && b[start] == '0') {
+		return 0, i, false
+	}
+	if neg {
+		v = -v
+	}
+	return v, i, true
+}
+
+// scanFloat reads a JSON number starting at b[i] as encoding/json reads
+// one into a float64: the token's grammar is JSON's, and its value is
+// strconv.ParseFloat's. A number ParseFloat refuses, one out of
+// float64's range, is not canonical.
+func scanFloat(b []byte, i int) (float64, int, bool) {
+	start := i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i]-'1' <= 8:
+		i = skipDigits(b, i)
+	default:
+		return 0, i, false
+	}
+	if i < len(b) && b[i] == '.' {
+		digits := i + 1
+		if i = skipDigits(b, digits); i == digits {
+			return 0, i, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		digits := i
+		if i = skipDigits(b, i); i == digits {
+			return 0, i, false
+		}
+	}
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return f, i, err == nil
+}
+
+// skipDigits returns the index of the first byte at or after i that is
+// not an ASCII digit.
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && b[i]-'0' <= 9 {
+		i++
+	}
+	return i
+}
+
 // scanInts reads a canonical int array starting at b[i] and returns it and
 // the index after the closing bracket.
 func scanInts(b []byte, i, n int) ([]int, int, bool) {
@@ -315,25 +532,14 @@ func scanIntElems(b []byte, i int, out []int) ([]int, int, bool) {
 			out = append(out, int(b[i]-'0'))
 			i = skipSpace(b, i+2)
 		}
-		neg := i < len(b) && b[i] == '-'
-		if neg {
-			i++
-		}
-		start, v := i, 0
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			v = v*10 + int(b[i]-'0')
-			i++
-		}
-		if d := i - start; d == 0 || d > maxIntDigits || (d > 1 && b[start] == '0') {
-			return nil, i, false
-		}
-		if neg {
-			v = -v
+		v, j, ok := scanInt(b, i)
+		if !ok {
+			return nil, j, false
 		}
 		out = append(out, v)
 		// A fraction or exponent stops here: '.', 'e' and 'E' are
 		// neither a separator nor the closing bracket.
-		i = skipSpace(b, i)
+		i = skipSpace(b, j)
 		if i >= len(b) {
 			return nil, i, false
 		}
