@@ -264,17 +264,17 @@ func decodeCanonicalRotate(b []byte, n int, req *RotateRequest) bool {
 // or with withID false for a stored spec, which has no "id". The keys are
 // the wire names of CreateProjectRequest; strings are any JSON string
 // (see scanJSONString), "reliability" any JSON number, the other numbers
-// canonical ints and the two arrays canonical int arrays. The second
-// array is sized from the first's length.
+// canonical ints and the two arrays canonical int arrays. The first array
+// is sized by counting its commas, the second from the first's length.
 func decodeCanonicalSpec(b []byte, req *CreateProjectRequest, withID bool) bool {
 	*req = CreateProjectRequest{}
 	sp := &req.ProjectSpec
 	ints := func(i int) ([]int, int, bool) {
-		n := len(b)
-		if sp.Labels != nil {
-			n = len(sp.Labels)
-		} else if sp.ModelPredictions != nil {
-			n = len(sp.ModelPredictions)
+		n := max(len(sp.Labels), len(sp.ModelPredictions))
+		if n == 0 {
+			// An int array holds no ']', so this is its extent if it is one.
+			end := max(bytes.IndexByte(b[i:], ']'), 0)
+			n = bytes.Count(b[i:i+end], []byte{','}) + 1
 		}
 		return scanInts(b, i, n)
 	}
