@@ -6,10 +6,10 @@ package server
 // body costs more than acting on it. Bodies in the layout every JSON
 // encoder writes are read in one pass over the bytes; everything else
 // goes to encoding/json, which stays the specification of what a body
-// means. A canonical commit's predictions
-// are read into a byte column whenever every value fits one, so from here
-// on such a commit costs one byte per example: in the queue, in the
-// engine's fused kernel and in the journal.
+// means. A canonical commit's predictions are read into a byte column
+// whenever every value fits one, so from here on such a commit costs one
+// byte per example: in the queue, in the engine's fused kernel and in
+// the journal.
 
 import (
 	"bytes"
@@ -532,14 +532,27 @@ func scanIntElems(b []byte, i int, out []int) ([]int, int, bool) {
 			out = append(out, int(b[i]-'0'))
 			i = skipSpace(b, i+2)
 		}
-		v, j, ok := scanInt(b, i)
-		if !ok {
-			return nil, j, false
+		// scanInt's scan, kept inline: a call per element costs a wide
+		// array about a tenth more.
+		neg := i < len(b) && b[i] == '-'
+		if neg {
+			i++
+		}
+		start, v := i, 0
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			v = v*10 + int(b[i]-'0')
+			i++
+		}
+		if d := i - start; d == 0 || d > maxIntDigits || (d > 1 && b[start] == '0') {
+			return nil, i, false
+		}
+		if neg {
+			v = -v
 		}
 		out = append(out, v)
 		// A fraction or exponent stops here: '.', 'e' and 'E' are
 		// neither a separator nor the closing bracket.
-		i = skipSpace(b, j)
+		i = skipSpace(b, i)
 		if i >= len(b) {
 			return nil, i, false
 		}
