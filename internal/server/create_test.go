@@ -197,7 +197,10 @@ func createLimitBodies() []struct {
 // status and body answered to each body of createPinBodies and
 // createLimitBodies on an in-memory control plane, then, on a durable
 // one, the control log a few creates leave behind and the project
-// listing and statuses a restart serves from it.
+// listing and statuses a restart serves from it. The pins were taken
+// with encoding/json's streaming decoder; the one answer since changed
+// is the body over the limit whose object ends before it, which that
+// decoder accepted without reading to the end and which is now refused.
 func TestCreateProjectPins(t *testing.T) {
 	m := newTestMulti(t, MultiOptions{})
 	defer m.Close()
@@ -238,7 +241,7 @@ func TestCreateProjectPins(t *testing.T) {
 	d.Close()
 	checkGolden(t, filepath.Join("testdata", "create", "control-wal.log"), wal)
 
-	d = newTestMulti(t, MultiOptions{DataDir: dir, Tenant: Options{Webhooks: notify.NewOutbox()}})
+	d = newTestMulti(t, MultiOptions{DataDir: dir})
 	defer d.Close()
 	transcribe(&out, "listing after restart", doH(t, d, http.MethodGet, projectsPath, nil))
 	for _, id := range []string{"team-a", "team-b", "team-c", "team-d", "team-e"} {
