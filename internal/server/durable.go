@@ -296,7 +296,7 @@ func NewDurable(g Genesis, dataDir string, opts Options) (*Server, error) {
 	if len(g.ModelPredictions) != len(g.Labels) {
 		return nil, fmt.Errorf("server: genesis has %d model predictions for %d labels", len(g.ModelPredictions), len(g.Labels))
 	}
-	wlog, snap, records, err := wal.Open(dataDir, wal.Options{NoSync: opts.WALNoSync, WriteHook: opts.WALWriteHook, FS: opts.WALFS})
+	wlog, snap, records, err := wal.Open(dataDir, wal.Options{NoSync: opts.WALNoSync, FS: opts.WALFS})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}

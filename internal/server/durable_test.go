@@ -17,6 +17,7 @@ import (
 	"github.com/easeml/ci/internal/model"
 	"github.com/easeml/ci/internal/notify"
 	"github.com/easeml/ci/internal/script"
+	"github.com/easeml/ci/internal/wal/faultfs"
 )
 
 // durableGenesis mirrors newServerWith's engine construction exactly, so
@@ -579,15 +580,9 @@ func TestDurableWebhookRedeliveryAcrossRestart(t *testing.T) {
 func TestDurableWALPoisoning(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	var failing atomic.Bool
-	hook := func(line []byte) error {
-		if failing.Load() {
-			return fmt.Errorf("disk full")
-		}
-		return nil
-	}
+	fs := faultfs.New()
 	srv, err := NewDurable(g, dir, Options{
-		ManualQueue: true, Webhooks: notify.NewOutbox(), WALWriteHook: hook,
+		ManualQueue: true, Webhooks: notify.NewOutbox(), WALFS: fs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -616,7 +611,7 @@ func TestDurableWALPoisoning(t *testing.T) {
 
 	// Disk goes bad: the job's first journal append fails mid-commit. The
 	// engine aborts, no commit record is written, the server is poisoned.
-	failing.Store(true)
+	fs.Add(faultfs.Fault{Op: faultfs.OpWrite, Path: "wal.log"})
 	if !srv.RunNextJob() {
 		t.Fatal("no second job to run")
 	}
@@ -641,8 +636,7 @@ func TestDurableWALPoisoning(t *testing.T) {
 	// Crash (Close would try to compact through the bad disk; a poisoned
 	// server skips that, but the abandon path is the harsher test).
 
-	failing.Store(false)
-	restarted, err := NewDurable(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox(), WALWriteHook: hook})
+	restarted, err := NewDurable(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox(), WALFS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

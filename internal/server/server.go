@@ -225,10 +225,6 @@ type Options struct {
 	// WALNoSync skips fsync on the write-ahead log (durable servers
 	// only); crash-consistency tests and benchmarks set it.
 	WALNoSync bool
-	// WALWriteHook sees every encoded WAL record before it is written;
-	// returning an error fails the append. Disk-failure tests inject
-	// faults here (durable servers only).
-	WALWriteHook func(line []byte) error
 	// WALFS is the filesystem the write-ahead log goes through; nil means
 	// the real one. Disk-fault tests inject a faultfs.FS here to script
 	// byte-level failures (ENOSPC, short writes, fsync errors) under the

@@ -88,11 +88,6 @@ type Options struct {
 	// NoSync makes Sync a no-op. Tests and benchmarks that measure encode
 	// cost (or create hundreds of logs) set it; production leaves it off.
 	NoSync bool
-	// WriteHook, when set, sees every encoded record line before it is
-	// written; returning an error fails the append without writing. It is
-	// the record-level fault-injection point for disk-failure tests (the
-	// byte-level one is FS).
-	WriteHook func(line []byte) error
 	// FS is the filesystem the log reads and writes through; nil means
 	// the real one (OSFS). Disk-fault tests inject a faultfs.FS here.
 	FS FS
@@ -317,12 +312,6 @@ func (l *Log) Append(typ string, payload any) (uint64, error) {
 	start := reserve - len(head)
 	copy(buf[start:reserve], head)
 	line := append(buf[start:], '}', '\n')
-	if l.opts.WriteHook != nil {
-		if err := l.opts.WriteHook(line); err != nil {
-			l.stats.AppendErrors++
-			return 0, fmt.Errorf("wal: appending %s record: %w", typ, err)
-		}
-	}
 	n, err := l.f.Write(line)
 	if err != nil {
 		l.stats.AppendErrors++

@@ -188,42 +188,6 @@ func TestMidLogCorruptionIsError(t *testing.T) {
 	}
 }
 
-func TestFailingWriterFailsAppend(t *testing.T) {
-	dir := t.TempDir()
-	boom := errors.New("disk full")
-	fail := false
-	l, _, _, err := Open(dir, Options{NoSync: true, WriteHook: func([]byte) error {
-		if fail {
-			return boom
-		}
-		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append("commit", testPayload{N: 1}); err != nil {
-		t.Fatal(err)
-	}
-	fail = true
-	if _, err := l.Append("commit", testPayload{N: 2}); !errors.Is(err, boom) {
-		t.Fatalf("append with failing writer: %v", err)
-	}
-	if st := l.Stats(); st.AppendErrors != 1 || st.Appends != 1 || st.LastSeq != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// The failed append must not have consumed a sequence number.
-	fail = false
-	seq, err := l.Append("commit", testPayload{N: 3})
-	if err != nil || seq != 2 {
-		t.Fatalf("append after failure: seq=%d err=%v", seq, err)
-	}
-	l.Close()
-	_, _, recs := openT(t, dir)
-	if len(recs) != 2 {
-		t.Fatalf("replayed %d records, want 2", len(recs))
-	}
-}
-
 func TestSnapshotCompactReplay(t *testing.T) {
 	dir := t.TempDir()
 	l, _, _ := openT(t, dir)
