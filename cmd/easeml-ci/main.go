@@ -163,11 +163,12 @@ func run(scriptPath, condition string, reliability float64, steps int, adaptFlag
 // server's own synthetic testset layout (label i%classes), mirroring the
 // local scenario's incrementally improving models. A non-empty project
 // targets that tenant's scoped API instead of the default aliases.
-func runRemote(base, project string, commits, classes int, seed int64) error {
+func runRemote(root, project string, commits, classes int, seed int64) error {
 	if commits < 1 || classes < 2 {
 		return fmt.Errorf("remote mode needs -commits >= 1 and -classes >= 2")
 	}
-	base = strings.TrimRight(base, "/") + "/api/v1"
+	root = strings.TrimRight(root, "/")
+	base := root + "/api/v1"
 	if project != "" {
 		base += "/projects/" + project
 	}
@@ -203,8 +204,7 @@ func runRemote(base, project string, commits, classes int, seed int64) error {
 		if err != nil {
 			return fmt.Errorf("submitting commit %d: %w", k, err)
 		}
-		// Poll is an alias path; rebase it under the project scope.
-		st, err := pollJob(base+strings.TrimPrefix(accepted.Poll, "/api/v1"), 30*time.Second)
+		st, err := pollJob(root+accepted.Poll, 30*time.Second)
 		if err != nil {
 			return fmt.Errorf("polling job %s: %w", accepted.JobID, err)
 		}

@@ -11,9 +11,6 @@ import (
 	"time"
 
 	ci "github.com/easeml/ci"
-	"github.com/easeml/ci/internal/data"
-	"github.com/easeml/ci/internal/engine"
-	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/model"
 	"github.com/easeml/ci/internal/script"
 	"github.com/easeml/ci/internal/server"
@@ -59,49 +56,58 @@ func TestRunScenarioFirstChange(t *testing.T) {
 	}
 }
 
+// testControlPlane serves an in-memory control plane whose default
+// project has a 700-example, 4-class testset.
+func testControlPlane(t *testing.T) (*httptest.Server, []int, []int) {
+	t.Helper()
+	const size, classes = 700, 4
+	labels := make([]int, size)
+	for i := range labels {
+		labels[i] = i % classes
+	}
+	h0, err := model.SimulatedPredictions(labels, classes, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := server.NewMulti(server.Genesis{
+		Condition:   "n > 0.6 +/- 0.1",
+		Reliability: 0.99,
+		Mode:        ci.FPFree,
+		Adaptivity:  script.Adaptivity{Kind: script.AdaptivityFull},
+		Steps:       4,
+		Labels:      labels, Classes: classes,
+		ModelName: "h0", ModelPredictions: h0,
+	}, server.MultiOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(m)
+	t.Cleanup(func() {
+		ts.Close()
+		m.Close()
+	})
+	return ts, labels, h0
+}
+
 // TestRunRemoteAgainstLiveServer exercises the -server mode end to end:
 // the CLI submits commits to a real HTTP server's async endpoint and
 // polls each job to completion.
 func TestRunRemoteAgainstLiveServer(t *testing.T) {
-	const size, classes = 700, 4
-	ds := &data.Dataset{Name: "srv", Classes: classes}
-	for i := 0; i < size; i++ {
-		ds.X = append(ds.X, []float64{float64(i)})
-		ds.Y = append(ds.Y, i%classes)
-	}
-	cfg, err := ci.NewConfig("n > 0.6 +/- 0.1", 0.99, ci.FPFree,
-		script.Adaptivity{Kind: script.AdaptivityFull}, 4)
-	if err != nil {
+	ts, _, _ := testControlPlane(t)
+	if err := runRemote(ts.URL, "", 3, 4, 7); err != nil {
 		t.Fatal(err)
 	}
-	h0, err := model.SimulatedPredictions(ds.Y, classes, 0.5, 1)
-	if err != nil {
+	var status server.StatusResponse
+	if err := getJSON(ts.URL+"/api/v1/status", &status); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(cfg, ds, labeling.NewTruthOracle(ds.Y), engine.Options{
-		InitialModel: model.NewFixedPredictions("h0", h0),
-	})
-	if err != nil {
-		t.Fatal(err)
+	if status.Commits != 3 {
+		t.Errorf("server saw %d commits, want 3", status.Commits)
 	}
-	srv, err := server.New(cfg, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	if err := runRemote(ts.URL, "", 3, classes, 7); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Repository().Len(); got != 3 {
-		t.Errorf("server saw %d commits, want 3", got)
-	}
-	if err := runRemote(ts.URL, "", 0, classes, 7); err == nil {
+	if err := runRemote(ts.URL, "", 0, 4, 7); err == nil {
 		t.Error("zero commits should be rejected")
 	}
-	if err := runRemote("http://127.0.0.1:1/nope", "", 1, classes, 7); err == nil {
+	if err := runRemote("http://127.0.0.1:1/nope", "", 1, 4, 7); err == nil {
 		t.Error("unreachable server should fail")
 	}
 }
@@ -154,31 +160,8 @@ func TestPollJobRidesOutTransientFailures(t *testing.T) {
 // nothing itself, but against a multi-project server its traffic lands on
 // the named tenant — and only there.
 func TestRunRemoteScopedProject(t *testing.T) {
-	const size, classes = 700, 4
-	labels := make([]int, size)
-	for i := range labels {
-		labels[i] = i % classes
-	}
-	h0, err := model.SimulatedPredictions(labels, classes, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := server.Genesis{
-		Condition:   "n > 0.6 +/- 0.1",
-		Reliability: 0.99,
-		Mode:        ci.FPFree,
-		Adaptivity:  script.Adaptivity{Kind: script.AdaptivityFull},
-		Steps:       4,
-		Labels:      labels, Classes: classes,
-		ModelName: "h0", ModelPredictions: h0,
-	}
-	m, err := server.NewMulti(g, server.MultiOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	ts := httptest.NewServer(m)
-	defer ts.Close()
+	const classes = 4
+	ts, labels, h0 := testControlPlane(t)
 
 	body := fmt.Sprintf(`{"id":"team-a","condition":"n > 0.6 +/- 0.1","reliability":0.99,"steps":4,"labels":%s,"classes":%d,"model_predictions":%s}`,
 		intsJSON(labels), classes, intsJSON(h0))

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	ci "github.com/easeml/ci"
-	"github.com/easeml/ci/internal/model"
 	"github.com/easeml/ci/internal/server"
 )
 
@@ -122,34 +121,37 @@ func TestRunBatchLocal(t *testing.T) {
 	}
 }
 
-func TestRunBatchRemote(t *testing.T) {
+// testControlPlane serves an in-memory control plane whose default
+// project runs "n > 0.6 +/- 0.1" over 3 steps on a 700-example,
+// 4-class testset.
+func testControlPlane(t *testing.T) (*httptest.Server, []int) {
+	t.Helper()
 	labels := make([]int, 700)
 	for i := range labels {
 		labels[i] = i % 4
 	}
-	ds := &ci.Dataset{Name: "srv", Classes: 4}
-	for i, y := range labels {
-		ds.X = append(ds.X, []float64{float64(i)})
-		ds.Y = append(ds.Y, y)
-	}
-	cfg, err := ci.NewConfig("n > 0.6 +/- 0.1", 0.99, ci.FPFree, ci.Adaptivity{Kind: ci.AdaptivityFull}, 3)
+	m, err := server.NewMulti(server.Genesis{
+		Condition:   "n > 0.6 +/- 0.1",
+		Reliability: 0.99,
+		Mode:        ci.FPFree,
+		Adaptivity:  ci.Adaptivity{Kind: ci.AdaptivityFull},
+		Steps:       3,
+		Labels:      labels, Classes: 4,
+		ModelName: "h0", ModelPredictions: labels,
+	}, server.MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := make([]int, len(labels))
-	copy(preds, labels)
-	eng, err := ci.NewEngine(cfg, ds, ci.NewTruthOracle(ds.Y), ci.EngineOptions{
-		InitialModel: model.NewFixedPredictions("h0", preds),
+	ts := httptest.NewServer(m)
+	t.Cleanup(func() {
+		ts.Close()
+		m.Close()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(cfg, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	return ts, labels
+}
+
+func TestRunBatchRemote(t *testing.T) {
+	ts, _ := testControlPlane(t)
 
 	path := writeQueriesFile(t, `[{}, {"steps": 5}]`)
 	var out bytes.Buffer
@@ -225,26 +227,7 @@ func TestApplyScriptDefaults(t *testing.T) {
 // tenant's plan endpoint, whose config (not the default project's)
 // resolves parameterless queries.
 func TestRunBatchRemoteScopedProject(t *testing.T) {
-	labels := make([]int, 700)
-	for i := range labels {
-		labels[i] = i % 4
-	}
-	g := server.Genesis{
-		Condition:   "n > 0.6 +/- 0.1",
-		Reliability: 0.99,
-		Mode:        ci.FPFree,
-		Adaptivity:  ci.Adaptivity{Kind: ci.AdaptivityFull},
-		Steps:       3,
-		Labels:      labels, Classes: 4,
-		ModelName: "h0", ModelPredictions: labels,
-	}
-	m, err := server.NewMulti(g, server.MultiOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	ts := httptest.NewServer(m)
-	defer ts.Close()
+	ts, labels := testControlPlane(t)
 	body, _ := json.Marshal(server.CreateProjectRequest{
 		ID: "team-a",
 		ProjectSpec: server.ProjectSpec{

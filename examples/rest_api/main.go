@@ -43,8 +43,6 @@ import (
 	"time"
 
 	ci "github.com/easeml/ci"
-	"github.com/easeml/ci/internal/data"
-	"github.com/easeml/ci/internal/engine"
 	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/model"
 	"github.com/easeml/ci/internal/server"
@@ -61,38 +59,14 @@ func main() {
 	for i := range labels {
 		labels[i] = i % classes
 	}
-	ds := &data.Dataset{Name: "served", Classes: classes}
-	for i, y := range labels {
-		ds.X = append(ds.X, []float64{float64(i)})
-		ds.Y = append(ds.Y, y)
-	}
-	cfg, err := ci.NewConfig("n - o > 0.02 +/- 0.05", 0.99, ci.FPFree,
-		ci.Adaptivity{Kind: ci.AdaptivityFirstChange}, 8)
+	srv, err := server.NewMulti(genesis("n - o > 0.02 +/- 0.05",
+		ci.Adaptivity{Kind: ci.AdaptivityFirstChange}, 8, labels), server.MultiOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	h0, err := model.SimulatedPredictions(labels, classes, 0.70, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eng, err := engine.New(cfg, ds, labeling.NewTruthOracle(ds.Y), engine.Options{
-		InitialModel: model.NewFixedPredictions("deployed", h0),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv, err := server.New(cfg, eng)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() { _ = http.Serve(ln, srv) }()
-	base := "http://" + ln.Addr().String()
+	defer srv.Close()
+	base, _ := serve(srv)
 	fmt.Println("serving on", base)
-	waitReady(base)
 
 	// --- developer: push commits over the wire ---------------------------
 	for i, acc := range []float64{0.72, 0.85} {
@@ -188,44 +162,20 @@ func main() {
 	// against "n > 0.6 +/- 0.1"), so the Fail is forced after a fraction of
 	// the 700-example testset and the rest of the labeling budget is never
 	// spent — with a verdict guaranteed byte-identical to the full reveal.
-	eCfg, err := ci.NewConfig("n > 0.6 +/- 0.1", 0.99, ci.FPFree,
-		ci.Adaptivity{Kind: ci.AdaptivityFull}, 4)
+	small := make([]int, 700)
+	for i := range small {
+		small[i] = i % classes
+	}
+	full := ci.Adaptivity{Kind: ci.AdaptivityFull}
+	eSrv, err := server.NewMulti(genesis("n > 0.6 +/- 0.1", full, 4, small), server.MultiOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eLabels := make([]int, 700)
-	for i := range eLabels {
-		eLabels[i] = i % classes
-	}
-	eDs := &data.Dataset{Name: "early", Classes: classes}
-	for i, y := range eLabels {
-		eDs.X = append(eDs.X, []float64{float64(i)})
-		eDs.Y = append(eDs.Y, y)
-	}
-	eH0, err := model.SimulatedPredictions(eLabels, classes, 0.70, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eEng, err := engine.New(eCfg, eDs, labeling.NewTruthOracle(eDs.Y), engine.Options{
-		InitialModel: model.NewFixedPredictions("deployed", eH0),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	eSrv, err := server.New(eCfg, eEng)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() { _ = http.Serve(eLn, eSrv) }()
-	eBase := "http://" + eLn.Addr().String()
-	waitReady(eBase)
+	defer eSrv.Close()
+	eBase, _ := serve(eSrv)
 	fmt.Println("\nearly-decision server on", eBase)
 
-	broken, err := model.SimulatedPredictions(eLabels, classes, 0.20, 13)
+	broken, err := model.SimulatedPredictions(small, classes, 0.20, 13)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -236,7 +186,7 @@ func main() {
 	fmt.Printf("broken commit: truth=%s early_exit=%v — %d labels paid, %d saved over %d looks\n",
 		eRes.Truth, eRes.EarlyExit, eRes.FreshLabels, eRes.LabelsSaved, eRes.Looks)
 
-	var eMetrics server.MetricsResponse
+	var eMetrics server.MultiMetricsResponse
 	get(eBase+"/api/v1/metrics", &eMetrics)
 	fmt.Printf("metrics: labels_saved_total=%d early_exits_total=%d\n",
 		eMetrics.LabelsSavedTotal, eMetrics.EarlyExitsTotal)
@@ -252,47 +202,18 @@ func main() {
 	}
 	defer os.RemoveAll(dataDir)
 
-	dcfg, err := ci.NewConfig("n > 0.6 +/- 0.1", 0.99, ci.FPFree,
-		ci.Adaptivity{Kind: ci.AdaptivityFull}, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dlabels := make([]int, 700)
-	for i := range dlabels {
-		dlabels[i] = i % classes
-	}
-	dh0, err := model.SimulatedPredictions(dlabels, classes, 0.70, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	genesis := server.Genesis{
-		Condition:        dcfg.ConditionSrc,
-		Reliability:      dcfg.Reliability,
-		Mode:             dcfg.Mode,
-		Adaptivity:       dcfg.Adaptivity,
-		Steps:            dcfg.Steps,
-		Labels:           dlabels,
-		Classes:          classes,
-		ModelName:        "deployed-h0",
-		ModelPredictions: dh0,
-	}
+	dGenesis := genesis("n > 0.6 +/- 0.1", full, 4, small)
 
-	// ManualQueue holds the job in "queued" so the crash lands before the
-	// evaluation — the worst possible moment.
-	durable, err := server.NewDurable(genesis, dataDir, server.Options{ManualQueue: true})
+	// A manual pool holds the job in "queued" so the crash lands before
+	// the evaluation — the worst possible moment.
+	durable, err := server.NewMulti(dGenesis, server.MultiOptions{DataDir: dataDir, ManualPool: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() { _ = http.Serve(dLn, durable) }()
-	dBase := "http://" + dLn.Addr().String()
-	waitReady(dBase)
+	dBase, dLn := serve(durable)
 	fmt.Println("\ndurable server on", dBase, "(data dir", dataDir+")")
 
-	dPreds, err := model.SimulatedPredictions(dlabels, classes, 0.85, 7)
+	dPreds, err := model.SimulatedPredictions(small, classes, 0.85, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -314,19 +235,13 @@ func main() {
 
 	// Reopen the same directory. Recovery replays the log, re-enqueues the
 	// still-pending job, and a real worker evaluates it.
-	revived, err := server.NewDurable(genesis, dataDir, server.Options{})
+	revived, err := server.NewMulti(dGenesis, server.MultiOptions{DataDir: dataDir})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer revived.Close()
-	dLn2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() { _ = http.Serve(dLn2, revived) }()
-	dBase2 := "http://" + dLn2.Addr().String()
-	waitReady(dBase2)
-	if st := revived.WALStats(); st != nil {
+	dBase2, _ := serve(revived)
+	if st := revived.Default().WALStats(); st != nil {
 		fmt.Printf("recovered: %d records replayed (snapshot seq %d)\n", st.Replayed, st.SnapshotSeq)
 	}
 
@@ -358,11 +273,7 @@ func main() {
 	// in "awaiting_labels" — not failed — until the release timer (paced
 	// by the provider's Retry-After) re-queues it. The verdict after the
 	// outage is identical to a server whose oracle never blinked.
-	fLabels := make([]int, 700)
-	for i := range fLabels {
-		fLabels[i] = i % classes
-	}
-	provider := labeling.NewProviderServer(fLabels)
+	provider := labeling.NewProviderServer(small)
 	provider.FailNext(2, http.StatusServiceUnavailable, time.Second)
 	pLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -370,65 +281,34 @@ func main() {
 	}
 	go func() { _ = http.Serve(pLn, provider) }()
 
-	fCfg, err := ci.NewConfig("n > 0.6 +/- 0.1", 0.99, ci.FPFree,
-		ci.Adaptivity{Kind: ci.AdaptivityFull}, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fDs := &data.Dataset{Name: "flaky", Classes: classes}
-	for i, y := range fLabels {
-		fDs.X = append(fDs.X, []float64{float64(i)})
-		fDs.Y = append(fDs.Y, y)
-	}
-	fH0, err := model.SimulatedPredictions(fLabels, classes, 0.70, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	newEngine := func() *engine.Engine {
-		e, err := engine.New(fCfg, fDs, labeling.NewTruthOracle(fDs.Y), engine.Options{
-			InitialModel: model.NewFixedPredictions("deployed", fH0),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return e
-	}
+	fGenesis := genesis("n > 0.6 +/- 0.1", full, 4, small)
 
 	// The control run: same commit, oracle in-process, no faults.
-	control, err := server.New(fCfg, newEngine())
+	control, err := server.NewMulti(fGenesis, server.MultiOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer control.Close()
 	transport, err := labeling.NewHTTPOracle("http://"+pLn.Addr().String(), labeling.HTTPOracleOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}
-	flaky, err := server.NewWithOptions(fCfg, newEngine(), server.Options{
+	flaky, err := server.NewMulti(fGenesis, server.MultiOptions{Tenant: server.Options{
 		OracleFactory: func(gen int, truth []int) labeling.Oracle {
 			return labeling.NewResilient(transport, labeling.ResilientOptions{
 				MaxAttempts: 2, Backoff: 50 * time.Millisecond,
 			})
 		},
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() { _ = http.Serve(cLn, control) }()
-	fLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() { _ = http.Serve(fLn, flaky) }()
-	cBase, fBase := "http://"+cLn.Addr().String(), "http://"+fLn.Addr().String()
-	waitReady(cBase)
-	waitReady(fBase)
+	defer flaky.Close()
+	cBase, _ := serve(control)
+	fBase, _ := serve(flaky)
 	fmt.Println("\nremote-label server on", fBase, "(provider on", pLn.Addr().String()+", currently down)")
 
-	fPreds, err := model.SimulatedPredictions(fLabels, classes, 0.85, 21)
+	fPreds, err := model.SimulatedPredictions(small, classes, 0.85, 21)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -464,7 +344,7 @@ func main() {
 		polled.JobID, polled.State, polled.Result.Truth, polled.Result.FreshLabels,
 		polled.Result.Truth == controlRes.Truth && polled.Result.FreshLabels == controlRes.FreshLabels)
 	var fMetrics server.MetricsResponse
-	get(fBase+"/api/v1/metrics", &fMetrics)
+	get(fBase+"/api/v1/projects/default/metrics", &fMetrics)
 	if o := fMetrics.LabelOracle; o != nil {
 		fmt.Printf("oracle health: attempts=%d retries=%d unavailable=%d breaker=%s\n",
 			o.Attempts, o.Retries, o.Unavailable, o.Breaker.State)
@@ -474,29 +354,23 @@ func main() {
 	// NewMulti hosts the flag-defined genesis as the "default" project and
 	// lets further teams register over the API, each an isolated tenant on
 	// a shared worker pool and a shared plan cache.
-	multi, err := server.NewMulti(genesis, server.MultiOptions{})
+	multi, err := server.NewMulti(dGenesis, server.MultiOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer multi.Close()
-	mLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() { _ = http.Serve(mLn, multi) }()
-	mBase := "http://" + mLn.Addr().String()
-	waitReady(mBase)
+	mBase, _ := serve(multi)
 	fmt.Println("\nmulti-tenant control plane on", mBase)
 
 	// Two teams register. They run the same condition, so the second
 	// project's planning is a hit on the cache the first one warmed; team-b
 	// additionally carries a label budget.
 	spec := server.ProjectSpec{
-		Condition:   dcfg.ConditionSrc,
-		Reliability: dcfg.Reliability,
-		Steps:       dcfg.Steps,
-		Labels:      dlabels, Classes: classes,
-		ModelName: "deployed-h0", ModelPredictions: dh0,
+		Condition:   dGenesis.Condition,
+		Reliability: dGenesis.Reliability,
+		Steps:       dGenesis.Steps,
+		Labels:      small, Classes: classes,
+		ModelName: dGenesis.ModelName, ModelPredictions: dGenesis.ModelPredictions,
 	}
 	for _, id := range []string{"team-a", "team-b"} {
 		sp := spec
@@ -543,6 +417,31 @@ func main() {
 	for _, p := range metrics.Projects {
 		fmt.Printf("  project %-8s state=%-9s commits_evaluated=%d\n", p.ID, p.State, p.CommitsEvaluated)
 	}
+}
+
+// genesis is a project whose baseline model is 70% accurate on labels.
+func genesis(condition string, adapt ci.Adaptivity, steps int, labels []int) server.Genesis {
+	h0, err := model.SimulatedPredictions(labels, classes, 0.70, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return server.Genesis{
+		Condition: condition, Reliability: 0.99, Mode: ci.FPFree, Adaptivity: adapt, Steps: steps,
+		Labels: labels, Classes: classes, ModelName: "deployed-h0", ModelPredictions: h0,
+	}
+}
+
+// serve serves h on a fresh local port and returns its base URL once it
+// answers, and the listener.
+func serve(h http.Handler) (string, net.Listener) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	go func() { _ = http.Serve(ln, h) }()
+	base := "http://" + ln.Addr().String()
+	waitReady(base)
+	return base, ln
 }
 
 func mustJSON(v any) []byte {

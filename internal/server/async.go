@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/easeml/ci/internal/bounds"
 	"github.com/easeml/ci/internal/engine"
 	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/notify"
@@ -17,8 +16,12 @@ import (
 	"github.com/easeml/ci/internal/script"
 )
 
-// jobsPath is the poll/cancel endpoint prefix; job IDs follow it.
-const jobsPath = "/api/v1/commit/jobs/"
+// jobsRest is the poll/cancel row below a scope prefix; job IDs follow
+// it. jobsPath is its alias spelling.
+const (
+	jobsRest = "commit/jobs/"
+	jobsPath = apiPrefix + jobsRest
+)
 
 // AsyncCommitRequest is a commit submission to the asynchronous pipeline:
 // the ordinary commit payload plus an optional webhook URL that receives
@@ -188,11 +191,7 @@ func (s *Server) executeCommitJob(j *queue.Job[commitJob, CommitResponse]) (Comm
 
 // handleCommitAsync accepts a commit into the queue and returns 202 with
 // the job handle; the caller polls the job or receives its webhook.
-func (s *Server) handleCommitAsync(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (s *Server) handleCommitAsync(w http.ResponseWriter, r *http.Request, sc scope) {
 	var req commitJob
 	if err := s.readCommitRequest(w, r, &req, true); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
@@ -222,7 +221,7 @@ func (s *Server) handleCommitAsync(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, JobAcceptedResponse{
 		JobID: job.ID,
 		State: job.State().String(),
-		Poll:  jobsPath + job.ID,
+		Poll:  sc.prefix + jobsRest + job.ID,
 	})
 }
 
@@ -230,8 +229,8 @@ func (s *Server) handleCommitAsync(w http.ResponseWriter, r *http.Request) {
 // Job IDs are sequential, not capability tokens: like every endpoint on
 // this server (rotation, admin resets), cancellation assumes trusted
 // callers — there is no per-client authorization layer.
-func (s *Server) handleCommitJob(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, jobsPath)
+func (s *Server) handleCommitJob(w http.ResponseWriter, r *http.Request, sc scope) {
+	id := strings.TrimPrefix(sc.rest, jobsRest)
 	if id == "" || strings.Contains(id, "/") {
 		writeError(w, http.StatusNotFound, "job ID required: "+jobsPath+"{id}")
 		return
@@ -256,8 +255,6 @@ func (s *Server) handleCommitJob(w http.ResponseWriter, r *http.Request) {
 		default:
 			writeJSON(w, http.StatusOK, jobStatus(job))
 		}
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or DELETE only")
 	}
 }
 
@@ -330,20 +327,4 @@ func (s *Server) onWebhookOutcome(n notify.Notification, delivered bool, attempt
 	if e := s.table[body.JobID]; e != nil {
 		e.WebhookDone = true
 	}
-}
-
-// handleAdminReset clears the plan cache, the exact-bound memo, and the
-// commit-evaluation counters, returning the pre-reset metrics snapshot,
-// so an operator hot-reloading scripts (or chasing a suspected stale
-// entry) can see what was dropped.
-func (s *Server) handleAdminReset(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	pre := s.metricsSnapshot()
-	s.plans.Reset()
-	bounds.ResetExactCache()
-	s.resetCommitCounters()
-	writeJSON(w, http.StatusOK, pre)
 }

@@ -12,46 +12,20 @@ import (
 	"time"
 
 	"github.com/easeml/ci/internal/bounds"
-	"github.com/easeml/ci/internal/data"
-	"github.com/easeml/ci/internal/engine"
-	"github.com/easeml/ci/internal/interval"
-	"github.com/easeml/ci/internal/labeling"
-	"github.com/easeml/ci/internal/model"
 	"github.com/easeml/ci/internal/notify"
 	"github.com/easeml/ci/internal/script"
 )
 
-// newServerWith builds a server over a synthetic testset of the given
-// size and step budget, with explicit queue options — the async tests'
-// generalization of newTestServer.
+// newServerWith builds an in-memory tenant over a synthetic testset of
+// the given size and step budget, with explicit queue options.
 func newServerWith(t *testing.T, adaptKind script.AdaptivityKind, steps, size int, opts Options) (*Server, []int) {
 	t.Helper()
-	labels := make([]int, size)
-	ds := &data.Dataset{Name: "srv", Classes: testClasses}
-	for i := range labels {
-		labels[i] = i % testClasses
-		ds.X = append(ds.X, []float64{float64(i)})
-		ds.Y = append(ds.Y, labels[i])
-	}
-	adapt := script.Adaptivity{Kind: adaptKind}
+	g, labels := durableGenesis(t, steps, size)
+	g.Adaptivity = script.Adaptivity{Kind: adaptKind}
 	if adaptKind == script.AdaptivityNone {
-		adapt.Email = "qa@x.y"
+		g.Adaptivity.Email = "qa@x.y"
 	}
-	cfg, err := script.New("n > 0.6 +/- 0.1", 0.99, interval.FPFree, adapt, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h0, err := model.SimulatedPredictions(labels, testClasses, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.New(cfg, ds, labeling.NewTruthOracle(ds.Y), engine.Options{
-		InitialModel: model.NewFixedPredictions("h0", h0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewWithOptions(cfg, eng, opts)
+	srv, err := newTenant(g, "", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +157,7 @@ func TestAsyncValidation(t *testing.T) {
 	}
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/commit/async", bytes.NewBufferString("{nope"))
 	rec2 := httptest.NewRecorder()
-	srv.ServeHTTP(rec2, req)
+	serveTenant(srv, rec2, req)
 	if rec2.Code != http.StatusBadRequest {
 		t.Errorf("malformed async JSON status = %d", rec2.Code)
 	}
@@ -420,7 +394,7 @@ func TestAsyncSyncEquivalence(t *testing.T) {
 			<-turn[i] // my submission slot
 			req := httptest.NewRequest(http.MethodPost, "/api/v1/commit/async", bytes.NewReader(body))
 			rec := httptest.NewRecorder()
-			asyncSrv.ServeHTTP(rec, req)
+			serveTenant(asyncSrv, rec, req)
 			close(turn[i+1])
 			if rec.Code != http.StatusAccepted {
 				t.Errorf("async submit %d status = %d: %s", i, rec.Code, rec.Body.String())
@@ -488,50 +462,51 @@ func TestAsyncSyncEquivalence(t *testing.T) {
 // next to ExactEvals, an uncached worst-case evaluation moves all three,
 // and the admin cache reset returns them to zero.
 func TestMetricsSweepCounters(t *testing.T) {
-	srv, _ := newTestServer(t, script.AdaptivityFull)
-	doJSON(t, srv, http.MethodPost, "/api/v1/admin/reset-caches", nil)
+	m := newTestMulti(t, MultiOptions{})
+	defer m.Close()
+	doH(t, m, http.MethodPost, "/api/v1/admin/reset-caches", nil)
 
 	// Drive one uncached worst-case evaluation through the same
 	// process-wide engine the tight-bound plans use.
 	if _, err := bounds.ExactWorstCaseFailure(5000, 0.02, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := doJSON(t, srv, http.MethodGet, "/api/v1/metrics", nil)
+	rec := doH(t, m, http.MethodGet, "/api/v1/metrics", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("metrics status = %d", rec.Code)
 	}
-	var m MetricsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+	var mr MultiMetricsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &mr); err != nil {
 		t.Fatal(err)
 	}
-	if m.ExactEvals == 0 {
+	if mr.ExactEvals == 0 {
 		t.Error("exact_evals should count the uncached evaluation")
 	}
-	if m.SweepEvents == 0 {
+	if mr.SweepEvents == 0 {
 		t.Error("sweep_events should count the enumerated lattice events")
 	}
-	if m.SweepSegmentsRefined == 0 {
+	if mr.SweepSegmentsRefined == 0 {
 		t.Error("sweep_segments_refined should count the exactly evaluated events")
 	}
-	if m.SweepSegmentsAnalytic == 0 {
+	if mr.SweepSegmentsAnalytic == 0 {
 		t.Error("sweep_segments_analytic should count the events the bisection excluded")
 	}
-	if m.SweepSegmentsAnalytic+m.SweepSegmentsRefined != m.SweepEvents {
+	if mr.SweepSegmentsAnalytic+mr.SweepSegmentsRefined != mr.SweepEvents {
 		t.Errorf("analytic (%d) + refined (%d) != events (%d)",
-			m.SweepSegmentsAnalytic, m.SweepSegmentsRefined, m.SweepEvents)
+			mr.SweepSegmentsAnalytic, mr.SweepSegmentsRefined, mr.SweepEvents)
 	}
 
 	// The admin reset clears them along with the memo.
-	rec, _ = doJSON(t, srv, http.MethodPost, "/api/v1/admin/reset-caches", nil)
-	var pre MetricsResponse
+	rec = doH(t, m, http.MethodPost, "/api/v1/admin/reset-caches", nil)
+	var pre MultiMetricsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &pre); err != nil {
 		t.Fatal(err)
 	}
 	if pre.SweepEvents == 0 {
 		t.Error("pre-reset snapshot should still show the sweep traffic")
 	}
-	rec, _ = doJSON(t, srv, http.MethodGet, "/api/v1/metrics", nil)
-	var post MetricsResponse
+	rec = doH(t, m, http.MethodGet, "/api/v1/metrics", nil)
+	var post MultiMetricsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &post); err != nil {
 		t.Fatal(err)
 	}
@@ -544,23 +519,24 @@ func TestMetricsSweepCounters(t *testing.T) {
 // returns the pre-reset counters, drops both caches to zero, and plans
 // recompute identically afterwards.
 func TestAdminResetCaches(t *testing.T) {
-	srv, _ := newTestServer(t, script.AdaptivityFull)
+	m := newTestMulti(t, MultiOptions{})
+	defer m.Close()
 	// Prime the plan cache and record the served plan.
-	before, _ := doJSON(t, srv, http.MethodGet, "/api/v1/plan", nil)
+	before := doH(t, m, http.MethodGet, "/api/v1/plan", nil)
 	if before.Code != http.StatusOK {
 		t.Fatalf("plan status = %d", before.Code)
 	}
-	doJSON(t, srv, http.MethodGet, "/api/v1/plan", nil)
+	doH(t, m, http.MethodGet, "/api/v1/plan", nil)
 
-	rec, _ := doJSON(t, srv, http.MethodGet, "/api/v1/admin/reset-caches", nil)
+	rec := doH(t, m, http.MethodGet, "/api/v1/admin/reset-caches", nil)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET reset status = %d", rec.Code)
 	}
-	rec, _ = doJSON(t, srv, http.MethodPost, "/api/v1/admin/reset-caches", nil)
+	rec = doH(t, m, http.MethodPost, "/api/v1/admin/reset-caches", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("reset status = %d: %s", rec.Code, rec.Body.String())
 	}
-	var pre MetricsResponse
+	var pre MultiMetricsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &pre); err != nil {
 		t.Fatal(err)
 	}
@@ -569,8 +545,8 @@ func TestAdminResetCaches(t *testing.T) {
 	}
 
 	// Post-reset: counters are zero.
-	rec, _ = doJSON(t, srv, http.MethodGet, "/api/v1/metrics", nil)
-	var post MetricsResponse
+	rec = doH(t, m, http.MethodGet, "/api/v1/metrics", nil)
+	var post MultiMetricsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &post); err != nil {
 		t.Fatal(err)
 	}
@@ -587,11 +563,11 @@ func TestAdminResetCaches(t *testing.T) {
 	}
 
 	// Plans recompute identically (a fresh miss, then the same bytes).
-	after, _ := doJSON(t, srv, http.MethodGet, "/api/v1/plan", nil)
+	after := doH(t, m, http.MethodGet, "/api/v1/plan", nil)
 	if !bytes.Equal(after.Body.Bytes(), before.Body.Bytes()) {
 		t.Errorf("recomputed plan differs:\n%s\n%s", after.Body.String(), before.Body.String())
 	}
-	rec, _ = doJSON(t, srv, http.MethodGet, "/api/v1/metrics", nil)
+	rec = doH(t, m, http.MethodGet, "/api/v1/metrics", nil)
 	json.Unmarshal(rec.Body.Bytes(), &post)
 	if post.PlanCache.PlanMisses == 0 {
 		t.Errorf("recompute should register a fresh miss: %+v", post.PlanCache)

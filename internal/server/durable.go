@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 
 	"github.com/easeml/ci/internal/data"
@@ -170,15 +169,14 @@ type walSnapshot struct {
 	NextJobSeq int          `json:"next_job_seq"`
 }
 
-// Genesis is the durable server's initial world: the script and the
-// first testset with the deployed baseline's predictions on it. A fresh
-// data directory is initialized from it and stamped with its
-// fingerprint; on every later start the log is the truth for state, but
-// the supplied Genesis must still fingerprint-match the stamp — a
-// restart with different flags against an existing data dir is refused
-// rather than silently serving old state under a new config. (It is the
-// durable-mode analogue of building the engine yourself for
-// NewWithOptions.)
+// Genesis is a project's initial world: the script and the first testset
+// with the deployed baseline's predictions on it. An in-memory tenant
+// starts from it; a fresh data directory is initialized from it and
+// stamped with its fingerprint. On every later start the log is the
+// truth for state, but the supplied Genesis must still fingerprint-match
+// the stamp — a restart with different flags against an existing data
+// dir is refused rather than silently serving old state under a new
+// config.
 type Genesis struct {
 	// Condition, Reliability, Mode, Adaptivity, Steps define the script.
 	Condition   string
@@ -193,10 +191,31 @@ type Genesis struct {
 	// ModelName and ModelPredictions are H0, the deployed baseline.
 	ModelName        string
 	ModelPredictions []int
+
+	// ds is the first testset once ProjectSpec.genesis has validated it,
+	// so the tenant does not build it again.
+	ds *data.Dataset
 }
 
 func (g Genesis) config() (*script.Config, error) {
 	return script.New(g.Condition, g.Reliability, g.Mode, g.Adaptivity, g.Steps)
+}
+
+// engine builds the engine g starts from: the first testset (the one
+// genesis validation built, or a new one) with the baseline model active.
+func (g Genesis) engine(cfg *script.Config, n notify.Notifier, ed engine.EarlyDecision) (*engine.Engine, error) {
+	ds := g.ds
+	if ds == nil {
+		var err error
+		if ds, err = datasetFromLabels("genesis", g.Labels, g.Classes); err != nil {
+			return nil, err
+		}
+	}
+	return engine.New(cfg, ds, labeling.NewTruthOracle(ds.Y), engine.Options{
+		InitialModel:  model.NewFixedPredictions(g.ModelName, g.ModelPredictions),
+		Notifier:      n,
+		EarlyDecision: ed,
+	})
 }
 
 // fingerprint hashes every Genesis field into the identity the data
@@ -278,24 +297,10 @@ func indexRows(n int) [][]float64 {
 	return indexTable.rows[:n:n]
 }
 
-// NewDurable builds a server whose state survives crashes: every
-// externally acknowledged mutation (job accepted, commit evaluated, job
-// canceled, testset rotated, webhook resolved) is in the write-ahead log
-// under dataDir before the acknowledgment, and a restart replays
-// snapshot + log through the same engine code to a byte-identical state
-// — pending jobs re-enqueue and run exactly once, unresolved webhooks
-// redeliver. Callers must Close the server to release the log.
-func NewDurable(g Genesis, dataDir string, opts Options) (*Server, error) {
-	if dataDir == "" {
-		return nil, fmt.Errorf("server: durable mode needs a data directory")
-	}
-	cfg, err := g.config()
-	if err != nil {
-		return nil, err
-	}
-	if len(g.ModelPredictions) != len(g.Labels) {
-		return nil, fmt.Errorf("server: genesis has %d model predictions for %d labels", len(g.ModelPredictions), len(g.Labels))
-	}
+// openDurable opens a tenant's write-ahead log under dataDir, stamping a
+// fresh directory with g's fingerprint, and replays it into an engine and
+// job table.
+func openDurable(cfg *script.Config, g Genesis, dataDir string, opts Options) (*durableState, error) {
 	wlog, snap, records, err := wal.Open(dataDir, wal.Options{NoSync: opts.WALNoSync, FS: opts.WALFS})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -333,24 +338,20 @@ func NewDurable(g Genesis, dataDir string, opts Options) (*Server, error) {
 			return nil, fmt.Errorf("server: recovery rollback: %w", err)
 		}
 	}
-	s, err := newServer(cfg, d.eng, opts, d)
-	if err != nil {
-		_ = wlog.Close()
-		return nil, err
-	}
-	// Replay ran against a discard notifier (those notifications already
-	// happened before the crash); live traffic gets the real one, and
-	// from here every commit journals its side effects through the log.
-	// The queue was built with DeferStart, so no worker exists yet and
-	// these writes happen-before any restored job executes — a job
-	// committing against a nil journal would fsync its commit record with
-	// no audit trail and poison every future recovery.
-	en := opts.EngineNotifier
-	if en == nil {
-		en = notify.NewOutbox()
-	}
-	d.eng.SetNotifier(en)
-	d.eng.SetJournal(walJournal{s})
+	return d, nil
+}
+
+// resume hands a recovered durable server to live traffic. Replay ran
+// against a discard notifier (those notifications already happened before
+// the crash); live traffic gets the real one, and from here every commit
+// journals its side effects through the log. The queue was built with
+// DeferStart, so no worker exists yet and these writes happen-before any
+// restored job executes — a job committing against a nil journal would
+// fsync its commit record with no audit trail and poison every future
+// recovery.
+func (s *Server) resume(opts Options) {
+	s.eng.SetNotifier(engineNotifier(opts))
+	s.eng.SetJournal(walJournal{s})
 	// Redeliver webhooks of jobs that finished but whose delivery never
 	// reached a recorded outcome (crash mid-backoff, or before the first
 	// attempt). The retry queue applies its usual backoff and breakers.
@@ -381,7 +382,6 @@ func NewDurable(g Genesis, dataDir string, opts Options) (*Server, error) {
 	// Recovery wiring is complete; release the workers. Restored queued
 	// jobs execute from here, with the journal and notifier in place.
 	s.jobs.Start()
-	return s, nil
 }
 
 // status shapes a table entry as the wire status its webhook carries —
@@ -414,6 +414,7 @@ func recoverDurable(cfg *script.Config, g Genesis, opts Options, snap *wal.Snaps
 	labelQuota := opts.LabelQuota
 	d := &durableState{table: make(map[string]*jobEntry), fp: g.fingerprint()}
 	var eng *engine.Engine
+	var err error
 	if snap != nil {
 		var ws walSnapshot
 		if err := json.Unmarshal(snap.Data, &ws); err != nil {
@@ -422,7 +423,6 @@ func recoverDurable(cfg *script.Config, g Genesis, opts Options, snap *wal.Snaps
 		if ws.Genesis != d.fp {
 			return nil, fmt.Errorf("snapshot: config fingerprint %q does not match the supplied genesis %q — the data directory was created under a different configuration (condition, reliability, adaptivity, steps, or testset); point the server at a fresh data directory or restore the original flags", ws.Genesis, d.fp)
 		}
-		var err error
 		eng, err = engine.Restore(cfg, ws.Engine, engine.Options{Notifier: notify.Discard{}, EarlyDecision: opts.EarlyDecision})
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
@@ -432,19 +432,8 @@ func recoverDurable(cfg *script.Config, g Genesis, opts Options, snap *wal.Snaps
 			d.order = append(d.order, e.ID)
 		}
 		d.nextSeq = ws.NextJobSeq
-	} else {
-		ds, err := datasetFromLabels("genesis", g.Labels, g.Classes)
-		if err != nil {
-			return nil, fmt.Errorf("genesis: %w", err)
-		}
-		eng, err = engine.New(cfg, ds, labeling.NewTruthOracle(ds.Y), engine.Options{
-			InitialModel:  model.NewFixedPredictions(g.ModelName, g.ModelPredictions),
-			Notifier:      notify.Discard{},
-			EarlyDecision: opts.EarlyDecision,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("genesis: %w", err)
-		}
+	} else if eng, err = g.engine(cfg, notify.Discard{}, opts.EarlyDecision); err != nil {
+		return nil, fmt.Errorf("genesis: %w", err)
 	}
 	d.eng = eng
 
@@ -750,16 +739,21 @@ func (s *Server) compactLocked() error {
 	s.tableMu.Lock()
 	defer s.tableMu.Unlock()
 	s.pruneTableLocked()
-	jobs := make([]*jobEntry, 0, len(s.tableOrder))
-	for _, id := range s.tableOrder {
-		jobs = append(jobs, s.table[id])
-	}
-	snap := walSnapshot{Genesis: s.genesisFP, Engine: s.eng.Snapshot(), Jobs: jobs, NextJobSeq: s.tableNextSeq}
-	if err := s.wlog.Compact(snap); err != nil {
+	if err := s.wlog.Compact(s.snapshotLocked()); err != nil {
 		s.walFailed.Store(true)
 		return fmt.Errorf("%w: %v", errWALPoisoned, err)
 	}
 	return nil
+}
+
+// snapshotLocked is the compaction payload of the server's current state.
+// Callers hold s.mu and tableMu.
+func (s *Server) snapshotLocked() walSnapshot {
+	jobs := make([]*jobEntry, 0, len(s.tableOrder))
+	for _, id := range s.tableOrder {
+		jobs = append(jobs, s.table[id])
+	}
+	return walSnapshot{Genesis: s.genesisFP, Engine: s.eng.Snapshot(), Jobs: jobs, NextJobSeq: s.tableNextSeq}
 }
 
 // pruneTableLocked drops terminal, delivery-resolved jobs beyond the
@@ -813,22 +807,4 @@ func (s *Server) WALStats() *wal.Stats {
 	}
 	st := s.wlog.Stats()
 	return &st
-}
-
-// handleAdminCompact snapshots and truncates the write-ahead log on
-// demand, returning the post-compaction log stats.
-func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if s.wlog == nil {
-		writeError(w, http.StatusConflict, "server is not durable (no data directory)")
-		return
-	}
-	if err := s.Compact(); err != nil {
-		writeStorageError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.wlog.Stats())
 }

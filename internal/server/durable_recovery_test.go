@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"strings"
@@ -18,7 +19,7 @@ import (
 func seedDurableLog(t *testing.T, g Genesis, labels []int) []wal.Record {
 	t.Helper()
 	dir := t.TempDir()
-	srv, err := NewDurable(g, dir, Options{Webhooks: notify.NewOutbox()})
+	srv, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := writeLog(t, tc.mutate())
-			srv, err := NewDurable(g, dir, Options{})
+			srv, err := newTenant(g, dir, Options{})
 			if err == nil {
 				srv.Close()
 				t.Fatal("recovery accepted a tampered log")
@@ -183,7 +184,7 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		log.Close()
-		if srv, err := NewDurable(g, dir, Options{}); err == nil {
+		if srv, err := newTenant(g, dir, Options{}); err == nil {
 			srv.Close()
 			t.Fatal("recovery accepted a non-object snapshot")
 		} else if !strings.Contains(err.Error(), "snapshot") {
@@ -201,7 +202,7 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		log.Close()
-		if srv, err := NewDurable(g, dir, Options{}); err == nil {
+		if srv, err := newTenant(g, dir, Options{}); err == nil {
 			srv.Close()
 			t.Fatal("recovery accepted an empty engine snapshot")
 		}
@@ -215,7 +216,7 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 func TestDurableCompactFailurePoisons(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := NewDurable(g, dir, Options{})
+	srv, err := newTenant(g, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +233,8 @@ func TestDurableCompactFailurePoisons(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ = doJSON(t, srv, http.MethodPost, "/api/v1/admin/compact", nil)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("compact status = %d: %s", rec.Code, rec.Body.String())
+	if err := srv.Compact(); !errors.Is(err, errWALPoisoned) {
+		t.Fatalf("compact error = %v, want the poisoned log", err)
 	}
 	rec, _ = doJSON(t, srv, http.MethodPost, "/api/v1/commit", CommitRequest{
 		Model: "m1", Author: "dev", Message: "x",
@@ -252,7 +252,7 @@ func TestDurableCompactFailurePoisons(t *testing.T) {
 func TestDurableCancelAndPruneAcrossRestart(t *testing.T) {
 	g, labels := durableGenesis(t, 8, testSize)
 	dir := t.TempDir()
-	srv, err := NewDurable(g, dir, Options{ManualQueue: true, QueueRetain: 2})
+	srv, err := newTenant(g, dir, Options{ManualQueue: true, QueueRetain: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,20 +287,15 @@ func TestDurableCancelAndPruneAcrossRestart(t *testing.T) {
 		t.Fatalf("durable server WAL stats = %+v", st)
 	}
 
-	rec, _ = doJSON(t, srv, http.MethodGet, "/api/v1/admin/compact", nil)
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET compact status = %d", rec.Code)
-	}
-	rec, _ = doJSON(t, srv, http.MethodPost, "/api/v1/admin/compact", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("compact status = %d: %s", rec.Code, rec.Body.String())
+	if err := srv.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
 	}
 
 	// All five jobs are terminal and webhook-free, so all are prunable;
 	// retain=2 kept only the two newest (the done ids[3] and the canceled
 	// ids[4]) in the snapshot. Restart from it: only those two jobs are
 	// answerable, in the exact states they were journaled with.
-	revived, err := NewDurable(g, dir, Options{ManualQueue: true, QueueRetain: 2})
+	revived, err := newTenant(g, dir, Options{ManualQueue: true, QueueRetain: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +324,7 @@ func TestDurableCancelAndPruneAcrossRestart(t *testing.T) {
 func TestDurableCancelReplaysFromRawLog(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := NewDurable(g, dir, Options{ManualQueue: true})
+	srv, err := newTenant(g, dir, Options{ManualQueue: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +346,7 @@ func TestDurableCancelReplaysFromRawLog(t *testing.T) {
 		t.Fatalf("cancel status = %d: %s", rec.Code, rec.Body.String())
 	}
 	// Abandon without Close: recovery replays submit + cancel records.
-	revived, err := NewDurable(g, dir, Options{ManualQueue: true})
+	revived, err := newTenant(g, dir, Options{ManualQueue: true})
 	if err != nil {
 		t.Fatal(err)
 	}

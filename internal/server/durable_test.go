@@ -147,7 +147,7 @@ func TestDurableRestartEquivalence(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			srv, err := NewDurable(g, dir, Options{Webhooks: notify.NewOutbox()})
+			srv, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func TestDurableRestartEquivalence(t *testing.T) {
 				srv.Close() // compacts into snapshot.json; restart restores from it
 			} // else: abandon without Close — the log replays from genesis
 
-			restarted, err := NewDurable(g, dir, Options{Webhooks: notify.NewOutbox()})
+			restarted, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 			if err != nil {
 				t.Fatalf("restart: %v", err)
 			}
@@ -202,7 +202,7 @@ func TestDurableRestartEquivalence(t *testing.T) {
 func TestDurablePendingJobResume(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := NewDurable(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
+	srv, err := newTenant(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestDurablePendingJobResume(t *testing.T) {
 	done0 := getBody(t, srv, jobsPath+id0)
 	// Crash: abandon without Close — job 1 was accepted but never ran.
 
-	restarted, err := NewDurable(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
+	restarted, err := newTenant(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestDurableCrashAtEveryRecordBoundary(t *testing.T) {
 
 	// Produce a full run's log: commits, a rotation, another commit.
 	dir := t.TempDir()
-	srv, err := NewDurable(g, dir, base)
+	srv, err := newTenant(g, dir, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestDurableCrashAtEveryRecordBoundary(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(d, "wal.log"), []byte(logPrefix), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewDurable(g, d, Options{ManualQueue: true, WALNoSync: true, CompactAt: -1, Webhooks: notify.NewOutbox()})
+		s, err := newTenant(g, d, Options{ManualQueue: true, WALNoSync: true, CompactAt: -1, Webhooks: notify.NewOutbox()})
 		if err != nil {
 			t.Fatalf("recovery failed: %v", err)
 		}
@@ -407,7 +407,7 @@ func TestDurableWebhookFlakySubscriberExactlyOnce(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	hook := &flakyNotifier{failures: 3}
 	clock := &fakeClock{}
-	srv, err := NewDurable(g, t.TempDir(), Options{
+	srv, err := newTenant(g, t.TempDir(), Options{
 		ManualQueue: true,
 		ManualRetry: true,
 		Webhooks:    hook,
@@ -510,7 +510,7 @@ func TestDurableWebhookRedeliveryAcrossRestart(t *testing.T) {
 			RetryPolicy: notify.RetryPolicy{MaxAttempts: 5, Backoff: time.Minute},
 		}
 	}
-	srv, err := NewDurable(g, dir, opts(down))
+	srv, err := newTenant(g, dir, opts(down))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestDurableWebhookRedeliveryAcrossRestart(t *testing.T) {
 	srv.Close()
 
 	up := &flakyNotifier{}
-	restarted, err := NewDurable(g, dir, opts(up))
+	restarted, err := newTenant(g, dir, opts(up))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +560,7 @@ func TestDurableWebhookRedeliveryAcrossRestart(t *testing.T) {
 
 	// The outcome is recorded now: a third start must not redeliver.
 	final := &flakyNotifier{}
-	again, err := NewDurable(g, dir, opts(final))
+	again, err := newTenant(g, dir, opts(final))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestDurableWALPoisoning(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
 	fs := faultfs.New()
-	srv, err := NewDurable(g, dir, Options{
+	srv, err := newTenant(g, dir, Options{
 		ManualQueue: true, Webhooks: notify.NewOutbox(), WALFS: fs,
 	})
 	if err != nil {
@@ -636,7 +636,7 @@ func TestDurableWALPoisoning(t *testing.T) {
 	// Crash (Close would try to compact through the bad disk; a poisoned
 	// server skips that, but the abandon path is the harsher test).
 
-	restarted, err := NewDurable(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox(), WALFS: fs})
+	restarted, err := newTenant(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox(), WALFS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,12 +675,12 @@ func TestDurableAdminEndpoints(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
 	outbox := notify.NewOutbox()
-	srv, err := NewDurable(g, dir, Options{Webhooks: outbox, CompactAt: -1})
+	m, err := NewMulti(g, MultiOptions{DataDir: dir, Tenant: Options{Webhooks: outbox, CompactAt: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
+	defer m.Close()
+	rec := doH(t, m, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
 		CommitRequest: CommitRequest{Model: "m0", Predictions: goodPredictions(t, labels, 0.9, 10)},
 		Webhook:       "http://hooks.local/ci",
 	})
@@ -691,59 +691,61 @@ func TestDurableAdminEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil {
 		t.Fatal(err)
 	}
-	pollUntilTerminal(t, srv, acc.JobID)
-	waitQuiescent(t, srv, 1)
+	pollH(t, m, acc.Poll)
+	waitQuiescent(t, m.Default(), 1)
 
-	// Admin reset: the pre-reset snapshot carries the WAL and retry
-	// counters, and a follow-up metrics read shows them NOT zeroed.
-	rec, _ = doJSON(t, srv, http.MethodPost, "/api/v1/admin/reset-caches", nil)
+	// The project's admin reset: the pre-reset snapshot carries the WAL
+	// and webhook counters, and a follow-up metrics read shows them NOT
+	// zeroed.
+	const scoped = "/api/v1/projects/default/"
+	rec = doH(t, m, http.MethodPost, scoped+"admin/reset-caches", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("reset status = %d", rec.Code)
 	}
-	var pre MetricsResponse
+	var pre TenantMetrics
 	if err := json.Unmarshal(rec.Body.Bytes(), &pre); err != nil {
 		t.Fatal(err)
 	}
 	if pre.WAL == nil || pre.WAL.Appends == 0 {
 		t.Errorf("reset snapshot must report WAL appends: %+v", pre.WAL)
 	}
-	if pre.WebhookRetry.Delivered != 1 {
-		t.Errorf("reset snapshot must report retry-queue traffic: %+v", pre.WebhookRetry)
+	if pre.WebhooksSent != 1 {
+		t.Errorf("reset snapshot must report webhook traffic: %d", pre.WebhooksSent)
 	}
-	var m MetricsResponse
-	if err := json.Unmarshal(getBody(t, srv, "/api/v1/metrics"), &m); err != nil {
+	var mr MetricsResponse
+	if err := json.Unmarshal(doH(t, m, http.MethodGet, scoped+"metrics", nil).Body.Bytes(), &mr); err != nil {
 		t.Fatal(err)
 	}
-	if m.CommitsEvaluated != 0 {
-		t.Errorf("commit counters must reset: %+v", m.CommitsEvaluated)
+	if mr.CommitsEvaluated != 0 {
+		t.Errorf("commit counters must reset: %+v", mr.CommitsEvaluated)
 	}
-	if m.WAL == nil || m.WAL.Appends != pre.WAL.Appends {
-		t.Errorf("WAL counters must survive the cache reset: %+v vs %+v", m.WAL, pre.WAL)
+	if mr.WAL == nil || mr.WAL.Appends != pre.WAL.Appends {
+		t.Errorf("WAL counters must survive the cache reset: %+v vs %+v", mr.WAL, pre.WAL)
 	}
-	if m.WebhookRetry.Delivered != pre.WebhookRetry.Delivered {
-		t.Errorf("retry counters must survive the cache reset: %+v vs %+v", m.WebhookRetry, pre.WebhookRetry)
+	if mr.WebhookRetry.Delivered != 1 || mr.WebhooksSent != pre.WebhooksSent {
+		t.Errorf("retry counters must survive the cache reset: %+v, sent %d", mr.WebhookRetry, mr.WebhooksSent)
 	}
 
-	// Admin compact: the log folds into the snapshot and empties.
-	rec, _ = doJSON(t, srv, http.MethodPost, "/api/v1/admin/compact", nil)
+	// The project's admin compact: the log folds into the snapshot and
+	// empties.
+	rec = doH(t, m, http.MethodPost, scoped+"admin/compact", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("compact status = %d: %s", rec.Code, rec.Body.String())
 	}
-	if err := json.Unmarshal(getBody(t, srv, "/api/v1/metrics"), &m); err != nil {
+	if err := json.Unmarshal(doH(t, m, http.MethodGet, scoped+"metrics", nil).Body.Bytes(), &mr); err != nil {
 		t.Fatal(err)
 	}
-	if m.WAL.Compactions == 0 || m.WAL.SnapshotSeq == 0 || m.WAL.SizeBytes != 0 {
-		t.Errorf("post-compact WAL stats: %+v", m.WAL)
+	if mr.WAL.Compactions == 0 || mr.WAL.SnapshotSeq == 0 || mr.WAL.SizeBytes != 0 {
+		t.Errorf("post-compact WAL stats: %+v", mr.WAL)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, DefaultProject, "snapshot.json")); err != nil {
 		t.Errorf("compaction left no snapshot: %v", err)
 	}
 
-	// On a non-durable server the endpoint is a 409.
-	mem, _ := newTestServer(t, script.AdaptivityFull)
+	// On a non-durable control plane the endpoint is a 409.
+	mem := newTestMulti(t, MultiOptions{})
 	defer mem.Close()
-	rec, _ = doJSON(t, mem, http.MethodPost, "/api/v1/admin/compact", nil)
-	if rec.Code != http.StatusConflict {
+	if rec := doH(t, mem, http.MethodPost, scoped+"admin/compact", nil); rec.Code != http.StatusConflict {
 		t.Errorf("compact on in-memory server status = %d, want 409", rec.Code)
 	}
 }
@@ -753,7 +755,7 @@ func TestDurableAdminEndpoints(t *testing.T) {
 func TestDurableAutoCompaction(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := NewDurable(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1}) // every commit exceeds 1 byte
+	srv, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1}) // every commit exceeds 1 byte
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -774,7 +776,7 @@ func TestDurableAutoCompaction(t *testing.T) {
 	}
 	history := getBody(t, srv, "/api/v1/history")
 	// Crash after compaction: restart restores from the snapshot.
-	restarted, err := NewDurable(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1})
+	restarted, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -784,27 +786,25 @@ func TestDurableAutoCompaction(t *testing.T) {
 	}
 }
 
-// TestNewDurableValidation: bad genesis inputs fail fast.
+// TestNewDurableValidation: bad genesis inputs fail a durable tenant
+// before it opens a log.
 func TestNewDurableValidation(t *testing.T) {
 	g, _ := durableGenesis(t, 3, testSize)
-	if _, err := NewDurable(g, "", Options{}); err == nil {
-		t.Error("empty data dir must fail")
-	}
 	bad := g
 	bad.ModelPredictions = bad.ModelPredictions[:3]
-	if _, err := NewDurable(bad, t.TempDir(), Options{}); err == nil {
+	if _, err := newTenant(bad, t.TempDir(), Options{}); err == nil {
 		t.Error("mismatched genesis predictions must fail")
 	}
 	bad = g
 	bad.Condition = "!!"
-	if _, err := NewDurable(bad, t.TempDir(), Options{}); err == nil {
+	if _, err := newTenant(bad, t.TempDir(), Options{}); err == nil {
 		t.Error("bad condition must fail")
 	}
 }
 
 // TestDurableRestoredJobRunsWithProductionWorkers is the regression test
 // for the startup race: with real (non-manual) queue workers, a job
-// restored as queued must not execute before NewDurable has wired the
+// restored as queued must not execute before newTenant has wired the
 // engine journal and notifier — a job committing against a nil journal
 // would fsync a commit record with no audit records, and every subsequent
 // recovery would fail the audit cross-check, bricking the data dir. The
@@ -815,7 +815,7 @@ func TestDurableRestoredJobRunsWithProductionWorkers(t *testing.T) {
 	dir := t.TempDir()
 
 	// Accept a job but never run it (manual queue), then crash.
-	srv, err := NewDurable(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
+	srv, err := newTenant(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -835,8 +835,8 @@ func TestDurableRestoredJobRunsWithProductionWorkers(t *testing.T) {
 	// Abandon without Close: the job is in the log as queued, unevaluated.
 
 	// Restart on the production path: background workers, which execute
-	// the restored job as soon as NewDurable releases them.
-	revived, err := NewDurable(g, dir, Options{Webhooks: notify.NewOutbox()})
+	// the restored job as soon as newTenant releases them.
+	revived, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -848,7 +848,7 @@ func TestDurableRestoredJobRunsWithProductionWorkers(t *testing.T) {
 	// Abandon again without Close (no compaction): the third start must
 	// replay the raw log, including the restored job's charge/reveal
 	// records written by the revived process.
-	third, err := NewDurable(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
+	third, err := newTenant(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatalf("third start failed (restored job committed without its audit records?): %v", err)
 	}
@@ -866,7 +866,7 @@ func TestDurableRestoredJobRunsWithProductionWorkers(t *testing.T) {
 func TestDurableGenesisMismatch(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := NewDurable(g, dir, Options{Webhooks: notify.NewOutbox()})
+	srv, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -886,7 +886,7 @@ func TestDurableGenesisMismatch(t *testing.T) {
 	badSize.Labels = g.Labels[:len(g.Labels)-2]
 	badSize.ModelPredictions = g.ModelPredictions[:len(g.ModelPredictions)-2]
 	for name, bad := range map[string]Genesis{"reliability": badRel, "testset size": badSize} {
-		if s, err := NewDurable(bad, dir, Options{}); err == nil {
+		if s, err := newTenant(bad, dir, Options{}); err == nil {
 			s.Close()
 			t.Fatalf("restart with different %s accepted the old data dir", name)
 		} else if !strings.Contains(err.Error(), "fingerprint") {
@@ -896,18 +896,18 @@ func TestDurableGenesisMismatch(t *testing.T) {
 
 	// The original genesis still recovers; Close compacts, moving the
 	// fingerprint into the snapshot.
-	same, err := NewDurable(g, dir, Options{Webhooks: notify.NewOutbox()})
+	same, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	same.Close()
-	if s, err := NewDurable(badRel, dir, Options{}); err == nil {
+	if s, err := newTenant(badRel, dir, Options{}); err == nil {
 		s.Close()
 		t.Fatal("post-compaction restart with a different config accepted the old data dir")
 	} else if !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("snapshot mismatch error = %v, want a fingerprint error", err)
 	}
-	final, err := NewDurable(g, dir, Options{Webhooks: notify.NewOutbox()})
+	final, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"github.com/easeml/ci/internal/script"
 )
 
 // TestMetricsEarlyExitCounters covers the label-savings observability:
@@ -16,7 +14,10 @@ import (
 // process-wide counters in /api/v1/metrics aggregate them (total saved,
 // early exits, exits-by-look histogram), and the admin reset clears them.
 func TestMetricsEarlyExitCounters(t *testing.T) {
-	srv, labels := newTestServer(t, script.AdaptivityFull)
+	m := newTestMulti(t, MultiOptions{})
+	defer m.Close()
+	srv := m.Default()
+	_, labels := durableGenesis(t, 3, testSize)
 
 	// A clearly broken candidate (far below the threshold) is the
 	// non-borderline case the sequential evaluation wins on.
@@ -38,18 +39,18 @@ func TestMetricsEarlyExitCounters(t *testing.T) {
 		t.Fatalf("fresh %d + saved %d != testset %d", resp.FreshLabels, resp.LabelsSaved, testSize)
 	}
 
-	var m MetricsResponse
-	if err := json.Unmarshal(getBody(t, srv, "/api/v1/metrics"), &m); err != nil {
+	var mr MetricsResponse
+	if err := json.Unmarshal(getBody(t, srv, "/api/v1/metrics"), &mr); err != nil {
 		t.Fatal(err)
 	}
-	if m.LabelsSavedTotal != uint64(resp.LabelsSaved) {
-		t.Errorf("labels_saved_total = %d, want %d", m.LabelsSavedTotal, resp.LabelsSaved)
+	if mr.LabelsSavedTotal != uint64(resp.LabelsSaved) {
+		t.Errorf("labels_saved_total = %d, want %d", mr.LabelsSavedTotal, resp.LabelsSaved)
 	}
-	if m.EarlyExitsTotal != 1 {
-		t.Errorf("early_exits_total = %d, want 1", m.EarlyExitsTotal)
+	if mr.EarlyExitsTotal != 1 {
+		t.Errorf("early_exits_total = %d, want 1", mr.EarlyExitsTotal)
 	}
-	if len(m.EarlyExitLooks) <= resp.Looks || m.EarlyExitLooks[resp.Looks] != 1 {
-		t.Errorf("early_exit_looks = %v, want a count at look %d", m.EarlyExitLooks, resp.Looks)
+	if len(mr.EarlyExitLooks) <= resp.Looks || mr.EarlyExitLooks[resp.Looks] != 1 {
+		t.Errorf("early_exit_looks = %v, want a count at look %d", mr.EarlyExitLooks, resp.Looks)
 	}
 
 	// An even worse candidate exits early for free: the first commit's
@@ -61,16 +62,16 @@ func TestMetricsEarlyExitCounters(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("commit status = %d: %s", rec.Code, rec.Body.String())
 	}
-	if err := json.Unmarshal(getBody(t, srv, "/api/v1/metrics"), &m); err != nil {
+	if err := json.Unmarshal(getBody(t, srv, "/api/v1/metrics"), &mr); err != nil {
 		t.Fatal(err)
 	}
-	if m.EarlyExitsTotal != 2 {
-		t.Errorf("early_exits_total = %d, want 2", m.EarlyExitsTotal)
+	if mr.EarlyExitsTotal != 2 {
+		t.Errorf("early_exits_total = %d, want 2", mr.EarlyExitsTotal)
 	}
 
 	// The admin reset returns the counters to zero with the rest of the
 	// commit statistics.
-	if rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/admin/reset-caches", nil); rec.Code != http.StatusOK {
+	if rec := doH(t, m, http.MethodPost, "/api/v1/projects/default/admin/reset-caches", nil); rec.Code != http.StatusOK {
 		t.Fatalf("reset status = %d", rec.Code)
 	}
 	var post MetricsResponse
@@ -89,7 +90,7 @@ func TestMetricsEarlyExitCounters(t *testing.T) {
 func TestDurableJournalsLooks(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := NewDurable(g, dir, Options{})
+	srv, err := newTenant(g, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestDurableJournalsLooks(t *testing.T) {
 
 	// Crash (no Close): restart replays the log, cross-checking the
 	// recorded look decisions against the re-run evaluation.
-	restarted, err := NewDurable(g, dir, Options{})
+	restarted, err := newTenant(g, dir, Options{})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}

@@ -82,7 +82,7 @@ func runGoldenScript(t *testing.T, cond string, ed engine.EarlyDecision) (respon
 	}
 	var tick atomic.Int64
 	dir := t.TempDir()
-	srv, err := NewDurable(g, dir, Options{
+	srv, err := newTenant(g, dir, Options{
 		Clock:         func() int64 { return tick.Add(1) },
 		WALNoSync:     true,
 		CompactAt:     -1,

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -20,29 +19,14 @@ import (
 	"github.com/easeml/ci/internal/wal"
 )
 
-// Multi is the multi-project control plane: a registry of tenants, each
-// an isolated Server (own engine, commit queue, and — in durable mode —
-// own write-ahead log under dataDir/<project-id>/), multiplexed onto one
-// shared worker pool with weighted round-robin scheduling and one shared
-// plan cache. The pre-projects single-tenant API keeps working: every
-// old path is an alias for the implicit "default" project, served by the
-// identical Server code byte-for-byte.
-//
-// Routing:
-//
-//	POST /api/v1/projects                 register a project (spec below)
-//	GET  /api/v1/projects                 list projects, creation order
-//	GET  /api/v1/projects/{id}            one project's info
-//	DELETE /api/v1/projects/{id}          unregister + delete its state
-//	POST /api/v1/projects/{id}/suspend    stop accepting new work
-//	POST /api/v1/projects/{id}/resume     accept work again
-//	*    /api/v1/projects/{id}/<rest>     the single-tenant API, scoped
-//	GET  /api/v1/metrics                  control-plane metrics: shared
-//	                                      caches once, scheduler, per-tenant
-//	POST /api/v1/admin/reset-caches       reset shared caches + counters
-//	                                      (?project= scopes to one tenant)
-//	POST /api/v1/admin/compact            compact all logs (?project=)
-//	*    /api/v1/<anything else>          alias for the default project
+// Multi is the multi-project control plane and the only http.Handler: a
+// registry of tenants, each an isolated Server (own engine, commit
+// queue, and — in durable mode — own write-ahead log under
+// dataDir/<project-id>/), multiplexed onto one shared worker pool with
+// weighted round-robin scheduling and one shared plan cache. Every
+// request is routed from one table (see ServeHTTP): the pre-projects
+// single-tenant paths keep working as aliases of the implicit "default"
+// project, answered by the same handlers as its scoped paths.
 type Multi struct {
 	dataDir     string
 	base        Options
@@ -66,8 +50,7 @@ type Multi struct {
 	// backups/backupBytes count unscoped (whole-control-plane) backups.
 	// None are cleared by the admin cache reset.
 	controlSalvages atomic.Uint64
-	backups         atomic.Uint64
-	backupBytes     atomic.Uint64
+	backupCounters
 
 	// lifecycleMu serializes create/suspend/resume/delete/Close against
 	// each other without blocking request routing.
@@ -188,9 +171,11 @@ func (sp ProjectSpec) genesis() (Genesis, error) {
 	if len(g.ModelPredictions) != len(g.Labels) {
 		return Genesis{}, fmt.Errorf("%d model predictions for %d labels", len(g.ModelPredictions), len(g.Labels))
 	}
-	if _, err := datasetFromLabels("genesis", g.Labels, g.Classes); err != nil {
+	ds, err := datasetFromLabels("genesis", g.Labels, g.Classes)
+	if err != nil {
 		return Genesis{}, err
 	}
+	g.ds = ds
 	return g, nil
 }
 
@@ -296,14 +281,18 @@ func NewMulti(g Genesis, opts MultiOptions) (*Multi, error) {
 // has a data dir), registers its queue with the scheduler, and re-kicks
 // any jobs recovery restored as queued.
 func (m *Multi) openTenant(id string, g Genesis, weight int, topts Options) (*Server, error) {
-	srv, err := m.buildTenant(id, g, topts)
+	dir := ""
+	if m.dataDir != "" {
+		dir = filepath.Join(m.dataDir, id)
+	}
+	srv, err := newTenant(g, dir, topts)
 	if err != nil && m.autoSalvage && m.dataDir != "" && errors.Is(err, wal.ErrCorrupt) {
 		// Damaged state and the operator opted into automatic repair:
 		// quarantine the bad suffix, retry once. The original error is kept
 		// in the chain if the retry fails too, so the caller's
 		// errors.Is(err, wal.ErrCorrupt) sick-tenant handling still fires.
-		if res, serr := wal.Salvage(filepath.Join(m.dataDir, id)); serr == nil && res.Repaired {
-			srv2, rerr := m.buildTenant(id, g, topts)
+		if res, serr := wal.Salvage(dir); serr == nil && res.Repaired {
+			srv2, rerr := newTenant(g, dir, topts)
 			if rerr == nil {
 				srv, err = srv2, nil
 				srv.salvageRuns.Add(1)
@@ -330,15 +319,6 @@ func (m *Multi) openTenant(id string, g Genesis, weight int, topts Options) (*Se
 	delete(m.sick, id)
 	m.mu.Unlock()
 	return srv, nil
-}
-
-// buildTenant constructs one project's server, durable when the control
-// plane has a data dir.
-func (m *Multi) buildTenant(id string, g Genesis, topts Options) (*Server, error) {
-	if m.dataDir != "" {
-		return NewDurable(g, filepath.Join(m.dataDir, id), topts)
-	}
-	return NewFromGenesis(g, topts)
 }
 
 // projectQuotas are the quotas a registered project's spec sets.
@@ -445,6 +425,12 @@ func (m *Multi) sweepOrphans() {
 	}
 }
 
+// projects lists the default project, then the registered ones in
+// creation order.
+func (m *Multi) projects() []registry.Project {
+	return append([]registry.Project{{ID: DefaultProject, State: registry.Active}}, m.reg.List()...)
+}
+
 // tenant looks one project's server up.
 func (m *Multi) tenant(id string) *Server {
 	m.mu.RLock()
@@ -542,16 +528,9 @@ type TenantMetrics struct {
 // other, so per-tenant attribution would double-count), the scheduler,
 // the control log, and each tenant's own counters.
 type MultiMetricsResponse struct {
-	PlanCache             planner.Stats   `json:"plan_cache"`
-	ExactMemoHits         uint64          `json:"exact_memo_hits"`
-	ExactMemoMisses       uint64          `json:"exact_memo_misses"`
-	ExactMemoLen          int             `json:"exact_memo_entries"`
-	ExactEvals            uint64          `json:"exact_evals"`
-	SweepEvents           uint64          `json:"sweep_events"`
-	SweepSegmentsAnalytic uint64          `json:"sweep_segments_analytic"`
-	SweepSegmentsRefined  uint64          `json:"sweep_segments_refined"`
-	Scheduler             queue.PoolStats `json:"scheduler"`
-	ControlWAL            *wal.Stats      `json:"control_wal,omitempty"`
+	SharedCacheStats
+	Scheduler  queue.PoolStats `json:"scheduler"`
+	ControlWAL *wal.Stats      `json:"control_wal,omitempty"`
 	// LabelsSavedTotal / EarlyExitsTotal sum the early-decision savings
 	// across every tenant — the fleet-wide view of what the sequential
 	// evaluation is worth; per-tenant attribution is in Projects.
@@ -592,44 +571,6 @@ func (s *Server) resetCommitCounters() {
 	s.earlyExits.Store(0)
 	for i := range s.lookHist {
 		s.lookHist[i].Store(0)
-	}
-}
-
-// --- routing ------------------------------------------------------------
-
-const projectsPath = "/api/v1/projects"
-
-// ServeHTTP routes control-plane paths itself, scoped project paths to
-// their tenant, and everything else to the default project unchanged.
-func (m *Multi) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Path
-	switch {
-	case path == projectsPath || path == projectsPath+"/":
-		m.handleProjects(w, r)
-	case strings.HasPrefix(path, projectsPath+"/"):
-		m.handleProject(w, r, strings.TrimPrefix(path, projectsPath+"/"))
-	case path == "/api/v1/metrics":
-		m.handleMetrics(w, r)
-	case path == "/api/v1/admin/reset-caches":
-		m.handleAdminReset(w, r)
-	case path == "/api/v1/admin/compact":
-		m.handleAdminCompact(w, r)
-	case path == "/api/v1/admin/backup":
-		m.handleAdminBackup(w, r)
-	case path == "/healthz":
-		m.handleHealthz(w, r)
-	case path == "/readyz":
-		m.handleReadyz(w, r)
-	default:
-		// The pre-projects single-tenant API: an alias for the default
-		// project, served by the identical handler chain byte-for-byte.
-		def := m.Default()
-		if def == nil {
-			reason, _ := m.sickReason(DefaultProject)
-			writeSickError(w, DefaultProject, reason)
-			return
-		}
-		def.ServeHTTP(w, r)
 	}
 }
 
@@ -763,35 +704,6 @@ func (m *Multi) handleCreateProject(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, m.projectInfo(p))
 }
 
-// handleProject dispatches /api/v1/projects/{id}[/...]: lifecycle verbs
-// handled here, everything else delegated to the tenant.
-func (m *Multi) handleProject(w http.ResponseWriter, r *http.Request, rest string) {
-	id, sub, _ := strings.Cut(rest, "/")
-	if id == "" {
-		writeError(w, http.StatusNotFound, "project ID required: "+projectsPath+"/{id}")
-		return
-	}
-	switch sub {
-	case "":
-		switch r.Method {
-		case http.MethodGet:
-			m.handleProjectInfo(w, id)
-		case http.MethodDelete:
-			m.handleDeleteProject(w, id)
-		default:
-			writeError(w, http.StatusMethodNotAllowed, "GET or DELETE only")
-		}
-	case "suspend", "resume":
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		m.handleProjectState(w, id, sub == "suspend")
-	default:
-		m.delegate(w, r, id, sub)
-	}
-}
-
 func (m *Multi) handleProjectInfo(w http.ResponseWriter, id string) {
 	if id == DefaultProject {
 		writeJSON(w, http.StatusOK, m.projectInfos()[0])
@@ -871,86 +783,17 @@ func (m *Multi) handleDeleteProject(w http.ResponseWriter, id string) {
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
-// delegate rewrites /api/v1/projects/{id}/<rest> to /api/v1/<rest> and
-// hands it to the tenant's own handler chain — the same code the alias
-// paths run, so a scoped response and an unscoped one cannot drift.
-// Suspended projects keep answering reads but refuse new work.
-func (m *Multi) delegate(w http.ResponseWriter, r *http.Request, id, rest string) {
-	srv := m.tenant(id)
-	if srv == nil {
-		if reason, ok := m.sickReason(id); ok {
-			writeSickError(w, id, reason)
-			return
-		}
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no project %q", id))
-		return
-	}
-	if id != DefaultProject {
-		p, ok := m.reg.Get(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("no project %q", id))
-			return
-		}
-		if p.State == registry.Suspended && mutatingSub(rest) {
-			writeError(w, http.StatusConflict, fmt.Sprintf("project %q is suspended", id))
-			return
-		}
-	}
-	r2 := new(http.Request)
-	*r2 = *r
-	u2 := *r.URL
-	u2.Path = "/api/v1/" + rest
-	r2.URL = &u2
-	srv.ServeHTTP(w, r2)
-}
-
-// mutatingSub reports whether a scoped sub-path accepts new work — the
-// endpoints a suspended project refuses. The answer is derived from the
-// tenant route table (the same rows newServer registers handlers from),
-// so a future mutating endpoint cannot silently bypass the suspension
-// policy: it is either marked mutating in its route row or deliberately
-// not. Reads (plan, status, history, metrics, job polls) and job
-// cancellation stay available.
-func mutatingSub(rest string) bool {
-	path := "/api/v1/" + rest
-	for _, rt := range tenantRoutes {
-		if !rt.mutating {
-			continue
-		}
-		// Mirror ServeMux semantics: a pattern ending in "/" matches the
-		// whole subtree, anything else matches exactly.
-		if path == rt.pattern || (strings.HasSuffix(rt.pattern, "/") && strings.HasPrefix(path, rt.pattern)) {
-			return true
-		}
-	}
-	return false
-}
-
 // --- control-plane metrics and admin ------------------------------------
 
 // metricsSnapshot gathers the control-plane metrics: shared caches once,
 // then every tenant.
 func (m *Multi) metricsSnapshot() MultiMetricsResponse {
-	hits, misses, entries := bounds.ExactCacheStats()
-	events, analytic, refined := bounds.ExactSweepStats()
 	resp := MultiMetricsResponse{
-		PlanCache:             planner.Default.Stats(),
-		ExactMemoHits:         hits,
-		ExactMemoMisses:       misses,
-		ExactMemoLen:          entries,
-		ExactEvals:            bounds.ExactProbeEvals(),
-		SweepEvents:           events,
-		SweepSegmentsAnalytic: analytic,
-		SweepSegmentsRefined:  refined,
-		Scheduler:             m.pool.Stats(),
-		ControlWAL:            m.reg.Stats(),
+		SharedCacheStats: sharedCacheStats(),
+		Scheduler:        m.pool.Stats(),
+		ControlWAL:       m.reg.Stats(),
 	}
-	if def := m.Default(); def != nil {
-		resp.Projects = append(resp.Projects, def.tenantMetrics(DefaultProject, string(registry.Active)))
-	} else {
-		resp.Projects = append(resp.Projects, m.sickTenantMetrics(DefaultProject))
-	}
-	for _, p := range m.reg.List() {
+	for _, p := range m.projects() {
 		if srv := m.tenant(p.ID); srv != nil {
 			resp.Projects = append(resp.Projects, srv.tenantMetrics(p.ID, string(p.State)))
 		} else if _, ok := m.sickReason(p.ID); ok {
@@ -981,45 +824,47 @@ func (m *Multi) sickTenantMetrics(id string) TenantMetrics {
 	}
 }
 
-func (m *Multi) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (m *Multi) handleMetrics(w http.ResponseWriter, r *http.Request, _ scope) {
 	writeJSON(w, http.StatusOK, m.metricsSnapshot())
 }
 
-// scopedTenant resolves an optional ?project= parameter: ("", nil, true)
-// when absent, or the named tenant; unknown IDs answer 404.
-func (m *Multi) scopedTenant(w http.ResponseWriter, r *http.Request) (string, *Server, bool) {
-	id := r.URL.Query().Get("project")
+// scopedTenant resolves an admin request's scope: the project its path
+// names, else an optional ?project= parameter. It answers ("", nil, true)
+// when unscoped; unknown IDs answer 404 and sick ones 503.
+func (m *Multi) scopedTenant(w http.ResponseWriter, r *http.Request, sc scope) (string, *Server, bool) {
+	id := sc.id
+	if id == "" {
+		id = r.URL.Query().Get("project")
+	}
 	if id == "" {
 		return "", nil, true
 	}
+	srv, ok := m.openProject(w, id)
+	return id, srv, ok
+}
+
+// openProject looks a project's tenant up, answering 503 for a sick
+// project and 404 for an unknown one.
+func (m *Multi) openProject(w http.ResponseWriter, id string) (*Server, bool) {
 	srv := m.tenant(id)
 	if srv == nil {
 		if reason, ok := m.sickReason(id); ok {
 			writeSickError(w, id, reason)
-			return "", nil, false
+		} else {
+			writeError(w, http.StatusNotFound, fmt.Sprintf("no project %q", id))
 		}
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no project %q", id))
-		return "", nil, false
 	}
-	return id, srv, true
+	return srv, srv != nil
 }
 
 // handleAdminReset is the project-aware cache reset. Unscoped, it clears
 // the shared caches exactly once plus every tenant's counters, and
 // reports the pre-reset control-plane snapshot (shared counters once,
-// not repeated per tenant). Scoped with ?project=, it clears only that
-// tenant's counters — the shared caches serve every tenant and are not a
-// single project's to drop.
-func (m *Multi) handleAdminReset(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	id, srv, ok := m.scopedTenant(w, r)
+// not repeated per tenant). Scoped to a project, by path or ?project=,
+// it clears only that tenant's counters — the shared caches serve every
+// tenant and are not a single project's to drop.
+func (m *Multi) handleAdminReset(w http.ResponseWriter, r *http.Request, sc scope) {
+	id, srv, ok := m.scopedTenant(w, r, sc)
 	if !ok {
 		return
 	}
@@ -1052,13 +897,9 @@ type CompactResponse struct {
 }
 
 // handleAdminCompact snapshots and truncates write-ahead logs on demand:
-// one project's with ?project=, otherwise every durable tenant's plus
-// the control log.
-func (m *Multi) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+// one project's when scoped (by path or ?project=), otherwise every
+// durable tenant's plus the control log.
+func (m *Multi) handleAdminCompact(w http.ResponseWriter, r *http.Request, sc scope) {
 	if m.dataDir == "" {
 		writeError(w, http.StatusConflict, "control plane is not durable (no data directory)")
 		return
@@ -1068,7 +909,7 @@ func (m *Multi) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 	// remove its directory while Compact is writing a snapshot into it.
 	m.lifecycleMu.Lock()
 	defer m.lifecycleMu.Unlock()
-	id, srv, ok := m.scopedTenant(w, r)
+	id, srv, ok := m.scopedTenant(w, r, sc)
 	if !ok {
 		return
 	}
@@ -1089,14 +930,9 @@ func (m *Multi) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 		resp.Projects[id] = srv.WALStats()
 		return true
 	}
-	if def := m.Default(); def != nil && !compactOne(DefaultProject, def) {
-		return
-	}
-	for _, p := range m.reg.List() {
-		if srv := m.tenant(p.ID); srv != nil {
-			if !compactOne(p.ID, srv) {
-				return
-			}
+	for _, p := range m.projects() {
+		if srv := m.tenant(p.ID); srv != nil && !compactOne(p.ID, srv) {
+			return
 		}
 	}
 	if err := m.reg.Compact(); err != nil {

@@ -65,7 +65,7 @@ func jobState(t *testing.T, srv *Server, id string) JobStatusResponse {
 // verdict byte-identical to a server whose oracle never failed.
 func TestParkAndReleaseEndToEnd(t *testing.T) {
 	control, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{ManualQueue: true})
-	acc := submitAsync(t, control, "/api/v1/commit/async", labels, "cand", 2)
+	acc := submitAsync(t, tenantHandler(control), "/api/v1/commit/async", labels, "cand", 2)
 	if !control.RunNextJob() {
 		t.Fatal("control job did not run")
 	}
@@ -79,7 +79,7 @@ func TestParkAndReleaseEndToEnd(t *testing.T) {
 		ManualRelease: true,
 		OracleFactory: flakyFactory(2),
 	})
-	acc = submitAsync(t, srv, "/api/v1/commit/async", labels, "cand", 2)
+	acc = submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
 	if !srv.RunNextJob() {
 		t.Fatal("flaky job did not run")
 	}
@@ -141,7 +141,7 @@ func TestParkAutoRelease(t *testing.T) {
 		ManualQueue:   true,
 		OracleFactory: factory,
 	})
-	acc := submitAsync(t, srv, "/api/v1/commit/async", labels, "cand", 2)
+	acc := submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
 	if !srv.RunNextJob() {
 		t.Fatal("job did not run")
 	}
@@ -174,7 +174,7 @@ func TestParkMetricsSurviveAdminReset(t *testing.T) {
 		ManualRelease: true,
 		OracleFactory: flakyFactory(2),
 	})
-	acc := submitAsync(t, srv, "/api/v1/commit/async", labels, "cand", 2)
+	acc := submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
 	srv.RunNextJob()
 	srv.ReleaseParked()
 	srv.RunNextJob()
@@ -204,9 +204,8 @@ func TestParkMetricsSurviveAdminReset(t *testing.T) {
 		t.Fatalf("oracle stats missing breaker status: %+v", st)
 	}
 
-	if rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/admin/reset-caches", nil); rec.Code != http.StatusOK {
-		t.Fatalf("admin reset = %d", rec.Code)
-	}
+	// The tenant's half of the admin reset.
+	srv.resetCommitCounters()
 	after := metrics()["label_oracle"]
 	if !bytes.Equal(before, after) {
 		t.Errorf("admin reset changed oracle health:\n before %s\n after  %s", before, after)
@@ -235,19 +234,19 @@ func TestDurableRestartWhileParked(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 
 	controlDir := t.TempDir()
-	control, err := NewDurable(g, controlDir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
+	control, err := newTenant(g, controlDir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer control.Close()
-	cacc := submitAsync(t, control, "/api/v1/commit/async", labels, "cand", 2)
+	cacc := submitAsync(t, tenantHandler(control), "/api/v1/commit/async", labels, "cand", 2)
 	if !control.RunNextJob() {
 		t.Fatal("control job did not run")
 	}
 	want := jobState(t, control, cacc.JobID)
 
 	dir := t.TempDir()
-	srv, err := NewDurable(g, dir, Options{
+	srv, err := newTenant(g, dir, Options{
 		ManualQueue:   true,
 		ManualRelease: true,
 		Webhooks:      notify.NewOutbox(),
@@ -256,7 +255,7 @@ func TestDurableRestartWhileParked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := submitAsync(t, srv, "/api/v1/commit/async", labels, "cand", 2)
+	acc := submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
 	if !srv.RunNextJob() {
 		t.Fatal("job did not run")
 	}
@@ -265,7 +264,7 @@ func TestDurableRestartWhileParked(t *testing.T) {
 	}
 	// Crash: no Close, no release. The provider is back when the process
 	// returns.
-	restarted, err := NewDurable(g, dir, Options{
+	restarted, err := newTenant(g, dir, Options{
 		ManualQueue:   true,
 		ManualRelease: true,
 		Webhooks:      notify.NewOutbox(),
@@ -363,7 +362,7 @@ func TestJobCancelWhileParked(t *testing.T) {
 		ManualRelease: true,
 		OracleFactory: flakyFactory(1000),
 	})
-	acc := submitAsync(t, srv, "/api/v1/commit/async", labels, "cand", 2)
+	acc := submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
 	if !srv.RunNextJob() {
 		t.Fatal("job did not run")
 	}
@@ -396,7 +395,7 @@ func TestParkReleaseKicksScheduler(t *testing.T) {
 		OracleFactory: flakyFactory(2),
 		OnEnqueue:     func() { kicks++ },
 	})
-	submitAsync(t, srv, "/api/v1/commit/async", labels, "cand", 2)
+	submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
 	if kicks != 1 {
 		t.Fatalf("kicks after submit = %d, want 1", kicks)
 	}

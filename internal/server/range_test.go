@@ -48,7 +48,7 @@ func TestCommitRangeErrors(t *testing.T) {
 	dir := t.TempDir()
 	var tick atomic.Int64
 	opts := Options{Clock: func() int64 { return tick.Add(1) }, WALNoSync: true, CompactAt: -1}
-	srv, err := NewDurable(g, dir, opts)
+	srv, err := newTenant(g, dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCommitRangeErrors(t *testing.T) {
 	}
 
 	// Crash: abandon srv and replay the log.
-	restarted, err := NewDurable(g, dir, opts)
+	restarted, err := newTenant(g, dir, opts)
 	if err != nil {
 		t.Fatalf("restart from the log: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestCommitRangeErrors(t *testing.T) {
 		t.Errorf("snapshot bytes changed: sha256 %x, want %s", sum, rangeSnapSum)
 	}
 
-	fromSnap, err := NewDurable(g, dir, opts)
+	fromSnap, err := newTenant(g, dir, opts)
 	if err != nil {
 		t.Fatalf("restart from the snapshot: %v", err)
 	}

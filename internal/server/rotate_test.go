@@ -209,7 +209,7 @@ func TestDurableRotateAnyLayout(t *testing.T) {
 			t.Fatalf("%s: canonical = %v, want %v", tc.name, !tc.canonical, tc.canonical)
 		}
 		dir := t.TempDir()
-		srv, err := NewDurable(g, dir, Options{Webhooks: notify.NewOutbox()})
+		srv, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,13 +308,13 @@ func BenchmarkRotate(b *testing.B) {
 					if srv != nil {
 						srv.Close()
 					}
-					if srv, err = NewFromGenesis(g, Options{}); err != nil {
+					if srv, err = newTenant(g, "", Options{}); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()
 				}
 				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/testset", bytes.NewReader(body)))
+				serveTenant(srv, rec, httptest.NewRequest(http.MethodPost, "/api/v1/testset", bytes.NewReader(body)))
 				if rec.Code != http.StatusOK {
 					b.Fatalf("rotate status = %d: %s", rec.Code, rec.Body.String())
 				}

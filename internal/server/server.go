@@ -4,43 +4,8 @@
 // the (adaptivity-filtered) signal, and the integration team reads status,
 // plans, and history, and rotates testsets when the alarm fires.
 //
-// Endpoints (JSON):
-//
-//	GET  /api/v1/plan        the labeling plan; optional query parameters
-//	                         (condition, reliability, steps, adaptivity)
-//	                         override the configured script for ad-hoc plan
-//	                         queries — unknown parameters are rejected with
-//	                         400, and a parameter set equal to the server's
-//	                         own config is served with the engine's planner
-//	                         options, exactly as the engine enforces it
-//	POST /api/v1/plan/batch  {"queries":[{condition?, reliability?, steps?,
-//	                         adaptivity?}, ...]} — up to MaxBatchQueries
-//	                         plan queries resolved in one request, fanned
-//	                         across the worker pool, with per-item results
-//	                         or errors; amortizes HTTP overhead for
-//	                         dashboard sweeps
-//	GET  /api/v1/status      testset generation/budget, active model, label cost
-//	GET  /api/v1/history     evaluation results so far
-//	GET  /api/v1/metrics     plan-cache, exact-bound-memo, worst-case-sweep,
-//	                         commit-queue, and webhook counters
-//	POST /api/v1/commit      {"model":..., "author":..., "message":..., "predictions":[...]}
-//	                         in any valid JSON layout, at most 1 MiB + 32
-//	                         bytes per current testset example (larger
-//	                         bodies answer 400); "webhook" is ignored
-//	POST /api/v1/commit/async       same payload and limit plus optional
-//	                                "webhook"; 202 + job ID, evaluated FIFO
-//	                                off the queue
-//	GET  /api/v1/commit/jobs/{id}   poll one job (DELETE cancels it while queued)
-//	POST /api/v1/testset     {"labels":[...], "active_predictions":[...]}  (rotation)
-//	                         in any valid JSON layout, at most 2 MiB + 64
-//	                         bytes per current testset example (larger
-//	                         bodies answer 400)
-//	POST /api/v1/projects    {"id":..., "condition":..., "labels":[...],
-//	                         "model_predictions":[...], ...} (see Multi and
-//	                         ProjectSpec) in any valid JSON layout, at most
-//	                         8 MiB (larger bodies answer 400)
-//	POST /api/v1/admin/reset-caches clear plan cache + exact-bound memo,
-//	                                returning the pre-reset counters
+// Multi is the only http.Handler: it serves every project, and the
+// routes are listed in one table in routes.go.
 //
 // All plans — single and batch — are served through the sharded LRU plan
 // cache (internal/planner), so concurrent plan traffic neither recomputes
@@ -48,12 +13,12 @@
 // exposes the aggregated per-shard hit/miss/entry counters.
 //
 // Commits — synchronous and asynchronous — flow through one bounded FIFO
-// queue (internal/queue) drained into engine.Commit: POST /api/v1/commit
-// enqueues and waits, POST /api/v1/commit/async enqueues and returns 202
-// immediately. Both paths execute the identical code, so for the same
-// commit sequence they produce byte-identical CommitResponses and engine
-// history; a burst of submissions is absorbed as queued jobs instead of
-// stacking callers on the engine lock.
+// queue (internal/queue) drained into engine.Commit: POST commit enqueues
+// and waits, POST commit/async enqueues and returns 202 immediately. Both
+// paths execute the identical code, so for the same commit sequence they
+// produce byte-identical CommitResponses and engine history; a burst of
+// submissions is absorbed as queued jobs instead of stacking callers on
+// the engine lock.
 //
 // # Storage fault tolerance
 //
@@ -114,16 +79,16 @@ import (
 	"github.com/easeml/ci/internal/wal"
 )
 
-// Server wraps an engine behind an http.Handler. The engine is not
-// concurrency-safe; all commit evaluation is serialized through the job
-// queue and the engine lock. Plan queries are read-only and served
-// through the plan cache without touching the engine lock.
+// Server is one project's tenant: an engine, its commit queue and, in
+// durable mode, its write-ahead log. Multi routes requests to its
+// handlers. The engine is not concurrency-safe; all commit evaluation
+// is serialized through the job queue and the engine lock. Plan queries
+// are read-only and served through the plan cache without touching the
+// engine lock.
 type Server struct {
-	mu    sync.Mutex
-	eng   *engine.Engine
-	cfg   *script.Config
-	mux   *http.ServeMux
-	plans *planner.Cache
+	mu  sync.Mutex
+	eng *engine.Engine
+	cfg *script.Config
 	// testsetLen mirrors the current testset's size so commit handlers
 	// can bound and size a body without waiting for the engine lock.
 	testsetLen atomic.Int64
@@ -150,13 +115,12 @@ type Server struct {
 	// every WAL append outside the engine lock (lock order: s.mu or the
 	// queue's lock, then tableMu, then the log's internal leaf mutex —
 	// Compact holds s.mu+tableMu, freezing all appenders).
-	wlog         *wal.Log
-	walFailed    atomic.Bool
-	genesisFP    string
-	dataDir      string
-	salvageRuns  atomic.Uint64
-	backups      atomic.Uint64
-	backupBytes  atomic.Uint64
+	wlog        *wal.Log
+	walFailed   atomic.Bool
+	genesisFP   string
+	dataDir     string
+	salvageRuns atomic.Uint64
+	backupCounters
 	tableMu      sync.Mutex
 	table        map[string]*jobEntry
 	tableOrder   []string
@@ -235,8 +199,7 @@ type Options struct {
 	// negative disables automatic compaction.
 	CompactAt int64
 	// EngineNotifier receives the engine's third-party results and
-	// alarms in durable mode (NewDurable builds the engine itself); nil
-	// means an in-memory outbox.
+	// alarms; nil means an in-memory outbox.
 	EngineNotifier notify.Notifier
 	// OnEnqueue runs under the queue lock, atomically with a commit job's
 	// acceptance (sync or async path) and after its submit record is
@@ -333,52 +296,8 @@ func (s *Server) lookHistSnapshot() []uint64 {
 	return out[:n]
 }
 
-// New builds a server around an existing engine and its script config,
-// with default options.
-func New(cfg *script.Config, eng *engine.Engine) (*Server, error) {
-	return NewWithOptions(cfg, eng, Options{})
-}
-
-// NewWithOptions builds a server with an explicitly configured commit
-// queue. Callers must Close the server to drain the queue on shutdown.
-func NewWithOptions(cfg *script.Config, eng *engine.Engine, opts Options) (*Server, error) {
-	return newServer(cfg, eng, opts, nil)
-}
-
-// NewFromGenesis builds an in-memory server from the same Genesis a
-// durable server starts from: script, first testset, and baseline model,
-// but no write-ahead log — state dies with the process. It is how a
-// multi-project control plane without a data directory instantiates
-// tenants from their registered specs.
-func NewFromGenesis(g Genesis, opts Options) (*Server, error) {
-	cfg, err := g.config()
-	if err != nil {
-		return nil, err
-	}
-	if len(g.ModelPredictions) != len(g.Labels) {
-		return nil, fmt.Errorf("server: genesis has %d model predictions for %d labels", len(g.ModelPredictions), len(g.Labels))
-	}
-	ds, err := datasetFromLabels("genesis", g.Labels, g.Classes)
-	if err != nil {
-		return nil, fmt.Errorf("server: genesis: %w", err)
-	}
-	en := opts.EngineNotifier
-	if en == nil {
-		en = notify.NewOutbox()
-	}
-	eng, err := engine.New(cfg, ds, labeling.NewTruthOracle(ds.Y), engine.Options{
-		InitialModel:  model.NewFixedPredictions(g.ModelName, g.ModelPredictions),
-		Notifier:      en,
-		EarlyDecision: opts.EarlyDecision,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("server: genesis: %w", err)
-	}
-	return newServer(cfg, eng, opts, nil)
-}
-
-// durableState carries the recovered write-ahead state from NewDurable
-// into the shared constructor; nil means an in-memory server.
+// durableState carries the recovered write-ahead state from openDurable
+// into newTenant; nil means an in-memory server.
 type durableState struct {
 	log       *wal.Log
 	eng       *engine.Engine
@@ -391,11 +310,34 @@ type durableState struct {
 	tornAudit int
 }
 
-func newServer(cfg *script.Config, eng *engine.Engine, opts Options, d *durableState) (*Server, error) {
-	if cfg == nil || eng == nil {
-		return nil, fmt.Errorf("server: nil config or engine")
+// newTenant builds one project's server from its Genesis: the script, the
+// first testset and the baseline model. With dataDir == "" the state is
+// in-memory and dies with the process. Otherwise every externally
+// acknowledged mutation (job accepted, commit evaluated, job canceled,
+// testset rotated, webhook resolved) is in the write-ahead log under
+// dataDir before the acknowledgment, and a restart replays snapshot + log
+// through the same engine code to a byte-identical state: pending jobs
+// re-enqueue and run exactly once, unresolved webhooks redeliver.
+// Callers must Close the server to drain its queue and release the log.
+func newTenant(g Genesis, dataDir string, opts Options) (*Server, error) {
+	cfg, err := g.config()
+	if err != nil {
+		return nil, err
 	}
-	s := &Server{eng: eng, cfg: cfg, mux: http.NewServeMux(), plans: planner.Default}
+	if len(g.ModelPredictions) != len(g.Labels) {
+		return nil, fmt.Errorf("server: genesis has %d model predictions for %d labels", len(g.ModelPredictions), len(g.Labels))
+	}
+	var d *durableState
+	var eng *engine.Engine
+	if dataDir != "" {
+		if d, err = openDurable(cfg, g, dataDir, opts); err != nil {
+			return nil, err
+		}
+		eng = d.eng
+	} else if eng, err = g.engine(cfg, engineNotifier(opts), opts.EarlyDecision); err != nil {
+		return nil, fmt.Errorf("server: genesis: %w", err)
+	}
+	s := &Server{eng: eng, cfg: cfg}
 	s.testsetLen.Store(int64(eng.Testsets().Current().Len()))
 	s.classes = eng.Testsets().Current().Data.Classes
 	s.onEnqueue = opts.OnEnqueue
@@ -412,6 +354,13 @@ func newServer(cfg *script.Config, eng *engine.Engine, opts Options, d *durableS
 		Manual:    opts.ManualRetry,
 		OnOutcome: s.onWebhookOutcome,
 	})
+	fail := func(err error) (*Server, error) {
+		s.deliver.Close()
+		if d != nil {
+			_ = d.log.Close()
+		}
+		return nil, err
+	}
 	// Exactly one worker: commit evaluation serializes on the engine lock
 	// anyway (more workers add no throughput), and a single drainer is
 	// what makes completion order equal FIFO submission order — the
@@ -451,8 +400,7 @@ func newServer(cfg *script.Config, eng *engine.Engine, opts Options, d *durableS
 		qopts.OnPark = s.onParkHook
 		qopts.OnRelease = s.onReleaseHook
 		if err := s.installOracle(); err != nil {
-			s.deliver.Close()
-			return nil, fmt.Errorf("server: %w", err)
+			return fail(fmt.Errorf("server: %w", err))
 		}
 	}
 	if d != nil {
@@ -472,55 +420,29 @@ func newServer(cfg *script.Config, eng *engine.Engine, opts Options, d *durableS
 		}
 		qopts.Restore = d.restored
 		qopts.StartSeq = d.nextSeq
-		// Workers must not run before NewDurable finishes wiring the
-		// engine journal, notifier, and webhook redelivery: a restored job
-		// executing earlier would commit without its audit records.
-		// NewDurable calls jobs.Start as its last step.
+		// Workers must not run before the engine journal, notifier and
+		// webhook redelivery are wired below: a restored job executing
+		// earlier would commit without its audit records.
 		qopts.DeferStart = true
 	}
 	jobs, err := queue.New(nil, qopts)
 	if err != nil {
-		s.deliver.Close()
-		return nil, fmt.Errorf("server: %w", err)
+		return fail(fmt.Errorf("server: %w", err))
 	}
 	s.jobs = jobs
-	for _, rt := range tenantRoutes {
-		rt := rt
-		s.mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) { rt.handler(s, w, r) })
+	if d != nil {
+		s.resume(opts)
 	}
 	return s, nil
 }
 
-// tenantRoute is one row of the single-tenant API's route table.
-type tenantRoute struct {
-	pattern string
-	handler func(*Server, http.ResponseWriter, *http.Request)
-	// mutating marks endpoints that accept new work — the ones a
-	// suspended project answers 409. Reads, job polls and cancellation,
-	// and admin maintenance stay available while suspended.
-	mutating bool
-}
-
-// tenantRoutes is the single source of truth for the tenant API:
-// newServer registers every handler from it, and the control plane's
-// suspension policy (multi.go's mutatingSub) is derived from the same
-// rows — adding an endpoint here forces the accepts-new-work decision in
-// the same place the route is declared, so the two cannot drift.
-var tenantRoutes = []tenantRoute{
-	{"/api/v1/plan", (*Server).handlePlan, false},
-	{"/api/v1/plan/batch", (*Server).handlePlanBatch, false},
-	{"/api/v1/status", (*Server).handleStatus, false},
-	{"/api/v1/history", (*Server).handleHistory, false},
-	{"/api/v1/metrics", (*Server).handleMetrics, false},
-	{"/api/v1/commit", (*Server).handleCommit, true},
-	{"/api/v1/commit/async", (*Server).handleCommitAsync, true},
-	{jobsPath, (*Server).handleCommitJob, false},
-	{"/api/v1/testset", (*Server).handleRotate, true},
-	{"/api/v1/admin/reset-caches", (*Server).handleAdminReset, false},
-	{"/api/v1/admin/compact", (*Server).handleAdminCompact, false},
-	// Backup is deliberately non-mutating: a suspended (or degraded-
-	// upstream) project is exactly the one an operator wants to back up.
-	{"/api/v1/admin/backup", (*Server).handleAdminBackup, false},
+// engineNotifier is where the engine's third-party results and alarms go:
+// Options.EngineNotifier, or an in-memory outbox.
+func engineNotifier(opts Options) notify.Notifier {
+	if opts.EngineNotifier != nil {
+		return opts.EngineNotifier
+	}
+	return notify.NewOutbox()
 }
 
 // Close drains the commit queue gracefully: accepted jobs finish, new
@@ -682,11 +604,6 @@ func (s *Server) RunDueWebhooks() int {
 // with Options.ManualQueue — it is the deterministic test harness's hook.
 func (s *Server) RunNextJob() bool { return s.jobs.RunNext() }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
 // --- wire types ---------------------------------------------------------
 
 // PlanResponse mirrors core.Plan for the API.
@@ -779,11 +696,7 @@ func writeStorageError(w http.ResponseWriter, status int, err error) {
 
 // --- handlers -----------------------------------------------------------
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, _ scope) {
 	cfg, err := s.planQueryConfig(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -810,7 +723,7 @@ func (s *Server) servePlan(cfg *script.Config) (*PlanResponse, error) {
 	if cfg == s.cfg {
 		opts = s.eng.PlannerOptions()
 	}
-	p, err := s.plans.PlanForConfig(cfg, opts)
+	p, err := planner.Default.PlanForConfig(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -934,11 +847,7 @@ type BatchPlanResponse struct {
 // handlePlanBatch answers many plan queries in one request, fanning them
 // across the worker pool. Malformed requests fail whole; a bad individual
 // query fails only its slot, so one typo doesn't void a dashboard sweep.
-func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request, _ scope) {
 	var req BatchPlanRequest
 	// Cap the body before decoding so the query limit bounds memory, not
 	// just slice length: MaxBatchQueries condition formulas fit well
@@ -979,9 +888,9 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchPlanResponse{Results: results})
 }
 
-// MetricsResponse exposes the serving-path cache, queue, and webhook
-// counters.
-type MetricsResponse struct {
+// SharedCacheStats are the process-wide caches every tenant shares, at
+// the head of both metrics bodies.
+type SharedCacheStats struct {
 	PlanCache planner.Stats `json:"plan_cache"`
 	// ExactMemo is the exact-bound worst-case memo backing tight-bound
 	// plans; Evals counts uncached grid searches process-wide.
@@ -997,6 +906,29 @@ type MetricsResponse struct {
 	SweepEvents           uint64 `json:"sweep_events"`
 	SweepSegmentsAnalytic uint64 `json:"sweep_segments_analytic"`
 	SweepSegmentsRefined  uint64 `json:"sweep_segments_refined"`
+}
+
+// sharedCacheStats reads the shared caches' counters.
+func sharedCacheStats() SharedCacheStats {
+	hits, misses, entries := bounds.ExactCacheStats()
+	events, analytic, refined := bounds.ExactSweepStats()
+	return SharedCacheStats{
+		PlanCache:             planner.Default.Stats(),
+		ExactMemoHits:         hits,
+		ExactMemoMisses:       misses,
+		ExactMemoLen:          entries,
+		ExactEvals:            bounds.ExactProbeEvals(),
+		SweepEvents:           events,
+		SweepSegmentsAnalytic: analytic,
+		SweepSegmentsRefined:  refined,
+	}
+}
+
+// MetricsResponse is one project's GET /api/v1/projects/{id}/metrics:
+// the shared caches, then the tenant's queue, webhook and storage
+// counters.
+type MetricsResponse struct {
+	SharedCacheStats
 	// CommitQueue is the async pipeline's traffic counters.
 	CommitQueue queue.Stats `json:"commit_queue"`
 	// WebhooksSent/Failed count job-finished callback deliveries.
@@ -1038,29 +970,18 @@ type MetricsResponse struct {
 	Storage *StorageHealth `json:"storage,omitempty"`
 }
 
-// metricsSnapshot gathers the point-in-time counters; shared by the
-// metrics endpoint and the admin cache-reset (which reports the pre-reset
-// values).
+// metricsSnapshot gathers the tenant's point-in-time counters.
 func (s *Server) metricsSnapshot() MetricsResponse {
-	hits, misses, entries := bounds.ExactCacheStats()
-	events, analytic, refined := bounds.ExactSweepStats()
 	m := MetricsResponse{
-		PlanCache:             s.plans.Stats(),
-		ExactMemoHits:         hits,
-		ExactMemoMisses:       misses,
-		ExactMemoLen:          entries,
-		ExactEvals:            bounds.ExactProbeEvals(),
-		SweepEvents:           events,
-		SweepSegmentsAnalytic: analytic,
-		SweepSegmentsRefined:  refined,
-		CommitQueue:           s.jobs.Stats(),
-		WebhooksSent:          s.webhooksSent.Load(),
-		WebhooksFailed:        s.webhooksFailed.Load(),
-		CommitsEvaluated:      s.commitsEvaluated.Load(),
-		CommitEvalNsTotal:     s.commitEvalNs.Load(),
-		LabelsSavedTotal:      s.labelsSaved.Load(),
-		EarlyExitsTotal:       s.earlyExits.Load(),
-		EarlyExitLooks:        s.lookHistSnapshot(),
+		SharedCacheStats:  sharedCacheStats(),
+		CommitQueue:       s.jobs.Stats(),
+		WebhooksSent:      s.webhooksSent.Load(),
+		WebhooksFailed:    s.webhooksFailed.Load(),
+		CommitsEvaluated:  s.commitsEvaluated.Load(),
+		CommitEvalNsTotal: s.commitEvalNs.Load(),
+		LabelsSavedTotal:  s.labelsSaved.Load(),
+		EarlyExitsTotal:   s.earlyExits.Load(),
+		EarlyExitLooks:    s.lookHistSnapshot(),
 	}
 	m.WebhookRetry = s.deliver.Stats()
 	if s.wlog != nil {
@@ -1090,19 +1011,11 @@ func (s *Server) oracleStats() *labeling.OracleStats {
 	return &stats
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ scope) {
 	writeJSON(w, http.StatusOK, s.metricsSnapshot())
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, _ scope) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	tsm := s.eng.Testsets()
@@ -1118,17 +1031,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, _ scope) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	history := s.eng.History()
 	out := make([]CommitResponse, 0, len(history))
 	for _, res := range history {
-		out = append(out, s.resultToResponse(res))
+		out = append(out, resultToResponse(s.cfg, res))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -1137,11 +1046,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 // enqueue-then-wait: the commit rides the same FIFO queue as the async
 // path and the handler blocks until its job finishes, so both endpoints
 // share one evaluation code path and serialize in one submission order.
-func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request, _ scope) {
 	var req commitJob
 	if err := s.readCommitRequest(w, r, &req, false); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
@@ -1167,11 +1072,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request, _ scope) {
 	var req RotateRequest
 	if err := s.readRotateRequest(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
@@ -1257,10 +1158,6 @@ func resultToResponse(cfg *script.Config, res engine.Result) CommitResponse {
 		}
 	}
 	return out
-}
-
-func (s *Server) resultToResponse(res engine.Result) CommitResponse {
-	return resultToResponse(s.cfg, res)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

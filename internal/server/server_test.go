@@ -11,12 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/easeml/ci/internal/data"
-	"github.com/easeml/ci/internal/engine"
-	"github.com/easeml/ci/internal/interval"
-	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/model"
 	"github.com/easeml/ci/internal/notify"
+	"github.com/easeml/ci/internal/planner"
 	"github.com/easeml/ci/internal/script"
 )
 
@@ -35,35 +32,27 @@ func testLabels() []int {
 
 func newTestServer(t *testing.T, adaptKind script.AdaptivityKind) (*Server, []int) {
 	t.Helper()
-	labels := testLabels()
-	ds := &data.Dataset{Name: "srv", Classes: testClasses}
-	for i, y := range labels {
-		ds.X = append(ds.X, []float64{float64(i)})
-		ds.Y = append(ds.Y, y)
+	return newServerWith(t, adaptKind, 3, testSize, Options{})
+}
+
+// serveTenant answers r from one tenant's rows below the alias prefix,
+// as Multi answers them for a project — for tests that drive a tenant
+// built without a control plane.
+func serveTenant(s *Server, w http.ResponseWriter, r *http.Request) {
+	rest := strings.TrimPrefix(r.URL.Path, apiPrefix)
+	rt := lookupRoute(rest)
+	if rt == nil || rt.tenant == nil {
+		http.NotFound(w, r)
+		return
 	}
-	adapt := script.Adaptivity{Kind: adaptKind}
-	if adaptKind == script.AdaptivityNone {
-		adapt.Email = "qa@x.y"
+	if rt.allows(w, r) {
+		rt.tenant(s, w, r, scope{id: DefaultProject, prefix: apiPrefix, rest: rest, srv: s})
 	}
-	cfg, err := script.New("n > 0.6 +/- 0.1", 0.99, interval.FPFree, adapt, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h0, err := model.SimulatedPredictions(labels, testClasses, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.New(cfg, ds, labeling.NewTruthOracle(ds.Y), engine.Options{
-		InitialModel: model.NewFixedPredictions("h0", h0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(cfg, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, labels
+}
+
+// tenantHandler is serveTenant as an http.Handler.
+func tenantHandler(s *Server) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { serveTenant(s, w, r) })
 }
 
 func doJSON(t *testing.T, srv *Server, method, path string, body any) (*httptest.ResponseRecorder, map[string]json.RawMessage) {
@@ -76,7 +65,7 @@ func doJSON(t *testing.T, srv *Server, method, path string, body any) (*httptest
 	}
 	req := httptest.NewRequest(method, path, &buf)
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
+	serveTenant(srv, rec, req)
 	out := map[string]json.RawMessage{}
 	if rec.Body.Len() > 0 && rec.Body.Bytes()[0] == '{' {
 		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
@@ -189,7 +178,7 @@ func TestCommitValidation(t *testing.T) {
 	}
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/commit", bytes.NewBufferString("{nope"))
 	rec2 := httptest.NewRecorder()
-	srv.ServeHTTP(rec2, req)
+	serveTenant(srv, rec2, req)
 	if rec2.Code != http.StatusBadRequest {
 		t.Errorf("malformed JSON status = %d", rec2.Code)
 	}
@@ -261,25 +250,29 @@ func TestRotateValidation(t *testing.T) {
 	_ = labels
 }
 
+// TestNewValidation: a tenant cannot start from the zero Genesis,
+// in-memory or durable.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil); err == nil {
-		t.Error("nil args should fail")
+	for _, dir := range []string{"", t.TempDir()} {
+		if _, err := newTenant(Genesis{}, dir, Options{}); err == nil {
+			t.Errorf("zero genesis (data dir %q) should fail", dir)
+		}
 	}
 }
 
 func TestPlanServedFromCache(t *testing.T) {
 	srv, _ := newTestServer(t, script.AdaptivityFull)
-	before := srv.plans.Stats()
+	before := planner.Default.Stats()
 	rec, _ := doJSON(t, srv, http.MethodGet, "/api/v1/plan", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("first plan status = %d: %s", rec.Code, rec.Body.String())
 	}
-	mid := srv.plans.Stats()
+	mid := planner.Default.Stats()
 	rec2, _ := doJSON(t, srv, http.MethodGet, "/api/v1/plan", nil)
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("second plan status = %d: %s", rec2.Code, rec2.Body.String())
 	}
-	after := srv.plans.Stats()
+	after := planner.Default.Stats()
 	if after.PlanHits <= mid.PlanHits {
 		t.Errorf("second identical plan request did not hit the cache: before=%+v mid=%+v after=%+v",
 			before, mid, after)
@@ -362,7 +355,7 @@ func TestPlanConfigEqualParamsUseEngineOptions(t *testing.T) {
 	if base.Code != http.StatusOK {
 		t.Fatalf("base plan status = %d: %s", base.Code, base.Body.String())
 	}
-	mid := srv.plans.Stats()
+	mid := planner.Default.Stats()
 	for _, q := range []string{"steps=3", "condition=", "reliability=0.99&adaptivity=full", "condition=n+%3E+0.6+%2B%2F-+0.1"} {
 		rec, _ := doJSON(t, srv, http.MethodGet, "/api/v1/plan?"+q, nil)
 		if rec.Code != http.StatusOK {
@@ -372,7 +365,7 @@ func TestPlanConfigEqualParamsUseEngineOptions(t *testing.T) {
 			t.Errorf("query %q plan differs from the engine's own:\n%s\n%s", q, rec.Body.String(), base.Body.String())
 		}
 	}
-	after := srv.plans.Stats()
+	after := planner.Default.Stats()
 	if after.PlanMisses != mid.PlanMisses {
 		t.Errorf("config-equal queries recomputed plans: %+v -> %+v", mid, after)
 	}
@@ -434,7 +427,7 @@ func TestPlanBatchValidation(t *testing.T) {
 	}
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/plan/batch", bytes.NewBufferString("{nope"))
 	rec2 := httptest.NewRecorder()
-	srv.ServeHTTP(rec2, req)
+	serveTenant(srv, rec2, req)
 	if rec2.Code != http.StatusBadRequest {
 		t.Errorf("malformed batch status = %d", rec2.Code)
 	}
@@ -442,7 +435,7 @@ func TestPlanBatchValidation(t *testing.T) {
 	req = httptest.NewRequest(http.MethodPost, "/api/v1/plan/batch",
 		bytes.NewBufferString(`{"queries":[{"relibility":0.9999}]}`))
 	rec2 = httptest.NewRecorder()
-	srv.ServeHTTP(rec2, req)
+	serveTenant(srv, rec2, req)
 	if rec2.Code != http.StatusBadRequest {
 		t.Errorf("typo'd field batch status = %d, want 400", rec2.Code)
 	}
@@ -473,7 +466,7 @@ func TestConcurrentPlanBatchCommit(t *testing.T) {
 				}
 				req := httptest.NewRequest(http.MethodGet, path, nil)
 				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, req)
+				serveTenant(srv, rec, req)
 				if rec.Code != http.StatusOK {
 					panic(fmt.Sprintf("plan status %d: %s", rec.Code, rec.Body.String()))
 				}
@@ -495,7 +488,7 @@ func TestConcurrentPlanBatchCommit(t *testing.T) {
 				}
 				req := httptest.NewRequest(http.MethodPost, "/api/v1/plan/batch", &buf)
 				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, req)
+				serveTenant(srv, rec, req)
 				if rec.Code != http.StatusOK {
 					panic(fmt.Sprintf("batch status %d: %s", rec.Code, rec.Body.String()))
 				}
@@ -515,7 +508,7 @@ func TestConcurrentPlanBatchCommit(t *testing.T) {
 			}
 			req := httptest.NewRequest(http.MethodPost, "/api/v1/commit", &buf)
 			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, req)
+			serveTenant(srv, rec, req)
 			switch rec.Code {
 			case http.StatusOK:
 			case http.StatusConflict:
@@ -529,7 +522,7 @@ func TestConcurrentPlanBatchCommit(t *testing.T) {
 				}
 				rreq := httptest.NewRequest(http.MethodPost, "/api/v1/testset", &rbuf)
 				rrec := httptest.NewRecorder()
-				srv.ServeHTTP(rrec, rreq)
+				serveTenant(srv, rrec, rreq)
 				if rrec.Code != http.StatusOK {
 					panic(fmt.Sprintf("rotate status %d: %s", rrec.Code, rrec.Body.String()))
 				}
@@ -606,7 +599,7 @@ func TestConcurrentAsyncCommitHammer(t *testing.T) {
 				}
 				req := httptest.NewRequest(http.MethodPost, "/api/v1/commit/async", &buf)
 				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, req)
+				serveTenant(srv, rec, req)
 				if rec.Code != http.StatusAccepted {
 					panic(fmt.Sprintf("async submit status %d: %s", rec.Code, rec.Body.String()))
 				}
@@ -631,7 +624,7 @@ func TestConcurrentAsyncCommitHammer(t *testing.T) {
 				}
 				req := httptest.NewRequest(http.MethodGet, jobsPath+id, nil)
 				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, req)
+				serveTenant(srv, rec, req)
 				if rec.Code != http.StatusOK && rec.Code != http.StatusNotFound {
 					panic(fmt.Sprintf("poll status %d: %s", rec.Code, rec.Body.String()))
 				}
@@ -649,7 +642,7 @@ func TestConcurrentAsyncCommitHammer(t *testing.T) {
 			}
 			req := httptest.NewRequest(http.MethodDelete, jobsPath+id, nil)
 			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, req)
+			serveTenant(srv, rec, req)
 			switch rec.Code {
 			case http.StatusOK, http.StatusNotFound, http.StatusConflict:
 			default:
@@ -672,7 +665,7 @@ func TestConcurrentAsyncCommitHammer(t *testing.T) {
 			}
 			req := httptest.NewRequest(http.MethodPost, "/api/v1/commit", &buf)
 			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, req)
+			serveTenant(srv, rec, req)
 			switch rec.Code {
 			case http.StatusOK:
 			case http.StatusConflict:
@@ -685,7 +678,7 @@ func TestConcurrentAsyncCommitHammer(t *testing.T) {
 				}
 				rreq := httptest.NewRequest(http.MethodPost, "/api/v1/testset", &rbuf)
 				rrec := httptest.NewRecorder()
-				srv.ServeHTTP(rrec, rreq)
+				serveTenant(srv, rrec, rreq)
 				if rrec.Code != http.StatusOK {
 					panic(fmt.Sprintf("rotate status %d: %s", rrec.Code, rrec.Body.String()))
 				}
@@ -760,8 +753,10 @@ func TestConcurrentAsyncCommitHammer(t *testing.T) {
 // (count and cumulative nanoseconds), failed submissions don't, and the
 // admin cache reset clears both while reporting the pre-reset values.
 func TestCommitEvalMetrics(t *testing.T) {
-	srv, labels := newTestServer(t, script.AdaptivityFull)
-	defer srv.Close()
+	mp := newTestMulti(t, MultiOptions{})
+	defer mp.Close()
+	srv := mp.Default()
+	_, labels := durableGenesis(t, 3, testSize)
 	metrics := func() MetricsResponse {
 		rec, _ := doJSON(t, srv, http.MethodGet, "/api/v1/metrics", nil)
 		if rec.Code != http.StatusOK {
@@ -799,12 +794,13 @@ func TestCommitEvalMetrics(t *testing.T) {
 	if m.CommitEvalNsTotal == 0 {
 		t.Error("commit_eval_ns_total must be nonzero after evaluations")
 	}
-	// Admin reset reports the pre-reset counters and clears them.
-	rec, _ = doJSON(t, srv, http.MethodPost, "/api/v1/admin/reset-caches", nil)
+	// The project's admin reset reports the pre-reset counters and
+	// clears them.
+	rec = doH(t, mp, http.MethodPost, "/api/v1/projects/default/admin/reset-caches", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("reset status = %d", rec.Code)
 	}
-	var pre MetricsResponse
+	var pre TenantMetrics
 	if err := json.Unmarshal(rec.Body.Bytes(), &pre); err != nil {
 		t.Fatal(err)
 	}

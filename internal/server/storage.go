@@ -20,9 +20,9 @@ import (
 	"path"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"time"
 
-	"github.com/easeml/ci/internal/registry"
 	"github.com/easeml/ci/internal/wal"
 )
 
@@ -94,12 +94,7 @@ func (s *Server) backupPayload() (snapshot, log []byte, err error) {
 	}
 	s.tableMu.Lock()
 	defer s.tableMu.Unlock()
-	jobs := make([]*jobEntry, 0, len(s.tableOrder))
-	for _, id := range s.tableOrder {
-		jobs = append(jobs, s.table[id])
-	}
-	snap := walSnapshot{Genesis: s.genesisFP, Engine: s.eng.Snapshot(), Jobs: jobs, NextJobSeq: s.tableNextSeq}
-	snapshot, err = s.wlog.SnapshotBytes(snap)
+	snapshot, err = s.wlog.SnapshotBytes(s.snapshotLocked())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -110,39 +105,25 @@ func (s *Server) backupPayload() (snapshot, log []byte, err error) {
 	return snapshot, log, nil
 }
 
-// handleAdminBackup streams the tenant's state as a gzipped tarball
-// with flat snapshot.json + wal.log entries — restorable as a fresh
-// data directory. POST /api/v1/admin/backup.
-func (s *Server) handleAdminBackup(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
+// backupCounters count backups taken and their bytes.
+type backupCounters struct{ backups, backupBytes atomic.Uint64 }
+
+// recordBackup folds one backup's size into the counters.
+func (c *backupCounters) recordBackup(entries []tarEntry) {
+	c.backups.Add(1)
+	for _, e := range entries {
+		c.backupBytes.Add(uint64(len(e.Data)))
 	}
-	if s.wlog == nil {
-		writeError(w, http.StatusConflict, "server is not durable (no data directory)")
-		return
-	}
-	snap, log, err := s.backupPayload()
-	if err != nil {
-		writeStorageError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	entries := []tarEntry{{Name: "snapshot.json", Data: snap}}
-	if len(log) > 0 {
-		entries = append(entries, tarEntry{Name: "wal.log", Data: log})
-	}
-	s.recordBackup(entries)
-	streamTarball(w, "easeml-ci-backup.tar.gz", entries)
 }
 
-// recordBackup folds one backup's size into the serving counters.
-func (s *Server) recordBackup(entries []tarEntry) {
-	s.backups.Add(1)
-	var total int64
-	for _, e := range entries {
-		total += int64(len(e.Data))
+// logEntries are one log's snapshot and (if not empty) log bytes under
+// prefix.
+func logEntries(prefix string, snap, log []byte) []tarEntry {
+	entries := []tarEntry{{Name: prefix + "snapshot.json", Data: snap}}
+	if len(log) > 0 {
+		entries = append(entries, tarEntry{Name: prefix + "wal.log", Data: log})
 	}
-	s.backupBytes.Add(uint64(total))
+	return entries
 }
 
 // tarEntry is one file of a backup tarball.
@@ -198,27 +179,35 @@ func rawDirEntries(dir, prefix string) []tarEntry {
 	return entries
 }
 
-// handleAdminBackup on the control plane: scoped with ?project= it
-// streams that tenant's flat tarball; unscoped it streams the whole
-// control plane — the registry's log under _control/ plus every
-// tenant under <id>/ — consistent per log, without pausing intake
-// anywhere (each tenant is frozen only for its in-memory byte capture).
-func (m *Multi) handleAdminBackup(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+// handleAdminBackup streams write-ahead state as a gzipped tarball.
+// Scoped to a project (by path or ?project=) it is that tenant's flat
+// snapshot.json + wal.log, restorable as a fresh data directory;
+// unscoped it is the whole control plane — the registry's log under
+// _control/ plus every tenant under <id>/ — consistent per log, without
+// pausing intake anywhere (each tenant is frozen only for its in-memory
+// byte capture).
+func (m *Multi) handleAdminBackup(w http.ResponseWriter, r *http.Request, sc scope) {
 	if m.dataDir == "" {
-		writeError(w, http.StatusConflict, "control plane is not durable (no data directory)")
+		what := "control plane"
+		if sc.srv != nil {
+			what = "server"
+		}
+		writeError(w, http.StatusConflict, what+" is not durable (no data directory)")
 		return
 	}
-	id, srv, ok := m.scopedTenant(w, r)
+	_, srv, ok := m.scopedTenant(w, r, sc)
 	if !ok {
 		return
 	}
 	if srv != nil {
-		_ = id
-		srv.handleAdminBackup(w, r)
+		snap, log, err := srv.backupPayload()
+		if err != nil {
+			writeStorageError(w, http.StatusServiceUnavailable, err)
+			return
+		}
+		entries := logEntries("", snap, log)
+		srv.recordBackup(entries)
+		streamTarball(w, "easeml-ci-backup.tar.gz", entries)
 		return
 	}
 	// Unscoped: hold the lifecycle lock so no project is created or
@@ -239,11 +228,8 @@ func (m *Multi) handleAdminBackup(w http.ResponseWriter, r *http.Request) {
 	if len(ctlLog) > 0 {
 		entries = append(entries, tarEntry{Name: controlDirName + "/wal.log", Data: ctlLog})
 	}
-	ids := []string{DefaultProject}
-	for _, p := range m.reg.List() {
-		ids = append(ids, p.ID)
-	}
-	for _, tid := range ids {
+	for _, p := range m.projects() {
+		tid := p.ID
 		srv := m.tenant(tid)
 		if srv == nil || srv.walFailed.Load() {
 			// Sick or poisoned: live state is unavailable or untrustworthy,
@@ -259,17 +245,9 @@ func (m *Multi) handleAdminBackup(w http.ResponseWriter, r *http.Request) {
 			writeStorageError(w, http.StatusServiceUnavailable, fmt.Errorf("project %q: %w", tid, err))
 			return
 		}
-		entries = append(entries, tarEntry{Name: tid + "/snapshot.json", Data: snap})
-		if len(log) > 0 {
-			entries = append(entries, tarEntry{Name: tid + "/wal.log", Data: log})
-		}
+		entries = append(entries, logEntries(tid+"/", snap, log)...)
 	}
-	m.backups.Add(1)
-	var total int64
-	for _, e := range entries {
-		total += int64(len(e.Data))
-	}
-	m.backupBytes.Add(uint64(total))
+	m.recordBackup(entries)
 	streamTarball(w, "easeml-ci-backup-all.tar.gz", entries)
 }
 
@@ -465,19 +443,9 @@ func (m *Multi) healthSnapshot() HealthResponse {
 	for _, src := range ps.Sources {
 		resp.PoolDepth += src.Pending
 	}
-	rows := []struct {
-		id    string
-		state string
-	}{{DefaultProject, string(registry.Active)}}
-	for _, p := range m.reg.List() {
-		rows = append(rows, struct {
-			id    string
-			state string
-		}{p.ID, string(p.State)})
-	}
-	for _, row := range rows {
-		ph := ProjectHealth{ID: row.id, Lifecycle: row.state, Storage: "memory"}
-		srv := m.tenant(row.id)
+	for _, p := range m.projects() {
+		ph := ProjectHealth{ID: p.ID, Lifecycle: string(p.State), Storage: "memory"}
+		srv := m.tenant(p.ID)
 		if srv == nil {
 			// Sick tenant: registered but unopenable without salvage.
 			ph.Lifecycle = StorageSalvageRequired
@@ -502,28 +470,20 @@ func (m *Multi) healthSnapshot() HealthResponse {
 	return resp
 }
 
-// handleHealthz is liveness plus detail: always 200, with the full
-// per-tenant picture in the body for dashboards and operators.
-func (m *Multi) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, http.StatusOK, m.healthSnapshot())
-}
-
-// handleReadyz is the load balancer's gate: 200 only while every
-// tenant's storage is healthy, 503 (with the same body) the moment any
-// tenant is degraded or awaiting salvage — traffic should prefer a
-// fully healthy replica when one exists.
-func (m *Multi) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// handleHealth answers GET /healthz, liveness plus detail: always 200,
+// with the full per-tenant picture in the body for dashboards and
+// operators. With ready it answers GET /readyz, the load balancer's
+// gate: 200 only while every tenant's storage is healthy, 503 (with the
+// same body) the moment any tenant is degraded or awaiting salvage —
+// traffic should prefer a fully healthy replica when one exists.
+func (m *Multi) handleHealth(w http.ResponseWriter, r *http.Request, ready bool) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	h := m.healthSnapshot()
 	status := http.StatusOK
-	if h.Status != StorageOK {
+	if ready && h.Status != StorageOK {
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, h)

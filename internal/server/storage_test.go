@@ -490,7 +490,7 @@ func TestScopedBackupRestoresAsDefault(t *testing.T) {
 func TestMigrationResumesAfterCrashAtRename(t *testing.T) {
 	root := t.TempDir()
 	g, labels := durableGenesis(t, 3, testSize)
-	srv, err := NewDurable(g, root, Options{WALNoSync: true, Webhooks: notify.NewOutbox()})
+	srv, err := newTenant(g, root, Options{WALNoSync: true, Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,11 +534,11 @@ func TestBackupFingerprint(t *testing.T) {
 	want := g.fingerprint()
 
 	logOnly := t.TempDir()
-	srv, err := NewDurable(g, logOnly, Options{Webhooks: notify.NewOutbox(), CompactAt: -1})
+	srv, err := newTenant(g, logOnly, Options{Webhooks: notify.NewOutbox(), CompactAt: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustCommit(t, srv, "/api/v1/commit", labels, "m0", 10)
+	mustCommit(t, tenantHandler(srv), "/api/v1/commit", labels, "m0", 10)
 	waitQuiescent(t, srv, 0)
 	// Abandon without Close: the directory keeps only its log.
 	if got, err := backupFingerprint(logOnly); err != nil || got != want {
@@ -546,7 +546,7 @@ func TestBackupFingerprint(t *testing.T) {
 	}
 
 	snapshotted := t.TempDir()
-	srv, err = NewDurable(g, snapshotted, Options{Webhooks: notify.NewOutbox()})
+	srv, err = newTenant(g, snapshotted, Options{Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,12 +90,18 @@ func TestMethodNotAllowed(t *testing.T) {
 		{http.MethodPost, "/api/v1/metrics"},
 		{http.MethodGet, "/api/v1/commit"},
 		{http.MethodGet, "/api/v1/testset"},
-		{http.MethodGet, "/api/v1/admin/reset-caches"},
 	}
 	for _, tc := range cases {
 		rec, _ := doJSON(t, srv, tc.method, tc.path, nil)
 		if rec.Code != http.StatusMethodNotAllowed {
 			t.Errorf("%s %s = %d, want 405", tc.method, tc.path, rec.Code)
+		}
+	}
+	m := newTestMulti(t, MultiOptions{})
+	defer m.Close()
+	for _, path := range []string{"/api/v1/admin/reset-caches", "/api/v1/projects/default/admin/reset-caches"} {
+		if rec := doH(t, m, http.MethodGet, path, nil); rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("GET %s = %d, want 405", path, rec.Code)
 		}
 	}
 }

@@ -364,7 +364,7 @@ func TestCommitBodyLimitFitsIndentedInt64(t *testing.T) {
 // postRaw sends body verbatim to path.
 func postRaw(srv *Server, path string, body []byte) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	serveTenant(srv, rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 	return rec
 }
 
