@@ -61,8 +61,8 @@
 // POST /api/v1/commit is the same queue with the handler waiting, so both
 // paths yield byte-identical responses and engine history for the same
 // commit sequence; see examples/rest_api for the full flow, and the
-// server's /api/v1/admin/reset-caches for the operator-facing cache-reset
-// hook.
+// server's POST /api/v1/admin/reset-caches for the operator-facing
+// cache-reset hook.
 //
 // # Packed commit evaluation
 //
@@ -178,8 +178,11 @@
 // cumulative label budget answers 429 once spent (deterministically, so
 // durable replay reproduces the refusals). GET /api/v1/metrics reports
 // the shared caches once plus scheduler and per-project counters;
-// /api/v1/projects/{id}/metrics is the single-tenant view, and the admin
-// endpoints (reset-caches, compact) take an optional ?project= scope.
+// /api/v1/projects/{id}/metrics is the single-tenant view. The admin
+// endpoints (reset-caches, compact, backup) act on one project under
+// /api/v1/projects/{id}/admin/... or with ?project={id}, and on the whole
+// control plane otherwise. A scoped async commit's poll path stays in its
+// scope. One table routes every request (internal/server/routes.go).
 // Shutdown closes in dependency order — intake stops everywhere, the pool
 // drains every accepted job, then tenants and finally the control log
 // close — so a commit racing shutdown is either fully journaled or never
