@@ -10,54 +10,6 @@ import (
 	"github.com/easeml/ci/internal/registry"
 )
 
-// The HTTP surface is one table. Each row answers below two prefixes:
-// /api/v1/ (the alias paths of the default project) and
-// /api/v1/projects/{id}/ (any project, the default included). Rows
-// marked * accept new work and answer 409 while the project is
-// suspended.
-//
-//	GET  plan               the labeling plan; query parameters condition,
-//	                        reliability, steps and adaptivity override the
-//	                        script (any other parameter answers 400)
-//	POST plan/batch         {"queries":[{condition?, reliability?, steps?,
-//	                        adaptivity?}, ...]}, up to MaxBatchQueries
-//	GET  status             testset generation/budget, active model, label cost
-//	GET  history            evaluation results so far
-//	GET  metrics            scoped: the project's MetricsResponse; alias: the
-//	                        control plane's MultiMetricsResponse
-//	POST commit *           {"model", "author", "message", "predictions":[...]},
-//	                        at most 1 MiB + 32 bytes per testset example;
-//	                        answers with the verdict
-//	POST commit/async *     the same plus an optional "webhook"; 202 {job_id,
-//	                        state, poll}, poll being the job's path below the
-//	                        same prefix
-//	GET  commit/jobs/{id}   poll one job (DELETE cancels it while queued)
-//	POST testset *          {"labels":[...], "active_predictions":[...]}, at
-//	                        most 2 MiB + 64 bytes per testset example
-//	POST admin/reset-caches scoped: clear the project's counters, answering
-//	                        their TenantMetrics; unscoped: also clear the
-//	                        shared caches, answering MultiMetricsResponse
-//	POST admin/compact      compact the project's log, or every log
-//	POST admin/backup       the project's tarball, or the control plane's
-//
-// Bodies may use any valid JSON layout; larger ones answer 400. The
-// admin alias paths are unscoped unless they carry ?project={id}, which
-// scopes them as /api/v1/projects/{id}/admin/... does. The control
-// plane's own routes:
-//
-//	POST   /api/v1/projects              register a project: {"id", ...} plus
-//	                                     a ProjectSpec, at most 8 MiB
-//	GET    /api/v1/projects              list projects, creation order
-//	GET    /api/v1/projects/{id}         one project's info (DELETE removes
-//	                                     it and its state)
-//	POST   /api/v1/projects/{id}/suspend stop accepting new work (resume:
-//	                                     accept it again)
-//	GET    /healthz, /readyz             per-tenant health; readyz answers
-//	                                     503 unless all storage is ok
-//
-// A path that is not clean (a "//", "." or ".." element) answers 301 to
-// its cleaned form, as http.ServeMux does; any other path answers 404.
-
 const (
 	apiPrefix    = "/api/v1/"
 	projectsPath = "/api/v1/projects"
@@ -66,10 +18,9 @@ const (
 // scope is where a request landed: the project it addresses and the
 // prefix its row was matched below.
 type scope struct {
-	id     string  // the project; "" on an unscoped alias path
-	prefix string  // apiPrefix, or projectsPath + "/{id}/"
-	rest   string  // the path below prefix
-	srv    *Server // id's tenant, once resolved
+	id     string // the project; "" on an unscoped alias path
+	prefix string // apiPrefix, or projectsPath + "/{id}/"
+	rest   string // the path below prefix
 }
 
 // route is one row of the table: the path below a scope prefix (a
@@ -129,9 +80,53 @@ func (rt *route) allows(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// ServeHTTP cleans the path, then routes it: the control plane's own
-// routes, a scoped project path, or an alias path of the default
-// project.
+// ServeHTTP routes every request from one table. Each row answers below
+// two prefixes: /api/v1/ (the alias paths of the default project) and
+// /api/v1/projects/{id}/ (any project, the default included). Rows
+// marked * accept new work and answer 409 while the project is
+// suspended.
+//
+//	GET  plan               the labeling plan; query parameters condition,
+//	                        reliability, steps and adaptivity override the
+//	                        script (any other parameter answers 400)
+//	POST plan/batch         {"queries":[{condition?, reliability?, steps?,
+//	                        adaptivity?}, ...]}, up to MaxBatchQueries
+//	GET  status             testset generation/budget, active model, label cost
+//	GET  history            evaluation results so far
+//	GET  metrics            scoped: the project's MetricsResponse; alias: the
+//	                        control plane's MultiMetricsResponse
+//	POST commit *           {"model", "author", "message", "predictions":[...]},
+//	                        at most 1 MiB + 32 bytes per testset example;
+//	                        answers with the verdict
+//	POST commit/async *     the same plus an optional "webhook"; 202 {job_id,
+//	                        state, poll}, poll being the job's path below the
+//	                        same prefix
+//	GET  commit/jobs/{id}   poll one job (DELETE cancels it while queued)
+//	POST testset *          {"labels":[...], "active_predictions":[...]}, at
+//	                        most 2 MiB + 64 bytes per testset example
+//	POST admin/reset-caches scoped: clear the project's counters, answering
+//	                        their TenantMetrics; unscoped: also clear the
+//	                        shared caches, answering MultiMetricsResponse
+//	POST admin/compact      compact the project's log, or every log
+//	POST admin/backup       the project's tarball, or the control plane's
+//
+// Bodies may use any valid JSON layout; larger ones answer 400. The
+// admin alias paths are unscoped unless they carry ?project={id}, which
+// scopes them as /api/v1/projects/{id}/admin/... does. The control
+// plane's own routes:
+//
+//	POST   /api/v1/projects              register a project: {"id", ...} plus
+//	                                     a ProjectSpec, at most 8 MiB
+//	GET    /api/v1/projects              list projects, creation order
+//	GET    /api/v1/projects/{id}         one project's info (DELETE removes
+//	                                     it and its state)
+//	POST   /api/v1/projects/{id}/suspend stop accepting new work (resume:
+//	                                     accept it again)
+//	GET    /healthz, /readyz             per-tenant health; readyz answers
+//	                                     503 unless all storage is ok
+//
+// A path that is not clean (a "//", "." or ".." element) answers 301 to
+// its cleaned form, as http.ServeMux does; any other path answers 404.
 func (m *Multi) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodConnect {
 		if p := cleanPath(r.URL.Path); p != r.URL.Path {
@@ -231,7 +226,6 @@ func (m *Multi) serveProject(w http.ResponseWriter, r *http.Request, rt *route, 
 			return
 		}
 	}
-	sc.srv = srv
 	switch {
 	case rt == nil:
 		http.NotFound(w, r)

@@ -5,7 +5,7 @@
 // plans, and history, and rotates testsets when the alarm fires.
 //
 // Multi is the only http.Handler: it serves every project, and the
-// routes are listed in one table in routes.go.
+// routes are listed in one table on Multi.ServeHTTP.
 //
 // All plans — single and batch — are served through the sharded LRU plan
 // cache (internal/planner), so concurrent plan traffic neither recomputes

@@ -46,7 +46,7 @@ func serveTenant(s *Server, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rt.allows(w, r) {
-		rt.tenant(s, w, r, scope{id: DefaultProject, prefix: apiPrefix, rest: rest, srv: s})
+		rt.tenant(s, w, r, scope{id: DefaultProject, prefix: apiPrefix, rest: rest})
 	}
 }
 

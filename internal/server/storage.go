@@ -188,8 +188,9 @@ func rawDirEntries(dir, prefix string) []tarEntry {
 // byte capture).
 func (m *Multi) handleAdminBackup(w http.ResponseWriter, r *http.Request, sc scope) {
 	if m.dataDir == "" {
+		// A path-scoped backup names the tenant it could not back up.
 		what := "control plane"
-		if sc.srv != nil {
+		if sc.id != "" {
 			what = "server"
 		}
 		writeError(w, http.StatusConflict, what+" is not durable (no data directory)")
