@@ -14,11 +14,9 @@ BENCH_OUT ?= BENCH_8.json
 # estimator, the plan-cache hit path, the plan-cache contention pair
 # (single mutex vs sharded under >= 8 goroutines), a full engine commit,
 # the packed commit evaluation at n=1e5 (gated at 0 allocs/op by
-# tools/benchdiff; its retired scalar counterpart is still in BENCH_8.json
-# and only draws benchdiff's missing-benchmark warning), full-commit
-# throughput, and
-# the write-ahead log (unsynced append, append+fsync — the durable commit
-# point — and 1000-record replay, the fixed crash-restart cost),
+# tools/benchdiff), full-commit throughput, the write-ahead log
+# (unsynced append, append+fsync — the durable commit point — and
+# 1000-record replay, the fixed crash-restart cost),
 # aggregate commit throughput across 8 projects of the multi-tenant
 # control plane (routing + quotas + weighted round-robin scheduling), and
 # the early-decision label-cost pair (median labels/commit on the

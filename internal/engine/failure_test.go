@@ -91,7 +91,7 @@ func TestEngineRejectsBadInitialModel(t *testing.T) {
 
 func TestModelPredictAllRangeValidation(t *testing.T) {
 	ds := indexDataset(10, 4)
-	if _, err := model.PredictAll(badPredictor{}, ds); err == nil {
-		t.Error("PredictAll must reject out-of-range predictions")
+	if _, err := model.PredictAllInto(badPredictor{}, ds, nil); err == nil {
+		t.Error("PredictAllInto must reject out-of-range predictions")
 	}
 }

@@ -53,27 +53,16 @@ type BytePredictor interface {
 	ByteColumn(ds *data.Dataset) ([]uint8, bool)
 }
 
-// PredictAll evaluates a predictor over an entire dataset. Predictions
+// PredictAllInto evaluates a predictor over an entire dataset. Predictions
 // outside the dataset's label alphabet are rejected: a silent out-of-range
 // prediction would skew every downstream estimate, so the failure is
-// surfaced at the boundary.
-func PredictAll(p Predictor, ds *data.Dataset) ([]int, error) {
-	if p == nil {
-		return nil, fmt.Errorf("model: nil predictor")
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	return PredictAllInto(p, ds, nil)
-}
-
-// PredictAllInto is PredictAll with a caller-owned buffer: when buf has
-// enough capacity the predictions are written in place and no allocation
-// happens, so a caller evaluating commit after commit (the engine) reuses
-// one buffer instead of allocating ds.Len() ints per commit. The (possibly
+// surfaced at the boundary. When buf has enough capacity the predictions
+// are written in place and no allocation happens, so a caller evaluating
+// commit after commit (the engine) reuses one buffer instead of
+// allocating ds.Len() ints per commit; a nil buf allocates. The (possibly
 // re-sliced) buffer is returned. It assumes ds has already been validated
 // — the engine's testsets are validated once at installation, not per
-// commit; external callers should use PredictAll.
+// commit.
 func PredictAllInto(p Predictor, ds *data.Dataset, buf []int) ([]int, error) {
 	if p == nil {
 		return nil, fmt.Errorf("model: nil predictor")

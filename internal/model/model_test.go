@@ -143,7 +143,7 @@ func TestTrainingErrors(t *testing.T) {
 	if _, err := TrainMajority("x", &empty); err == nil {
 		t.Error("empty dataset should fail")
 	}
-	if _, err := PredictAll(nil, ds); err == nil {
+	if _, err := PredictAllInto(nil, ds, nil); err == nil {
 		t.Error("nil predictor should fail")
 	}
 }
@@ -305,7 +305,7 @@ func TestPredictAllIntoBufferReuse(t *testing.T) {
 	m := NewFixedPredictions("m", preds)
 
 	// Reference: the unbuffered path.
-	want, err := PredictAll(m, ds)
+	want, err := PredictAllInto(m, ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestPredictAllBulkErrorParity(t *testing.T) {
 	// A prediction outside the alphabet is rejected with the same error
 	// the element-wise path produces.
 	bad := NewFixedPredictions("bad", []int{0, 1, 2, 0, 1})
-	_, errBulk := PredictAll(bad, ds)
+	_, errBulk := PredictAllInto(bad, ds, nil)
 	if errBulk == nil {
 		t.Fatal("out-of-alphabet prediction must fail")
 	}
@@ -358,13 +358,13 @@ func TestPredictAllBulkErrorParity(t *testing.T) {
 	}
 	// A short prediction vector mirrors the element-wise -1 error.
 	short := NewFixedPredictions("short", []int{0, 1, 0})
-	if _, err := PredictAll(short, ds); err == nil {
+	if _, err := PredictAllInto(short, ds, nil); err == nil {
 		t.Error("short prediction vector must fail")
 	}
 	// A bad prediction beyond the dataset's length does not fail the
 	// prefix (element-wise never saw it either).
 	longer := NewFixedPredictions("longer", []int{0, 1, 0, 1, 0, 99})
-	if _, err := PredictAll(longer, ds); err != nil {
+	if _, err := PredictAllInto(longer, ds, nil); err != nil {
 		t.Errorf("bad prediction past the dataset must not fail the prefix: %v", err)
 	}
 	if _, err := PredictAllInto(nil, ds, nil); err == nil {
@@ -416,10 +416,10 @@ func TestFixedBytesMatchesInts(t *testing.T) {
 		if _, ok := wide.ByteColumn(ds); ok {
 			t.Errorf("%v: an int vector lent a byte column", preds)
 		}
-		got1, err1 := PredictAll(wide, ds)
-		got2, err2 := PredictAll(narrow, ds)
+		got1, err1 := PredictAllInto(wide, ds, nil)
+		got2, err2 := PredictAllInto(narrow, ds, nil)
 		if fmt.Sprint(err1) != fmt.Sprint(err2) || !reflect.DeepEqual(got1, got2) {
-			t.Errorf("%v: PredictAll %v/%v vs %v/%v", preds, got1, err1, got2, err2)
+			t.Errorf("%v: PredictAllInto %v/%v vs %v/%v", preds, got1, err1, got2, err2)
 		}
 		if !reflect.DeepEqual(wide.Predictions(), narrow.Predictions()) {
 			t.Errorf("%v: Predictions differ", preds)
@@ -428,7 +428,7 @@ func TestFixedBytesMatchesInts(t *testing.T) {
 			t.Errorf("%v: Predict lookup wrong", preds)
 		}
 	}
-	if _, err := PredictAll(NewFixedBytes("m", []uint8{0, 1, 2, 7, 0, 255}, 255), ds); err == nil ||
+	if _, err := PredictAllInto(NewFixedBytes("m", []uint8{0, 1, 2, 7, 0, 255}, 255), ds, nil); err == nil ||
 		err.Error() != "model: m predicted 7 for example 3, outside [0,4)" {
 		t.Errorf("byte range error = %v", err)
 	}
@@ -436,7 +436,7 @@ func TestFixedBytesMatchesInts(t *testing.T) {
 
 // accuracy is a predictor's accuracy on a labeled dataset.
 func accuracy(p Predictor, ds *data.Dataset) (float64, error) {
-	preds, err := PredictAll(p, ds)
+	preds, err := PredictAllInto(p, ds, nil)
 	if err != nil {
 		return 0, err
 	}

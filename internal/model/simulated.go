@@ -268,7 +268,7 @@ func (f *FixedPredictions) StaticPredictions(ds *data.Dataset) ([]int, bool) {
 // allocation-free after the first call.
 func (f *FixedPredictions) PredictAllInto(ds *data.Dataset, dst []int) error {
 	if len(dst) > f.n {
-		// Mirror what element-wise PredictAll reports when it walks past
+		// Mirror what element-wise PredictAllInto reports when it walks past
 		// the end of the vector (Predict returns -1 there).
 		return fmt.Errorf("model: %s predicted -1 for example %d, outside [0,%d)",
 			f.name, f.n, ds.Classes)

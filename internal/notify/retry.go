@@ -21,7 +21,7 @@ type RetryPolicy struct {
 	Backoff    time.Duration
 	MaxBackoff time.Duration
 	// Breaker tunes the per-subscriber circuit breakers.
-	Breaker BreakerOptions
+	Breaker resilience.BreakerOptions
 }
 
 // Retry defaults.
@@ -81,7 +81,7 @@ type RetryStats struct {
 	// PerKind breaks attempts and latency down by notification kind.
 	PerKind map[string]KindRetryStats `json:"per_kind,omitempty"`
 	// Breakers reports each subscriber's circuit breaker.
-	Breakers map[string]BreakerStatus `json:"breakers,omitempty"`
+	Breakers map[string]resilience.BreakerStatus `json:"breakers,omitempty"`
 }
 
 // task is one scheduled delivery.
@@ -424,7 +424,7 @@ func (r *Reliable) Stats() RetryStats {
 	for k, v := range r.perKind {
 		s.PerKind[k] = *v
 	}
-	s.Breakers = make(map[string]BreakerStatus, len(r.breakers))
+	s.Breakers = make(map[string]resilience.BreakerStatus, len(r.breakers))
 	for to, b := range r.breakers {
 		s.Breakers[to] = b.Status()
 	}

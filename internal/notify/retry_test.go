@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/easeml/ci/internal/resilience"
 )
 
 // fakeClock is a settable clock for the manual harness.
@@ -132,7 +134,7 @@ func TestBackoffScheduleExponential(t *testing.T) {
 	flaky := &flakyNotifier{failN: 100} // never succeeds
 	r := manualReliable(flaky, clock, RetryPolicy{
 		MaxAttempts: 4, Backoff: time.Second, MaxBackoff: 3 * time.Second,
-		Breaker: BreakerOptions{FailureThreshold: -1},
+		Breaker: resilience.BreakerOptions{FailureThreshold: -1},
 	}, nil)
 	r.Send(Notification{Kind: KindWebhook, To: "http://sub"})
 	wantDelays := []time.Duration{0, time.Second, 3 * time.Second, 6 * time.Second} // cumulative: 2^k capped at 3s
@@ -162,7 +164,7 @@ func TestJitterStretchesBackoff(t *testing.T) {
 	clock := newFakeClock()
 	flaky := &flakyNotifier{failN: 100}
 	r := NewReliable(flaky, ReliableOptions{
-		Policy: RetryPolicy{MaxAttempts: 2, Backoff: time.Second, Breaker: BreakerOptions{FailureThreshold: -1}},
+		Policy: RetryPolicy{MaxAttempts: 2, Backoff: time.Second, Breaker: resilience.BreakerOptions{FailureThreshold: -1}},
 		Clock:  clock.Now,
 		Jitter: func() float64 { return 0.5 },
 		Manual: true,
@@ -185,7 +187,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	flaky := &flakyNotifier{failN: 3}
 	policy := RetryPolicy{
 		MaxAttempts: 10, Backoff: time.Second, MaxBackoff: time.Second,
-		Breaker: BreakerOptions{FailureThreshold: 2, Cooldown: time.Minute},
+		Breaker: resilience.BreakerOptions{FailureThreshold: 2, Cooldown: time.Minute},
 	}
 	r := manualReliable(flaky, clock, policy, nil)
 	r.Send(Notification{Kind: KindWebhook, To: "http://sub"})
@@ -245,7 +247,7 @@ func TestBreakerIsolatesSubscribers(t *testing.T) {
 	})
 	r := manualReliable(split, clock, RetryPolicy{
 		MaxAttempts: 3, Backoff: time.Second,
-		Breaker: BreakerOptions{FailureThreshold: 1, Cooldown: time.Hour},
+		Breaker: resilience.BreakerOptions{FailureThreshold: 1, Cooldown: time.Hour},
 	}, nil)
 	r.Send(Notification{Kind: KindWebhook, To: "http://bad"})
 	r.Send(Notification{Kind: KindWebhook, To: "http://good"})
@@ -440,7 +442,7 @@ func TestRetryAfterOverridesBackoff(t *testing.T) {
 	hinting := &hintingNotifier{failN: 2, retryIn: 42 * time.Second}
 	r := manualReliable(hinting, clock, RetryPolicy{
 		MaxAttempts: 4, Backoff: time.Second, MaxBackoff: 3 * time.Second,
-		Breaker: BreakerOptions{FailureThreshold: -1},
+		Breaker: resilience.BreakerOptions{FailureThreshold: -1},
 	}, nil)
 	r.Send(Notification{Kind: KindWebhook, To: "http://sub"})
 	// Backoff alone would schedule +1s then +3s; the hint says +42s both

@@ -12,10 +12,10 @@ var (
 	errHard   = errors.New("hard failure")
 )
 
-func parkingQueue(t *testing.T, exec Exec[int, int], opts Options[int, int]) *Queue[int, int] {
+func parkingQueue(t *testing.T, exec func(int) (int, error), opts Options[int, int]) *Queue[int, int] {
 	t.Helper()
 	opts.Park = func(err error) bool { return errors.Is(err, errOutage) }
-	return manualQueue(t, exec, opts)
+	return newTestQueue(t, exec, opts)
 }
 
 func TestParkOnMatchingError(t *testing.T) {
@@ -214,22 +214,25 @@ func TestParkSuppressedDuringClose(t *testing.T) {
 	// the original outage error) so Close never strands a waiter.
 	block := make(chan struct{})
 	entered := make(chan struct{})
-	q, err := New(func(int) (int, error) {
+	q := parkingQueue(t, func(int) (int, error) {
 		close(entered)
 		<-block
 		return 0, errOutage
-	}, Options[int, int]{
-		Workers: 1,
-		Park:    func(err error) bool { return errors.Is(err, errOutage) },
-	})
-	if err != nil {
+	}, Options[int, int]{})
+	p := NewPool(PoolOptions{Workers: 1})
+	if err := p.Register("q", q, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	j, _ := q.Submit(1)
+	j := submitN(t, p, q, "q", 1)[0]
 	<-entered
 	closed := make(chan struct{})
-	go func() { q.Close(); close(closed) }()
-	// Close is now waiting on the in-flight job; let it fail.
+	go func() {
+		q.CloseIntake()
+		p.Close()
+		q.Close()
+		close(closed)
+	}()
+	// The pool's Close is now waiting on the in-flight job; let it fail.
 	time.Sleep(10 * time.Millisecond)
 	close(block)
 	select {
@@ -250,17 +253,13 @@ func TestParkedJobsRestoreAsQueued(t *testing.T) {
 	// A job parked at crash time is journaled as queued (its submit record
 	// has no terminal record); restore re-enqueues and re-runs it.
 	var ran []int
-	q, err := New(func(x int) (int, error) { ran = append(ran, x); return x, nil }, Options[int, int]{
-		Manual: true,
+	q := newTestQueue(t, func(x int) (int, error) { ran = append(ran, x); return x, nil }, Options[int, int]{
 		Restore: []Restored[int, int]{
 			{ID: "job-1", Seq: 1, Req: 41, State: Queued},
 			{ID: "job-2", Seq: 2, Req: 42, State: Parked},
 		},
 		StartSeq: 3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for q.RunNext() {
 	}
 	if len(ran) != 2 || ran[0] != 41 || ran[1] != 42 {

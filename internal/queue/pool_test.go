@@ -7,20 +7,15 @@ import (
 	"time"
 )
 
-// poolQueue builds a workerless queue the pool drives, with an
-// injected clock shared across queues so queue waits are comparable.
+// poolQueue builds a queue the pool drives, with an injected clock
+// shared across queues so queue waits are comparable.
 func poolQueue(t *testing.T, clock Clock) *Queue[int, int] {
 	t.Helper()
-	q, err := New(func(x int) (int, error) { return x, nil }, Options[int, int]{
-		Manual:   true,
+	return newTestQueue(t, func(x int) (int, error) { return x, nil }, Options[int, int]{
 		Capacity: 20000,
 		Retain:   20000,
 		Clock:    clock,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
 }
 
 // submitN submits n jobs and kicks the pool for each, returning the job
@@ -190,11 +185,7 @@ func TestPoolProductionDrainAndClose(t *testing.T) {
 		return x, nil
 	}
 	newQ := func() *Queue[int, int] {
-		q, err := New(exec, Options[int, int]{Manual: true, Capacity: 1000, Retain: 1000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return q
+		return newTestQueue(t, exec, Options[int, int]{Capacity: 1000, Retain: 1000})
 	}
 	p := NewPool(PoolOptions{Workers: 4})
 	qa, qb := newQ(), newQ()
@@ -250,15 +241,12 @@ func TestPoolUnregisterWaitsForInflight(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
 	var finished atomic.Bool
-	q, err := New(func(x int) (int, error) {
+	q := newTestQueue(t, func(x int) (int, error) {
 		started <- struct{}{}
 		<-block
 		finished.Store(true)
 		return x, nil
-	}, Options[int, int]{Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Options[int, int]{})
 	p := NewPool(PoolOptions{Workers: 1})
 	if err := p.Register("x", q, 1, 1); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // refModel is the single-goroutine reference semantics of the queue:
 // a FIFO list of pending IDs plus bookkeeping of what was accepted,
 // canceled, and executed. The property test replays a random op sequence
-// against the real (manual-mode) queue and this model in lockstep and
+// against the real queue and this model in lockstep and
 // requires them to agree on every observable.
 type refModel struct {
 	cap      int
@@ -70,8 +70,7 @@ func itoa(n int) string {
 }
 
 // TestQueueMatchesReferenceModel drives random bursts of submits,
-// cancels, runs, and a shutdown against the deterministic manual-mode
-// queue and the reference model: FIFO completion order, no job lost, no
+// cancels, runs, and a shutdown against the single-caller queue and the reference model: FIFO completion order, no job lost, no
 // job double-executed, and byte-for-byte agreement on accept/reject
 // decisions.
 func TestQueueMatchesReferenceModel(t *testing.T) {
@@ -81,14 +80,11 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 
 		execCount := map[int]int{} // request payload -> times executed
 		var execOrder []int
-		q, err := New(func(x int) (int, error) {
+		q := newTestQueue(t, func(x int) (int, error) {
 			execCount[x]++
 			execOrder = append(execOrder, x)
 			return x, nil
-		}, Options[int, int]{Manual: true, Capacity: capacity, Clock: fakeClock()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, Options[int, int]{Capacity: capacity})
 		model := &refModel{cap: capacity, canceled: map[string]bool{}}
 		jobs := map[string]*Job[int, int]{}
 		payload := 0
@@ -201,17 +197,26 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 }
 
 // TestQueueConcurrentNoJobLostOrDoubled is the liveness cousin of the
-// reference-model test: with real workers and racing submitters and
+// reference-model test: with pool workers and racing submitters and
 // cancelers, every accepted job still reaches a terminal state exactly
 // once. Run under -race this exercises the locking.
 func TestQueueConcurrentNoJobLostOrDoubled(t *testing.T) {
 	var execs sync.Map // payload -> *count
-	q, err := New(func(x int) (int, error) {
+	// Three pool workers run the queue, up to three jobs at once, while
+	// the submitters and cancelers race them. The kick and un-kick run
+	// under the queue lock, as in the CI server, so the pool's pending
+	// count is the backlog.
+	p := NewPool(PoolOptions{Workers: 3})
+	q := newTestQueue(t, func(x int) (int, error) {
 		c, _ := execs.LoadOrStore(x, new(int))
 		*(c.(*int))++
 		return x, nil
-	}, Options[int, int]{Workers: 3, Capacity: 512})
-	if err != nil {
+	}, Options[int, int]{
+		Capacity: 512,
+		OnSubmit: func(*Job[int, int]) error { p.Kick("q"); return nil },
+		OnCancel: func(*Job[int, int]) error { p.Unkick("q"); return nil },
+	})
+	if err := p.Register("q", q, 1, 3); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
@@ -243,6 +248,8 @@ func TestQueueConcurrentNoJobLostOrDoubled(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	q.CloseIntake()
+	p.Close()
 	q.Close()
 	mu.Lock()
 	defer mu.Unlock()

@@ -1,16 +1,16 @@
 // Package queue is the asynchronous spine of the CI server: a bounded
-// FIFO job queue with a worker pool draining into an executor (in the
-// server's case, engine.Commit under the engine lock). A burst of commits
-// from many repositories is absorbed as 202-accepted jobs and evaluated
-// in submission order, instead of stalling every caller on one engine
-// lock.
+// FIFO job queue per project and a shared Pool that executes their jobs
+// (in the server's case, engine.Commit under the engine lock). A burst of
+// commits from many repositories is absorbed as 202-accepted jobs and
+// evaluated in submission order, instead of stalling every caller on one
+// engine lock.
 //
-// Every knob a concurrency test needs is injectable: the clock that
-// stamps job transitions, the worker count, and — for fully deterministic
-// interleavings — a manual mode with no background workers at all, where
-// the test drives execution one job at a time with RunNext. The
-// production configuration and the deterministic harness share every line
-// of state-machine code; only the goroutines differ.
+// A Queue owns no goroutines: a job runs only when the queue's owner
+// calls RunNext. In the server that owner is the Pool, which keeps one
+// job in flight per queue and weighs queues against each other; tests
+// call RunNext themselves (or a manual Pool's RunOne) to choose exactly
+// when each job runs and observe every intermediate state. The clock
+// that stamps job transitions is injectable as well.
 package queue
 
 import (
@@ -32,7 +32,7 @@ type State int32
 const (
 	// Queued means the job is waiting its FIFO turn.
 	Queued State = iota
-	// Running means a worker has dequeued the job and is executing it.
+	// Running means RunNext has dequeued the job and is executing it.
 	Running
 	// Done means the executor returned a result.
 	Done
@@ -41,7 +41,7 @@ const (
 	Failed
 	// Parked means the executor hit a retryable dependency outage (the
 	// remote label provider, in the CI server's case) and the job is
-	// held — outside the pending backlog, occupying no worker — until
+	// held — outside the pending backlog, occupying no executor — until
 	// ReleaseParked re-queues it. Parked is not terminal: Done stays
 	// open and waiters keep waiting.
 	Parked
@@ -87,9 +87,6 @@ var (
 // safe for concurrent use. Tests inject a deterministic counter; the
 // default is wall time in Unix nanoseconds.
 type Clock func() int64
-
-// Exec runs one job's work and produces its result.
-type Exec[Req, Res any] func(Req) (Res, error)
 
 // Job is one unit of queued work. ID, Seq, and Req are immutable after
 // Submit; everything else is read through the accessor methods, which are
@@ -175,17 +172,10 @@ type Options[Req, Res any] struct {
 	// Capacity bounds the pending (not yet running) backlog; Submit
 	// returns ErrFull beyond it. 0 means DefaultCapacity.
 	Capacity int
-	// Workers is the size of the draining worker pool. 0 means
-	// DefaultWorkers; ignored when Manual is set. The executor decides
-	// its own serialization (the CI server's executor takes the engine
-	// lock), so more than one worker is only useful for executors that
-	// can actually run concurrently.
-	Workers int
-	// Manual disables background workers; jobs execute only when the
-	// caller invokes RunNext. This is the deterministic test harness: the
-	// test chooses exactly when each job runs and observes every
-	// intermediate state.
-	Manual bool
+	// Exec runs one job's work and produces its result; it receives the
+	// job handle (the durable server needs the job ID inside the
+	// execution transaction). Required.
+	Exec func(*Job[Req, Res]) (Res, error)
 	// Retain bounds how many terminal jobs stay pollable before the
 	// oldest are evicted. 0 means DefaultRetain.
 	Retain int
@@ -210,23 +200,11 @@ type Options[Req, Res any] struct {
 	// the record before the state change means a canceled job can never
 	// resurrect after a crash.
 	OnCancel func(*Job[Req, Res]) error
-	// ExecJob, when set, replaces the executor and additionally receives
-	// the job handle (the durable server needs the job ID inside the
-	// execution transaction). Exactly one of the constructor's exec and
-	// ExecJob must be non-nil.
-	ExecJob func(*Job[Req, Res]) (Res, error)
 	// Restore pre-populates the queue with jobs recovered from a durable
 	// log: terminal entries become pollable finished jobs, non-terminal
-	// entries are re-enqueued in Seq order and execute again when the
-	// workers start. Seen by workers only after New returns.
+	// entries are re-enqueued in Seq order and execute again on the
+	// owner's next RunNext calls.
 	Restore []Restored[Req, Res]
-	// DeferStart makes New build the queue without spawning its workers;
-	// nothing — restored backlog included — executes until Start is
-	// called. The durable server constructs its queue this way so that
-	// recovery wiring (engine journal, notifier, webhook redelivery) is
-	// complete before any restored job can run. Ignored with Manual.
-	// A queue closed before Start abandons its backlog.
-	DeferStart bool
 	// StartSeq floors the job sequence counter, so IDs of jobs pruned
 	// from a durable log are never reissued. Restored jobs may raise the
 	// floor further.
@@ -266,14 +244,12 @@ type Restored[Req, Res any] struct {
 // Defaults for Options zero values.
 const (
 	DefaultCapacity = 1024
-	DefaultWorkers  = 1
 	DefaultRetain   = 4096
 )
 
 // Queue is a bounded FIFO job queue. Safe for concurrent use.
 type Queue[Req, Res any] struct {
-	exec      Exec[Req, Res]
-	execJob   func(*Job[Req, Res]) (Res, error)
+	exec      func(*Job[Req, Res]) (Res, error)
 	clock     Clock
 	onFinish  func(*Job[Req, Res])
 	onSubmit  func(*Job[Req, Res]) error
@@ -283,22 +259,16 @@ type Queue[Req, Res any] struct {
 	onRelease func(*Job[Req, Res])
 	capacity  int
 	retain    int
-	manual    bool
-	workers   int
 
 	mu       sync.Mutex
-	cond     *sync.Cond
 	pending  []*Job[Req, Res]
 	parked   []*Job[Req, Res] // in Seq order
 	jobs     map[string]*Job[Req, Res]
 	terminal []string // terminal job IDs in finish order, for eviction
 	closed   bool
-	started  bool
 	nextSeq  int
 	running  int
 	stats    Stats
-
-	wg sync.WaitGroup
 }
 
 // Stats counts the queue's lifetime traffic.
@@ -321,18 +291,17 @@ type Stats struct {
 	Parked  int `json:"parked"`
 }
 
-// New builds a queue around an executor and starts its workers (unless
-// opts.Manual).
-func New[Req, Res any](exec Exec[Req, Res], opts Options[Req, Res]) (*Queue[Req, Res], error) {
-	if (exec == nil) == (opts.ExecJob == nil) {
-		return nil, fmt.Errorf("queue: exactly one of exec and Options.ExecJob required")
+// New builds a queue around opts.Exec. Nothing runs until the owner
+// calls RunNext.
+func New[Req, Res any](opts Options[Req, Res]) (*Queue[Req, Res], error) {
+	if opts.Exec == nil {
+		return nil, fmt.Errorf("queue: Options.Exec required")
 	}
-	if opts.Capacity < 0 || opts.Workers < 0 || opts.Retain < 0 || opts.StartSeq < 0 {
-		return nil, fmt.Errorf("queue: negative capacity, workers, retain, or start seq")
+	if opts.Capacity < 0 || opts.Retain < 0 || opts.StartSeq < 0 {
+		return nil, fmt.Errorf("queue: negative capacity, retain, or start seq")
 	}
 	q := &Queue[Req, Res]{
-		exec:      exec,
-		execJob:   opts.ExecJob,
+		exec:      opts.Exec,
 		clock:     opts.Clock,
 		onFinish:  opts.OnFinish,
 		onSubmit:  opts.OnSubmit,
@@ -342,7 +311,6 @@ func New[Req, Res any](exec Exec[Req, Res], opts Options[Req, Res]) (*Queue[Req,
 		onRelease: opts.OnRelease,
 		capacity:  opts.Capacity,
 		retain:    opts.Retain,
-		manual:    opts.Manual,
 		jobs:      make(map[string]*Job[Req, Res]),
 		nextSeq:   opts.StartSeq,
 	}
@@ -355,42 +323,15 @@ func New[Req, Res any](exec Exec[Req, Res], opts Options[Req, Res]) (*Queue[Req,
 	if q.retain == 0 {
 		q.retain = DefaultRetain
 	}
-	q.cond = sync.NewCond(&q.mu)
 	if err := q.restore(opts.Restore); err != nil {
 		return nil, err
-	}
-	if !opts.Manual {
-		q.workers = opts.Workers
-		if q.workers == 0 {
-			q.workers = DefaultWorkers
-		}
-		if !opts.DeferStart {
-			q.Start()
-		}
 	}
 	return q, nil
 }
 
-// Start spawns the worker pool of a queue built with Options.DeferStart,
-// releasing the (possibly restored) backlog for execution. Everything the
-// caller wired up before Start happens-before the first job runs.
-// Idempotent; a no-op in manual mode.
-func (q *Queue[Req, Res]) Start() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.started || q.manual {
-		return
-	}
-	q.started = true
-	q.wg.Add(q.workers)
-	for i := 0; i < q.workers; i++ {
-		go q.worker()
-	}
-}
-
 // restore seeds the queue from recovered jobs (see Options.Restore),
-// sorted into Seq order. Called during construction, before any worker
-// exists, so no locking is needed.
+// sorted into Seq order. Called during construction, before the queue
+// is shared, so no locking is needed.
 func (q *Queue[Req, Res]) restore(restored []Restored[Req, Res]) error {
 	if len(restored) == 0 {
 		return nil
@@ -477,7 +418,6 @@ func (q *Queue[Req, Res]) Submit(req Req) (*Job[Req, Res], error) {
 	q.pending = append(q.pending, j)
 	q.jobs[j.ID] = j
 	q.stats.Submitted++
-	q.cond.Signal()
 	return j, nil
 }
 
@@ -573,7 +513,6 @@ func (q *Queue[Req, Res]) Stats() Stats {
 func (q *Queue[Req, Res]) CloseIntake() {
 	q.mu.Lock()
 	q.closed = true
-	q.cond.Broadcast()
 	q.mu.Unlock()
 }
 
@@ -620,41 +559,34 @@ func (q *Queue[Req, Res]) Pending() int {
 }
 
 // Close shuts the queue down gracefully: new submits are rejected with
-// ErrClosed, every already-accepted job still executes, and Close blocks
-// until the backlog has drained and all workers have exited. In manual
-// mode Close drains the backlog itself, so the postcondition is the same:
-// every accepted job has reached a terminal state. Idempotent — except
-// that a manual-mode queue whose intake was closed via CloseIntake is
-// assumed to have been drained by its scheduler (Close skips the drain
-// then, exactly as a second Close would).
+// ErrClosed and the closing goroutine runs every already-accepted job,
+// so on return every accepted job has reached a terminal state. A queue
+// whose intake was already closed via CloseIntake is assumed to have
+// been drained by its scheduler, and Close skips the drain then, exactly
+// as a second Close would. Idempotent.
 func (q *Queue[Req, Res]) Close() {
 	q.mu.Lock()
 	alreadyClosed := q.closed
 	q.closed = true
-	q.cond.Broadcast()
 	q.mu.Unlock()
-	// Only manual mode drains on the closing goroutine: with background
-	// workers the workers themselves finish the backlog (the worker loop
-	// exits only once closed AND empty), and a second drainer would race
-	// them for jobs and break FIFO completion order during shutdown.
-	if !alreadyClosed && q.manual {
+	if !alreadyClosed {
 		for q.RunNext() {
 		}
 	}
-	q.wg.Wait()
-	// The workers are gone (or the manual drain is done), so nothing can
-	// park anymore; any job still parked would wait forever. Fail them so
-	// every accepted job reaches a terminal state and synchronous waiters
-	// unblock — the same ErrCanceled contract as Abandon.
+	// Nothing can park on a closed queue, so any job still parked would
+	// wait forever. Fail them so every accepted job reaches a terminal
+	// state and synchronous waiters unblock — the same ErrCanceled
+	// contract as Abandon.
 	q.failParked()
 }
 
 // RunNext dequeues and executes the oldest pending job on the calling
-// goroutine, returning false when the backlog is empty. It is the manual
-// harness's drive wheel; with background workers it is also safe (a
-// worker and a RunNext caller never pop the same job) but rarely useful.
+// goroutine, returning false when the backlog is empty. It is the only
+// way a job runs. Concurrent callers never pop the same job, but only a
+// single caller at a time keeps completion order equal to FIFO
+// submission order.
 func (q *Queue[Req, Res]) RunNext() bool {
-	j := q.pop(false)
+	j := q.pop()
 	if j == nil {
 		return false
 	}
@@ -662,29 +594,13 @@ func (q *Queue[Req, Res]) RunNext() bool {
 	return true
 }
 
-// worker drains the backlog until the queue is closed and empty.
-func (q *Queue[Req, Res]) worker() {
-	defer q.wg.Done()
-	for {
-		j := q.pop(true)
-		if j == nil {
-			return
-		}
-		q.run(j)
-	}
-}
-
-// pop removes the FIFO head and marks it running. With block set it waits
-// for work, returning nil only when the queue is closed and drained;
-// without, it returns nil immediately on an empty backlog.
-func (q *Queue[Req, Res]) pop(block bool) *Job[Req, Res] {
+// pop removes the FIFO head and marks it running, or returns nil on an
+// empty backlog.
+func (q *Queue[Req, Res]) pop() *Job[Req, Res] {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.pending) == 0 {
-		if q.closed || !block {
-			return nil
-		}
-		q.cond.Wait()
+	if len(q.pending) == 0 {
+		return nil
 	}
 	j := q.pending[0]
 	q.pending = q.pending[1:]
@@ -699,15 +615,7 @@ func (q *Queue[Req, Res]) pop(block bool) *Job[Req, Res] {
 // run executes a popped job and retires it — or parks it, when the
 // executor's error matches the Park policy and the queue is still open.
 func (q *Queue[Req, Res]) run(j *Job[Req, Res]) {
-	var (
-		res Res
-		err error
-	)
-	if q.execJob != nil {
-		res, err = q.execJob(j)
-	} else {
-		res, err = q.exec(j.Req)
-	}
+	res, err := q.exec(j)
 	if err != nil && q.park != nil && q.park(err) {
 		q.mu.Lock()
 		if !q.closed {
@@ -762,8 +670,8 @@ func (q *Queue[Req, Res]) insertParkedLocked(j *Job[Req, Res]) {
 }
 
 // ReleaseParked re-queues every parked job ahead of younger pending work
-// (the merged backlog is in Seq order), waking the workers, and returns
-// how many jobs it released. The server calls it when the label
+// (the merged backlog is in Seq order) and returns how many jobs it
+// released; OnRelease tells the owner each one is runnable again. The server calls it when the label
 // provider's breaker cooldown elapses — and on nothing else: a release
 // that finds the provider still down just parks the jobs again. A closed
 // queue releases nothing (Close fails parked jobs itself).
@@ -785,7 +693,6 @@ func (q *Queue[Req, Res]) ReleaseParked() int {
 	merged = append(merged, q.pending...)
 	sort.Slice(merged, func(i, k int) bool { return merged[i].Seq < merged[k].Seq })
 	q.pending = merged
-	q.cond.Broadcast()
 	onRelease := q.onRelease
 	q.mu.Unlock()
 	if onRelease != nil {
@@ -804,8 +711,8 @@ func (q *Queue[Req, Res]) ParkedCount() int {
 }
 
 // failParked fails every parked job with ErrCanceled; the shutdown
-// counterpart of ReleaseParked. Runs after the workers have exited (or,
-// in manual mode, after the drain), so no new park can race it.
+// counterpart of ReleaseParked. Runs once the queue is closed, so no new
+// park can race it.
 func (q *Queue[Req, Res]) failParked() {
 	q.mu.Lock()
 	stranded := q.parked

@@ -15,15 +15,20 @@ func fakeClock() Clock {
 	return func() int64 { return atomic.AddInt64(&t, 1) }
 }
 
-// manualQueue builds a queue with no background workers, so the test
-// controls exactly when each job runs.
-func manualQueue(t *testing.T, exec Exec[int, int], opts Options[int, int]) *Queue[int, int] {
+// byReq adapts a function of the request alone into an Options.Exec.
+func byReq[Req, Res any](f func(Req) (Res, error)) func(*Job[Req, Res]) (Res, error) {
+	return func(j *Job[Req, Res]) (Res, error) { return f(j.Req) }
+}
+
+// newTestQueue builds a queue over exec with a deterministic clock; the
+// test controls exactly when each job runs by calling RunNext.
+func newTestQueue(t *testing.T, exec func(int) (int, error), opts Options[int, int]) *Queue[int, int] {
 	t.Helper()
-	opts.Manual = true
+	opts.Exec = byReq(exec)
 	if opts.Clock == nil {
 		opts.Clock = fakeClock()
 	}
-	q, err := New(exec, opts)
+	q, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +36,7 @@ func manualQueue(t *testing.T, exec Exec[int, int], opts Options[int, int]) *Que
 }
 
 func TestJobLifecycleDeterministic(t *testing.T) {
-	q := manualQueue(t, func(x int) (int, error) { return x * 10, nil }, Options[int, int]{})
+	q := newTestQueue(t, func(x int) (int, error) { return x * 10, nil }, Options[int, int]{})
 	j, err := q.Submit(7)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +78,7 @@ func TestJobLifecycleDeterministic(t *testing.T) {
 
 func TestFailedJobCarriesError(t *testing.T) {
 	boom := errors.New("boom")
-	q := manualQueue(t, func(int) (int, error) { return 0, boom }, Options[int, int]{})
+	q := newTestQueue(t, func(int) (int, error) { return 0, boom }, Options[int, int]{})
 	j, _ := q.Submit(1)
 	q.RunNext()
 	state, _, err := j.Peek()
@@ -87,7 +92,7 @@ func TestFailedJobCarriesError(t *testing.T) {
 
 func TestFIFOOrder(t *testing.T) {
 	var ran []int
-	q := manualQueue(t, func(x int) (int, error) { ran = append(ran, x); return x, nil }, Options[int, int]{})
+	q := newTestQueue(t, func(x int) (int, error) { ran = append(ran, x); return x, nil }, Options[int, int]{})
 	for i := 0; i < 5; i++ {
 		if _, err := q.Submit(i); err != nil {
 			t.Fatal(err)
@@ -112,7 +117,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestCapacityBound(t *testing.T) {
-	q := manualQueue(t, func(x int) (int, error) { return x, nil }, Options[int, int]{Capacity: 2})
+	q := newTestQueue(t, func(x int) (int, error) { return x, nil }, Options[int, int]{Capacity: 2})
 	if _, err := q.Submit(1); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +135,7 @@ func TestCapacityBound(t *testing.T) {
 }
 
 func TestCancelSemantics(t *testing.T) {
-	q := manualQueue(t, func(x int) (int, error) { return x, nil }, Options[int, int]{})
+	q := newTestQueue(t, func(x int) (int, error) { return x, nil }, Options[int, int]{})
 	j1, _ := q.Submit(1)
 	j2, _ := q.Submit(2)
 	canceled, err := q.Cancel(j2.ID)
@@ -169,7 +174,7 @@ func TestCancelSemantics(t *testing.T) {
 }
 
 func TestSubmitAfterCloseRejected(t *testing.T) {
-	q := manualQueue(t, func(x int) (int, error) { return x, nil }, Options[int, int]{})
+	q := newTestQueue(t, func(x int) (int, error) { return x, nil }, Options[int, int]{})
 	j, _ := q.Submit(1)
 	q.Close()
 	if _, err := q.Submit(2); !errors.Is(err, ErrClosed) {
@@ -186,15 +191,12 @@ func TestOnFinishExactlyOnce(t *testing.T) {
 	finishes := map[string]int{}
 	var mu sync.Mutex
 	var q *Queue[int, int]
-	var err error
-	q, err = New(func(x int) (int, error) {
+	q = newTestQueue(t, func(x int) (int, error) {
 		if x%2 == 1 {
 			return 0, errors.New("odd")
 		}
 		return x, nil
 	}, Options[int, int]{
-		Manual: true,
-		Clock:  fakeClock(),
 		OnFinish: func(j *Job[int, int]) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -204,9 +206,6 @@ func TestOnFinishExactlyOnce(t *testing.T) {
 			finishes[j.ID]++
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ids []string
 	for i := 0; i < 6; i++ {
 		j, err := q.Submit(i)
@@ -224,15 +223,14 @@ func TestOnFinishExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestWorkerPoolDrainsBurst: four goroutines calling RunNext at once
+// drain a burst with every job executed exactly once.
 func TestWorkerPoolDrainsBurst(t *testing.T) {
 	var executed atomic.Int64
-	q, err := New(func(x int) (int, error) {
+	q := newTestQueue(t, func(x int) (int, error) {
 		executed.Add(1)
 		return x * 2, nil
-	}, Options[int, int]{Workers: 4, Capacity: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Options[int, int]{Capacity: 256})
 	var jobs []*Job[int, int]
 	for i := 0; i < 100; i++ {
 		j, err := q.Submit(i)
@@ -241,6 +239,16 @@ func TestWorkerPoolDrainsBurst(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q.RunNext() {
+			}
+		}()
+	}
+	wg.Wait()
 	for _, j := range jobs {
 		select {
 		case <-j.Done():
@@ -263,27 +271,25 @@ func TestWorkerPoolDrainsBurst(t *testing.T) {
 	}
 }
 
+// TestSingleWorkerCompletesInFIFOOrder: a queue scheduled by a
+// one-worker pool completes its jobs in submission order.
 func TestSingleWorkerCompletesInFIFOOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []int
-	q, err := New(func(x int) (int, error) {
+	q := newTestQueue(t, func(x int) (int, error) {
 		mu.Lock()
 		order = append(order, x)
 		mu.Unlock()
 		return x, nil
-	}, Options[int, int]{Workers: 1})
-	if err != nil {
+	}, Options[int, int]{})
+	p := NewPool(PoolOptions{Workers: 1})
+	if err := p.Register("q", q, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	var last *Job[int, int]
-	for i := 0; i < 50; i++ {
-		j, err := q.Submit(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = j
-	}
-	<-last.Done()
+	jobs := submitN(t, p, q, "q", 50)
+	<-jobs[len(jobs)-1].Done()
+	q.CloseIntake()
+	p.Close()
 	q.Close()
 	mu.Lock()
 	defer mu.Unlock()
@@ -295,33 +301,32 @@ func TestSingleWorkerCompletesInFIFOOrder(t *testing.T) {
 }
 
 // TestCloseDrainFIFOWithWorker is the shutdown-ordering regression test:
-// Close must leave the drain to the worker (not race it with a second
-// drainer on the closing goroutine), so completion order stays FIFO even
-// for jobs that were still pending when Close was called.
+// once CloseIntake has handed the drain to the pool, Close must not race
+// the pool's worker with a second drainer on the closing goroutine, so
+// completion order stays FIFO even for jobs that were still pending when
+// shutdown began.
 func TestCloseDrainFIFOWithWorker(t *testing.T) {
 	var mu sync.Mutex
 	var order []int
-	q, err := New(func(x int) (int, error) {
+	q := newTestQueue(t, func(x int) (int, error) {
 		mu.Lock()
 		order = append(order, x)
 		mu.Unlock()
 		return x, nil
-	}, Options[int, int]{Workers: 1, Capacity: 256})
-	if err != nil {
+	}, Options[int, int]{Capacity: 256})
+	p := NewPool(PoolOptions{Workers: 1})
+	if err := p.Register("q", q, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	var jobs []*Job[int, int]
-	for i := 0; i < 50; i++ {
-		j, err := q.Submit(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	q.Close() // most jobs are still pending here
+	jobs := submitN(t, p, q, "q", 50)
+	// Most jobs are still pending here. With intake already closed, Close
+	// must leave them to the pool; the pool's Close drains them.
+	q.CloseIntake()
+	q.Close()
+	p.Close()
 	for _, j := range jobs {
 		if state, _, _ := j.Peek(); state != Done {
-			t.Fatalf("job %s not done after Close: %v", j.ID, state)
+			t.Fatalf("job %s not done after pool Close: %v", j.ID, state)
 		}
 	}
 	mu.Lock()
@@ -334,7 +339,7 @@ func TestCloseDrainFIFOWithWorker(t *testing.T) {
 }
 
 func TestTerminalJobEviction(t *testing.T) {
-	q := manualQueue(t, func(x int) (int, error) { return x, nil }, Options[int, int]{Retain: 3})
+	q := newTestQueue(t, func(x int) (int, error) { return x, nil }, Options[int, int]{Retain: 3})
 	var ids []string
 	for i := 0; i < 8; i++ {
 		j, err := q.Submit(i)
@@ -353,11 +358,18 @@ func TestTerminalJobEviction(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New[int, int](nil, Options[int, int]{}); err == nil {
+	if _, err := New(Options[int, int]{}); err == nil {
 		t.Error("nil executor should fail")
 	}
-	if _, err := New(func(int) (int, error) { return 0, nil }, Options[int, int]{Capacity: -1}); err == nil {
-		t.Error("negative capacity should fail")
+	exec := byReq(func(int) (int, error) { return 0, nil })
+	for _, opts := range []Options[int, int]{
+		{Exec: exec, Capacity: -1},
+		{Exec: exec, Retain: -1},
+		{Exec: exec, StartSeq: -1},
+	} {
+		if _, err := New(opts); err == nil {
+			t.Errorf("negative option accepted: %+v", opts)
+		}
 	}
 }
 
@@ -380,7 +392,7 @@ func TestStateString(t *testing.T) {
 // invoking the OnCancel durability hook, and leaves terminal jobs alone.
 func TestAbandonFailsBacklogWithoutHooks(t *testing.T) {
 	var finished, canceledHook int
-	q := manualQueue(t, func(x int) (int, error) { return x, nil }, Options[int, int]{
+	q := newTestQueue(t, func(x int) (int, error) { return x, nil }, Options[int, int]{
 		OnFinish: func(*Job[int, int]) { finished++ },
 		OnCancel: func(*Job[int, int]) error { canceledHook++; return nil },
 	})

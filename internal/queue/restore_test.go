@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestRestoreMixedStates seeds a queue with terminal and pending jobs and
@@ -19,8 +18,8 @@ func TestRestoreMixedStates(t *testing.T) {
 		ran = append(ran, req)
 		return "res:" + req, nil
 	}
-	q, err := New(exec, Options[string, string]{
-		Manual: true,
+	q, err := New(Options[string, string]{
+		Exec: byReq(exec),
 		Restore: []Restored[string, string]{
 			{ID: "job-3", Seq: 3, State: Queued, Req: "c"},
 			{ID: "job-1", Seq: 1, State: Done, Req: "a", Res: "res:a"},
@@ -78,8 +77,8 @@ func TestRestorePendingRunInSeqOrder(t *testing.T) {
 		order = append(order, req)
 		return req, nil
 	}
-	q, err := New(exec, Options[string, string]{
-		Manual: true,
+	q, err := New(Options[string, string]{
+		Exec: byReq(exec),
 		Restore: []Restored[string, string]{
 			{ID: "job-9", Seq: 9, State: Queued, Req: "ninth"},
 			{ID: "job-2", Seq: 2, State: Running, Req: "second"}, // Running at crash: re-enqueued
@@ -99,8 +98,8 @@ func TestRestorePendingRunInSeqOrder(t *testing.T) {
 }
 
 func TestStartSeqFloorsIDs(t *testing.T) {
-	q, err := New(func(s string) (string, error) { return s, nil },
-		Options[string, string]{Manual: true, StartSeq: 41})
+	echo := byReq(func(s string) (string, error) { return s, nil })
+	q, err := New(Options[string, string]{Exec: echo, StartSeq: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,17 +114,16 @@ func TestOnSubmitHookAbortsAndRollsBackSeq(t *testing.T) {
 	boom := errors.New("log unwritable")
 	fail := false
 	var hooked []string
-	q, err := New(func(s string) (string, error) { return s, nil },
-		Options[string, string]{
-			Manual: true,
-			OnSubmit: func(j *Job[string, string]) error {
-				if fail {
-					return boom
-				}
-				hooked = append(hooked, j.ID)
-				return nil
-			},
-		})
+	q, err := New(Options[string, string]{
+		Exec: byReq(func(s string) (string, error) { return s, nil }),
+		OnSubmit: func(j *Job[string, string]) error {
+			if fail {
+				return boom
+			}
+			hooked = append(hooked, j.ID)
+			return nil
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,16 +151,15 @@ func TestOnSubmitHookAbortsAndRollsBackSeq(t *testing.T) {
 func TestOnCancelHookAbortKeepsJobQueued(t *testing.T) {
 	boom := errors.New("log unwritable")
 	fail := true
-	q, err := New(func(s string) (string, error) { return s, nil },
-		Options[string, string]{
-			Manual: true,
-			OnCancel: func(j *Job[string, string]) error {
-				if fail {
-					return boom
-				}
-				return nil
-			},
-		})
+	q, err := New(Options[string, string]{
+		Exec: byReq(func(s string) (string, error) { return s, nil }),
+		OnCancel: func(j *Job[string, string]) error {
+			if fail {
+				return boom
+			}
+			return nil
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +182,8 @@ func TestOnCancelHookAbortKeepsJobQueued(t *testing.T) {
 
 func TestExecJobSeesJobIdentity(t *testing.T) {
 	var got []string
-	q, err := New[string, string](nil, Options[string, string]{
-		Manual: true,
-		ExecJob: func(j *Job[string, string]) (string, error) {
+	q, err := New(Options[string, string]{
+		Exec: func(j *Job[string, string]) (string, error) {
 			got = append(got, j.ID+"/"+j.Req)
 			return j.Req, nil
 		},
@@ -205,73 +201,15 @@ func TestExecJobSeesJobIdentity(t *testing.T) {
 	}
 }
 
-func TestNewRejectsAmbiguousExecutors(t *testing.T) {
-	if _, err := New[int, int](nil, Options[int, int]{}); err == nil {
-		t.Fatal("nil exec and nil ExecJob accepted")
-	}
-	both := Options[int, int]{ExecJob: func(*Job[int, int]) (int, error) { return 0, nil }}
-	if _, err := New(func(int) (int, error) { return 0, nil }, both); err == nil {
-		t.Fatal("both exec and ExecJob accepted")
-	}
-}
-
 func TestRestoreRejectsDuplicates(t *testing.T) {
-	_, err := New(func(s string) (string, error) { return s, nil },
-		Options[string, string]{Restore: []Restored[string, string]{
+	_, err := New(Options[string, string]{
+		Exec: byReq(func(s string) (string, error) { return s, nil }),
+		Restore: []Restored[string, string]{
 			{ID: "job-1", Seq: 1, State: Done},
 			{ID: "job-1", Seq: 2, State: Done},
-		}})
-	if err == nil {
-		t.Fatal("duplicate restored IDs accepted")
-	}
-}
-
-// TestDeferStart: a queue built with DeferStart holds its backlog —
-// restored jobs included — until Start releases the workers, and Start is
-// idempotent. This is the gate the durable server uses to finish recovery
-// wiring before any restored job can execute.
-func TestDeferStart(t *testing.T) {
-	started := make(chan struct{})
-	var once sync.Once
-	var mu sync.Mutex
-	var ran []string
-	exec := func(req string) (string, error) {
-		once.Do(func() { close(started) })
-		mu.Lock()
-		defer mu.Unlock()
-		ran = append(ran, req)
-		return "res:" + req, nil
-	}
-	q, err := New(exec, Options[string, string]{
-		DeferStart: true,
-		Restore: []Restored[string, string]{
-			{ID: "job-1", Seq: 1, State: Queued, Req: "restored"},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := q.Submit("live")
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-started:
-		t.Fatal("a job executed before Start")
-	case <-time.After(20 * time.Millisecond):
-	}
-	q.Start()
-	q.Start() // idempotent
-	<-live.Done()
-	restored, ok := q.Job("job-1")
-	if !ok {
-		t.Fatal("restored job vanished")
-	}
-	<-restored.Done()
-	q.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if want := []string{"restored", "live"}; len(ran) != 2 || ran[0] != want[0] || ran[1] != want[1] {
-		t.Errorf("execution order = %v, want %v", ran, want)
+	if err == nil {
+		t.Fatal("duplicate restored IDs accepted")
 	}
 }

@@ -17,11 +17,8 @@ import (
 )
 
 // jobsRest is the poll/cancel row below a scope prefix; job IDs follow
-// it. jobsPath is its alias spelling.
-const (
-	jobsRest = "commit/jobs/"
-	jobsPath = apiPrefix + jobsRest
-)
+// it.
+const jobsRest = "commit/jobs/"
 
 // AsyncCommitRequest is a commit submission to the asynchronous pipeline:
 // the ordinary commit payload plus an optional webhook URL that receives
@@ -232,7 +229,7 @@ func (s *Server) handleCommitAsync(w http.ResponseWriter, r *http.Request, sc sc
 func (s *Server) handleCommitJob(w http.ResponseWriter, r *http.Request, sc scope) {
 	id := strings.TrimPrefix(sc.rest, jobsRest)
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "job ID required: "+jobsPath+"{id}")
+		writeError(w, http.StatusNotFound, "job ID required: "+sc.prefix+jobsRest+"{id}")
 		return
 	}
 	switch r.Method {
@@ -275,7 +272,7 @@ func jobStatus(job *queue.Job[commitJob, CommitResponse]) JobStatusResponse {
 // deliverWebhook is the queue's OnFinish hook: jobs submitted with a
 // webhook URL get their final status POSTed through the retry queue,
 // which owns backoff, bounded attempts, and per-subscriber circuit
-// breaking — OnFinish executes on the commit worker, and a slow or down
+// breaking — OnFinish executes on the pool worker, and a slow or down
 // subscriber must not stall the queue behind one job's callback. The
 // job result itself stays pollable whatever happens to its delivery.
 func (s *Server) deliverWebhook(job *queue.Job[commitJob, CommitResponse]) {

@@ -16,20 +16,24 @@ import (
 	"github.com/easeml/ci/internal/script"
 )
 
+// jobsPath is the poll/cancel row's alias spelling.
+const jobsPath = apiPrefix + jobsRest
+
 // newServerWith builds an in-memory tenant over a synthetic testset of
-// the given size and step budget, with explicit queue options.
-func newServerWith(t *testing.T, adaptKind script.AdaptivityKind, steps, size int, opts Options) (*Server, []int) {
+// the given size and step budget through openTestTenant, with explicit
+// options; manual selects a pool the test steps with srv.pool.RunOne.
+func newServerWith(t *testing.T, adaptKind script.AdaptivityKind, steps, size int, opts Options, manual bool) (*Server, []int) {
 	t.Helper()
 	g, labels := durableGenesis(t, steps, size)
 	g.Adaptivity = script.Adaptivity{Kind: adaptKind}
 	if adaptKind == script.AdaptivityNone {
 		g.Adaptivity.Email = "qa@x.y"
 	}
-	srv, err := newTenant(g, "", opts)
+	srv, err := openTestTenant(g, "", opts, manual)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() { closeTestTenant(srv) })
 	return srv, labels
 }
 
@@ -77,15 +81,14 @@ func pollUntilTerminal(t *testing.T, srv *Server, jobID string) JobStatusRespons
 }
 
 // TestAsyncSubmitPollWebhookDeterministic walks the whole async flow
-// under the manual queue harness, observing every intermediate state the
+// under a manual pool, observing every intermediate state the
 // production path goes through: accepted-queued, polled-queued, executed,
 // polled-done, webhook delivered.
 func TestAsyncSubmitPollWebhookDeterministic(t *testing.T) {
 	outbox := notify.NewOutbox()
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
-		ManualQueue: true,
-		Webhooks:    outbox,
-	})
+		Webhooks: outbox,
+	}, true)
 	rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
 		CommitRequest: CommitRequest{
 			Model: "cand", Author: "dev", Message: "async",
@@ -113,10 +116,10 @@ func TestAsyncSubmitPollWebhookDeterministic(t *testing.T) {
 		t.Error("webhook fired before the job ran")
 	}
 
-	if !srv.RunNextJob() {
-		t.Fatal("RunNextJob found no queued job")
+	if !srv.pool.RunOne() {
+		t.Fatal("RunOne found no queued job")
 	}
-	if srv.RunNextJob() {
+	if srv.pool.RunOne() {
 		t.Error("backlog should be empty after one run")
 	}
 
@@ -150,7 +153,7 @@ func TestAsyncSubmitPollWebhookDeterministic(t *testing.T) {
 }
 
 func TestAsyncValidation(t *testing.T) {
-	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{ManualQueue: true})
+	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, true)
 	rec, _ := doJSON(t, srv, http.MethodGet, "/api/v1/commit/async", nil)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET async status = %d", rec.Code)
@@ -186,7 +189,7 @@ func TestAsyncValidation(t *testing.T) {
 	}
 	var acc JobAcceptedResponse
 	json.Unmarshal(rec.Body.Bytes(), &acc)
-	srv.RunNextJob()
+	srv.pool.RunOne()
 	rec, _ = doJSON(t, srv, http.MethodGet, jobsPath+acc.JobID, nil)
 	if st := decodeJobStatus(t, rec); st.State != "failed" || st.Error == "" {
 		t.Errorf("short-predictions job = %+v", st)
@@ -208,7 +211,7 @@ func TestAsyncValidation(t *testing.T) {
 }
 
 func TestAsyncCancel(t *testing.T) {
-	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{ManualQueue: true})
+	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, true)
 	preds := goodPredictions(t, labels, 0.9, 2)
 	submit := func(name string) string {
 		rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
@@ -242,7 +245,7 @@ func TestAsyncCancel(t *testing.T) {
 	}
 
 	// The canceled commit never reached the engine; the kept one does.
-	for srv.RunNextJob() {
+	for srv.pool.RunOne() {
 	}
 	st := pollUntilTerminal(t, srv, keep)
 	if st.State != "done" || st.Result.Step != 1 {
@@ -258,9 +261,8 @@ func TestAsyncCancel(t *testing.T) {
 
 func TestAsyncQueueFullAnswers503(t *testing.T) {
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
-		ManualQueue:   true,
 		QueueCapacity: 1,
-	})
+	}, true)
 	preds := goodPredictions(t, labels, 0.9, 2)
 	rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
 		CommitRequest: CommitRequest{Model: "first", Predictions: preds},
@@ -274,7 +276,7 @@ func TestAsyncQueueFullAnswers503(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("over-capacity submit = %d, want 503", rec.Code)
 	}
-	srv.RunNextJob()
+	srv.pool.RunOne()
 	rec, _ = doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
 		CommitRequest: CommitRequest{Model: "third", Predictions: preds},
 	})
@@ -301,7 +303,7 @@ func TestWebhookEndToEnd(t *testing.T) {
 	}))
 	defer subscriber.Close()
 
-	srv, labels := newServerWith(t, script.AdaptivityFull, 16, 900, Options{})
+	srv, labels := newServerWith(t, script.AdaptivityFull, 16, 900, Options{}, false)
 	var ids []string
 	for i := 0; i < 8; i++ {
 		rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
@@ -325,7 +327,7 @@ func TestWebhookEndToEnd(t *testing.T) {
 	}
 	// Deliveries run on their own goroutines after the terminal
 	// transition; Close waits for them all.
-	srv.Close()
+	closeTestTenant(srv)
 	mu.Lock()
 	for _, id := range ids {
 		if deliveries[id] != 1 {
@@ -357,7 +359,7 @@ func TestAsyncSyncEquivalence(t *testing.T) {
 	}
 
 	// Sequential synchronous reference.
-	syncSrv, labels := newServerWith(t, script.AdaptivityFull, burst, 2500, Options{})
+	syncSrv, labels := newServerWith(t, script.AdaptivityFull, burst, 2500, Options{}, false)
 	for i := 0; i < burst; i++ {
 		rec, _ := doJSON(t, syncSrv, http.MethodPost, "/api/v1/commit", CommitRequest{
 			Model: fmt.Sprintf("m%d", i), Author: "dev", Message: fmt.Sprintf("commit %d", i),
@@ -371,7 +373,7 @@ func TestAsyncSyncEquivalence(t *testing.T) {
 	// Concurrent asynchronous burst. Submission order must be the FIFO
 	// order, so the burst races the HTTP accept path (the part that must
 	// absorb concurrency) while each goroutine waits its turn to submit.
-	asyncSrv, labels2 := newServerWith(t, script.AdaptivityFull, burst, 2500, Options{QueueCapacity: burst})
+	asyncSrv, labels2 := newServerWith(t, script.AdaptivityFull, burst, 2500, Options{QueueCapacity: burst}, false)
 	if len(labels2) != len(labels) {
 		t.Fatal("test servers disagree on testset size")
 	}
@@ -580,8 +582,8 @@ func TestAdminResetCaches(t *testing.T) {
 // without it, and no delivery is ever attempted.
 func TestSyncCommitIgnoresWebhook(t *testing.T) {
 	outbox := notify.NewOutbox()
-	withHook, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: outbox})
-	plain, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{})
+	withHook, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: outbox}, false)
+	plain, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, false)
 	for i, hook := range []string{`"http://127.0.0.1:1/hook"`, `5`} {
 		preds, err := json.Marshal(goodPredictions(t, labels, 0.9, int64(30+i)))
 		if err != nil {
@@ -601,7 +603,7 @@ func TestSyncCommitIgnoresWebhook(t *testing.T) {
 	}
 	// Close drains every pending delivery, so an attempted one would be
 	// in the outbox and the counters by now.
-	withHook.Close()
+	closeTestTenant(withHook)
 	if hooks := outbox.ByKind(notify.KindWebhook); len(hooks) != 0 {
 		t.Fatalf("sync commits delivered %d webhooks: %+v", len(hooks), hooks)
 	}

@@ -344,13 +344,14 @@ func openDurable(cfg *script.Config, g Genesis, dataDir string, opts Options) (*
 // resume hands a recovered durable server to live traffic. Replay ran
 // against a discard notifier (those notifications already happened before
 // the crash); live traffic gets the real one, and from here every commit
-// journals its side effects through the log. The queue was built with
-// DeferStart, so no worker exists yet and these writes happen-before any
-// restored job executes — a job committing against a nil journal would
-// fsync its commit record with no audit trail and poison every future
-// recovery.
-func (s *Server) resume(opts Options) {
-	s.eng.SetNotifier(engineNotifier(opts))
+// journals its side effects through the log. No restored job can run
+// before the tenant is registered with a pool, and registration
+// (attachTenant) happens only after newTenant returns, so these writes
+// happen-before any restored job executes — a job committing against a
+// nil journal would fsync its commit record with no audit trail and
+// poison every future recovery.
+func (s *Server) resume() {
+	s.eng.SetNotifier(notify.NewOutbox())
 	s.eng.SetJournal(walJournal{s})
 	// Redeliver webhooks of jobs that finished but whose delivery never
 	// reached a recorded outcome (crash mid-backoff, or before the first
@@ -379,9 +380,6 @@ func (s *Server) resume(opts Options) {
 	for _, n := range redeliver {
 		_ = s.deliver.Send(n)
 	}
-	// Recovery wiring is complete; release the workers. Restored queued
-	// jobs execute from here, with the journal and notifier in place.
-	s.jobs.Start()
 }
 
 // status shapes a table entry as the wire status its webhook carries —

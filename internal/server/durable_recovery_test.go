@@ -19,7 +19,7 @@ import (
 func seedDurableLog(t *testing.T, g Genesis, labels []int) []wal.Record {
 	t.Helper()
 	dir := t.TempDir()
-	srv, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
+	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +163,9 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := writeLog(t, tc.mutate())
-			srv, err := newTenant(g, dir, Options{})
+			srv, err := openTestTenant(g, dir, Options{}, false)
 			if err == nil {
-				srv.Close()
+				closeTestTenant(srv)
 				t.Fatal("recovery accepted a tampered log")
 			}
 			if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
@@ -184,8 +184,8 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		log.Close()
-		if srv, err := newTenant(g, dir, Options{}); err == nil {
-			srv.Close()
+		if srv, err := openTestTenant(g, dir, Options{}, false); err == nil {
+			closeTestTenant(srv)
 			t.Fatal("recovery accepted a non-object snapshot")
 		} else if !strings.Contains(err.Error(), "snapshot") {
 			t.Errorf("error = %v, want a snapshot error", err)
@@ -202,8 +202,8 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		log.Close()
-		if srv, err := newTenant(g, dir, Options{}); err == nil {
-			srv.Close()
+		if srv, err := openTestTenant(g, dir, Options{}, false); err == nil {
+			closeTestTenant(srv)
 			t.Fatal("recovery accepted an empty engine snapshot")
 		}
 	})
@@ -216,11 +216,11 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 func TestDurableCompactFailurePoisons(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := newTenant(g, dir, Options{})
+	srv, err := openTestTenant(g, dir, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer closeTestTenant(srv)
 	rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit", CommitRequest{
 		Model: "m0", Author: "dev", Message: "x",
 		Predictions: goodPredictions(t, labels, 0.9, 10),
@@ -252,7 +252,7 @@ func TestDurableCompactFailurePoisons(t *testing.T) {
 func TestDurableCancelAndPruneAcrossRestart(t *testing.T) {
 	g, labels := durableGenesis(t, 8, testSize)
 	dir := t.TempDir()
-	srv, err := newTenant(g, dir, Options{ManualQueue: true, QueueRetain: 2})
+	srv, err := openTestTenant(g, dir, Options{QueueRetain: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestDurableCancelAndPruneAcrossRestart(t *testing.T) {
 		t.Fatalf("cancel status = %d: %s", rec.Code, rec.Body.String())
 	}
 	for i := 0; i < 4; i++ {
-		if !srv.RunNextJob() {
+		if !srv.pool.RunOne() {
 			t.Fatalf("job %d did not run", i)
 		}
 	}
@@ -295,11 +295,11 @@ func TestDurableCancelAndPruneAcrossRestart(t *testing.T) {
 	// retain=2 kept only the two newest (the done ids[3] and the canceled
 	// ids[4]) in the snapshot. Restart from it: only those two jobs are
 	// answerable, in the exact states they were journaled with.
-	revived, err := newTenant(g, dir, Options{ManualQueue: true, QueueRetain: 2})
+	revived, err := openTestTenant(g, dir, Options{QueueRetain: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer revived.Close()
+	defer closeTestTenant(revived)
 	for _, id := range ids[:3] {
 		rec, _ := doJSON(t, revived, http.MethodGet, "/api/v1/commit/jobs/"+id, nil)
 		if rec.Code != http.StatusNotFound {
@@ -313,7 +313,7 @@ func TestDurableCancelAndPruneAcrossRestart(t *testing.T) {
 	if st.State != "failed" || st.Error != queue.ErrCanceled.Error() {
 		t.Errorf("canceled job %s = %+v", ids[4], st)
 	}
-	if revived.RunNextJob() {
+	if revived.pool.RunOne() {
 		t.Error("no job should be runnable after restart")
 	}
 }
@@ -324,7 +324,7 @@ func TestDurableCancelAndPruneAcrossRestart(t *testing.T) {
 func TestDurableCancelReplaysFromRawLog(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := newTenant(g, dir, Options{ManualQueue: true})
+	srv, err := openTestTenant(g, dir, Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,16 +346,16 @@ func TestDurableCancelReplaysFromRawLog(t *testing.T) {
 		t.Fatalf("cancel status = %d: %s", rec.Code, rec.Body.String())
 	}
 	// Abandon without Close: recovery replays submit + cancel records.
-	revived, err := newTenant(g, dir, Options{ManualQueue: true})
+	revived, err := openTestTenant(g, dir, Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer revived.Close()
+	defer closeTestTenant(revived)
 	st := decodeJobStatusRec(t, getBody(t, revived, "/api/v1/commit/jobs/"+acc.JobID))
 	if st.State != "failed" || st.Error != queue.ErrCanceled.Error() {
 		t.Errorf("canceled job after crash = %+v", st)
 	}
-	if revived.RunNextJob() {
+	if revived.pool.RunOne() {
 		t.Error("canceled job must not re-enqueue")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"github.com/easeml/ci/internal/interval"
 	"github.com/easeml/ci/internal/model"
 	"github.com/easeml/ci/internal/notify"
+	"github.com/easeml/ci/internal/resilience"
 	"github.com/easeml/ci/internal/script"
 	"github.com/easeml/ci/internal/wal/faultfs"
 )
@@ -135,8 +136,8 @@ func TestDurableRestartEquivalence(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 
 	// Oracle: plain in-memory server, same engine numbers, same traffic.
-	oracle, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: notify.NewOutbox()})
-	defer oracle.Close()
+	oracle, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: notify.NewOutbox()}, false)
+	defer closeTestTenant(oracle)
 	driveTraffic(t, oracle, labels)
 	oracleHistory := getBody(t, oracle, "/api/v1/history")
 
@@ -147,7 +148,7 @@ func TestDurableRestartEquivalence(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			srv, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
+			srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,14 +166,14 @@ func TestDurableRestartEquivalence(t *testing.T) {
 			}
 
 			if clean {
-				srv.Close() // compacts into snapshot.json; restart restores from it
+				closeTestTenant(srv) // compacts into snapshot.json; restart restores from it
 			} // else: abandon without Close — the log replays from genesis
 
-			restarted, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
+			restarted, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
 			if err != nil {
 				t.Fatalf("restart: %v", err)
 			}
-			defer restarted.Close()
+			defer closeTestTenant(restarted)
 			if got := getBody(t, restarted, "/api/v1/history"); !bytes.Equal(got, history) {
 				t.Errorf("history changed across restart:\n%s\n%s", got, history)
 			}
@@ -202,7 +203,7 @@ func TestDurableRestartEquivalence(t *testing.T) {
 func TestDurablePendingJobResume(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := newTenant(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
+	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,24 +223,24 @@ func TestDurablePendingJobResume(t *testing.T) {
 		return acc.JobID
 	}
 	id0, id1 := submit(srv, 0), submit(srv, 1)
-	if !srv.RunNextJob() {
+	if !srv.pool.RunOne() {
 		t.Fatal("no job to run")
 	}
 	done0 := getBody(t, srv, jobsPath+id0)
 	// Crash: abandon without Close — job 1 was accepted but never ran.
 
-	restarted, err := newTenant(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
+	restarted, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restarted.Close()
+	defer closeTestTenant(restarted)
 	if got := getBody(t, restarted, jobsPath+id0); !bytes.Equal(got, done0) {
 		t.Errorf("evaluated job changed across restart:\n%s\n%s", got, done0)
 	}
 	if st := decodeJobStatusRec(t, getBody(t, restarted, jobsPath+id1)); st.State != "queued" {
 		t.Fatalf("job %s state after restart = %q, want queued", id1, st.State)
 	}
-	if !restarted.RunNextJob() {
+	if !restarted.pool.RunOne() {
 		t.Fatal("restored pending job did not run")
 	}
 	if st := decodeJobStatusRec(t, getBody(t, restarted, jobsPath+id1)); st.State != "done" {
@@ -253,7 +254,7 @@ func TestDurablePendingJobResume(t *testing.T) {
 	if len(history) != 2 {
 		t.Errorf("history has %d commits, want 2 (one per job, no re-execution)", len(history))
 	}
-	if restarted.RunNextJob() {
+	if restarted.pool.RunOne() {
 		t.Error("a third job ran; terminal jobs must not re-enqueue")
 	}
 }
@@ -277,7 +278,7 @@ func TestDurableCrashAtEveryRecordBoundary(t *testing.T) {
 
 	// Produce a full run's log: commits, a rotation, another commit.
 	dir := t.TempDir()
-	srv, err := newTenant(g, dir, base)
+	srv, err := openTestTenant(g, dir, base, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +325,11 @@ func TestDurableCrashAtEveryRecordBoundary(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(d, "wal.log"), []byte(logPrefix), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := newTenant(g, d, Options{ManualQueue: true, WALNoSync: true, CompactAt: -1, Webhooks: notify.NewOutbox()})
+		s, err := openTestTenant(g, d, Options{WALNoSync: true, CompactAt: -1, Webhooks: notify.NewOutbox()}, true)
 		if err != nil {
 			t.Fatalf("recovery failed: %v", err)
 		}
-		defer s.Close()
+		defer closeTestTenant(s)
 		var h []json.RawMessage
 		if err := json.Unmarshal(getBody(t, s, "/api/v1/history"), &h); err != nil {
 			t.Fatal(err)
@@ -407,8 +408,7 @@ func TestDurableWebhookFlakySubscriberExactlyOnce(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	hook := &flakyNotifier{failures: 3}
 	clock := &fakeClock{}
-	srv, err := newTenant(g, t.TempDir(), Options{
-		ManualQueue: true,
+	srv, err := openTestTenant(g, t.TempDir(), Options{
 		ManualRetry: true,
 		Webhooks:    hook,
 		RetryClock:  clock.now,
@@ -416,13 +416,13 @@ func TestDurableWebhookFlakySubscriberExactlyOnce(t *testing.T) {
 		RetryPolicy: notify.RetryPolicy{
 			MaxAttempts: 5,
 			Backoff:     time.Second,
-			Breaker:     notify.BreakerOptions{FailureThreshold: 3, Cooldown: 2 * time.Second},
+			Breaker:     resilience.BreakerOptions{FailureThreshold: 3, Cooldown: 2 * time.Second},
 		},
-	})
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer closeTestTenant(srv)
 	rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
 		CommitRequest: CommitRequest{Model: "m0", Predictions: goodPredictions(t, labels, 0.9, 10)},
 		Webhook:       "http://down.local/hook",
@@ -434,7 +434,7 @@ func TestDurableWebhookFlakySubscriberExactlyOnce(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil {
 		t.Fatal(err)
 	}
-	if !srv.RunNextJob() {
+	if !srv.pool.RunOne() {
 		t.Fatal("no job to run")
 	}
 
@@ -505,12 +505,12 @@ func TestDurableWebhookRedeliveryAcrossRestart(t *testing.T) {
 	clock := &fakeClock{}
 	opts := func(n notify.Notifier) Options {
 		return Options{
-			ManualQueue: true, ManualRetry: true, Webhooks: n,
+			ManualRetry: true, Webhooks: n,
 			RetryClock: clock.now, RetryJitter: func() float64 { return 0 },
 			RetryPolicy: notify.RetryPolicy{MaxAttempts: 5, Backoff: time.Minute},
 		}
 	}
-	srv, err := newTenant(g, dir, opts(down))
+	srv, err := openTestTenant(g, dir, opts(down), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestDurableWebhookRedeliveryAcrossRestart(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil {
 		t.Fatal(err)
 	}
-	if !srv.RunNextJob() {
+	if !srv.pool.RunOne() {
 		t.Fatal("no job to run")
 	}
 	if n := srv.RunDueWebhooks(); n != 1 {
@@ -535,10 +535,10 @@ func TestDurableWebhookRedeliveryAcrossRestart(t *testing.T) {
 	// abandons it with NO outcome record — that absence schedules
 	// redelivery after restart. (Close also compacts, so the restart
 	// additionally exercises the snapshot-restore path.)
-	srv.Close()
+	closeTestTenant(srv)
 
 	up := &flakyNotifier{}
-	restarted, err := newTenant(g, dir, opts(up))
+	restarted, err := openTestTenant(g, dir, opts(up), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,15 +556,15 @@ func TestDurableWebhookRedeliveryAcrossRestart(t *testing.T) {
 	if st.JobID != acc.JobID || st.State != "done" || st.Result == nil {
 		t.Errorf("redelivered payload = %+v", st)
 	}
-	restarted.Close()
+	closeTestTenant(restarted)
 
 	// The outcome is recorded now: a third start must not redeliver.
 	final := &flakyNotifier{}
-	again, err := newTenant(g, dir, opts(final))
+	again, err := openTestTenant(g, dir, opts(final), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer again.Close()
+	defer closeTestTenant(again)
 	if n := again.RunDueWebhooks(); n != 0 {
 		t.Errorf("third start made %d delivery attempts, want 0", n)
 	}
@@ -581,9 +581,7 @@ func TestDurableWALPoisoning(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
 	fs := faultfs.New()
-	srv, err := newTenant(g, dir, Options{
-		ManualQueue: true, Webhooks: notify.NewOutbox(), WALFS: fs,
-	})
+	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox(), WALFS: fs}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +602,7 @@ func TestDurableWALPoisoning(t *testing.T) {
 		return acc.JobID
 	}
 	submit(srv, 0, http.StatusAccepted)
-	if !srv.RunNextJob() {
+	if !srv.pool.RunOne() {
 		t.Fatal("no job to run")
 	}
 	id1 := submit(srv, 1, http.StatusAccepted)
@@ -612,7 +610,7 @@ func TestDurableWALPoisoning(t *testing.T) {
 	// Disk goes bad: the job's first journal append fails mid-commit. The
 	// engine aborts, no commit record is written, the server is poisoned.
 	fs.Add(faultfs.Fault{Op: faultfs.OpWrite, Path: "wal.log"})
-	if !srv.RunNextJob() {
+	if !srv.pool.RunOne() {
 		t.Fatal("no second job to run")
 	}
 	if st := decodeJobStatusRec(t, getBody(t, srv, jobsPath+id1)); st.State != "failed" {
@@ -636,11 +634,11 @@ func TestDurableWALPoisoning(t *testing.T) {
 	// Crash (Close would try to compact through the bad disk; a poisoned
 	// server skips that, but the abandon path is the harsher test).
 
-	restarted, err := newTenant(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox(), WALFS: fs})
+	restarted, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox(), WALFS: fs}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restarted.Close()
+	defer closeTestTenant(restarted)
 	var history []CommitResponse
 	if err := json.Unmarshal(getBody(t, restarted, "/api/v1/history"), &history); err != nil {
 		t.Fatal(err)
@@ -653,7 +651,7 @@ func TestDurableWALPoisoning(t *testing.T) {
 	if st := decodeJobStatusRec(t, getBody(t, restarted, jobsPath+id1)); st.State != "queued" {
 		t.Fatalf("interrupted job state after restart = %q, want queued", st.State)
 	}
-	if !restarted.RunNextJob() {
+	if !restarted.pool.RunOne() {
 		t.Fatal("interrupted job did not re-run")
 	}
 	if st := decodeJobStatusRec(t, getBody(t, restarted, jobsPath+id1)); st.State != "done" {
@@ -755,7 +753,7 @@ func TestDurableAdminEndpoints(t *testing.T) {
 func TestDurableAutoCompaction(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1}) // every commit exceeds 1 byte
+	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1}, false) // every commit exceeds 1 byte
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -776,11 +774,11 @@ func TestDurableAutoCompaction(t *testing.T) {
 	}
 	history := getBody(t, srv, "/api/v1/history")
 	// Crash after compaction: restart restores from the snapshot.
-	restarted, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1})
+	restarted, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restarted.Close()
+	defer closeTestTenant(restarted)
 	if got := getBody(t, restarted, "/api/v1/history"); !bytes.Equal(got, history) {
 		t.Errorf("history changed across compacted restart:\n%s\n%s", got, history)
 	}
@@ -792,34 +790,31 @@ func TestNewDurableValidation(t *testing.T) {
 	g, _ := durableGenesis(t, 3, testSize)
 	bad := g
 	bad.ModelPredictions = bad.ModelPredictions[:3]
-	if _, err := newTenant(bad, t.TempDir(), Options{}); err == nil {
+	if _, err := openTestTenant(bad, t.TempDir(), Options{}, false); err == nil {
 		t.Error("mismatched genesis predictions must fail")
 	}
 	bad = g
 	bad.Condition = "!!"
-	if _, err := newTenant(bad, t.TempDir(), Options{}); err == nil {
+	if _, err := openTestTenant(bad, t.TempDir(), Options{}, false); err == nil {
 		t.Error("bad condition must fail")
 	}
 }
 
-// TestDurableRestoredJobRunsWithProductionWorkers is the regression test
-// for the startup race: with real (non-manual) queue workers, a job
-// restored as queued must not execute before newTenant has wired the
-// engine journal and notifier — a job committing against a nil journal
-// would fsync a commit record with no audit records, and every subsequent
-// recovery would fail the audit cross-check, bricking the data dir. The
-// deferred worker start makes the production auto-worker path run the
-// restored job with its full audit trail, so a third start replays clean.
-func TestDurableRestoredJobRunsWithProductionWorkers(t *testing.T) {
-	g, labels := durableGenesis(t, 3, testSize)
+// TestDurableRestoredJobRunsUnderPool is the regression test for the
+// startup race: a job restored as queued must not execute before
+// newTenant has wired the engine journal and notifier — a job committing
+// against a nil journal would fsync a commit record with no audit
+// records, and every subsequent recovery would fail the audit
+// cross-check, bricking the data dir. A tenant joins the pool only after
+// newTenant returns, so the shared pool's workers run the restored job
+// with its full audit trail and a third start replays clean.
+func TestDurableRestoredJobRunsUnderPool(t *testing.T) {
 	dir := t.TempDir()
+	_, labels := durableGenesis(t, 3, testSize)
 
-	// Accept a job but never run it (manual queue), then crash.
-	srv, err := newTenant(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
+	// Accept a job but never run it (manual pool), then crash.
+	m := newTestMulti(t, MultiOptions{DataDir: dir, ManualPool: true})
+	rec := doH(t, m, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
 		CommitRequest: CommitRequest{
 			Model: "m", Author: "dev", Message: "x",
 			Predictions: goodPredictions(t, labels, 0.9, 30),
@@ -834,26 +829,24 @@ func TestDurableRestoredJobRunsWithProductionWorkers(t *testing.T) {
 	}
 	// Abandon without Close: the job is in the log as queued, unevaluated.
 
-	// Restart on the production path: background workers, which execute
-	// the restored job as soon as newTenant releases them.
-	revived, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
-	if err != nil {
+	// Reopen on the served path: the shared pool's workers execute the
+	// restored job as soon as the tenant is attached.
+	revived := newTestMulti(t, MultiOptions{DataDir: dir})
+	var st JobStatusResponse
+	if err := json.Unmarshal(pollH(t, revived, acc.Poll), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st := pollUntilTerminal(t, revived, acc.JobID); st.State != "done" {
+	if st.State != "done" {
 		t.Fatalf("restored job = %+v, want done", st)
 	}
-	waitQuiescent(t, revived, 0)
-	history := getBody(t, revived, "/api/v1/history")
+	waitQuiescent(t, revived.Default(), 0)
+	history := bodyOf(t, revived, "/api/v1/history")
 	// Abandon again without Close (no compaction): the third start must
 	// replay the raw log, including the restored job's charge/reveal
 	// records written by the revived process.
-	third, err := newTenant(g, dir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
-	if err != nil {
-		t.Fatalf("third start failed (restored job committed without its audit records?): %v", err)
-	}
+	third := newTestMulti(t, MultiOptions{DataDir: dir, ManualPool: true})
 	defer third.Close()
-	if got := getBody(t, third, "/api/v1/history"); !bytes.Equal(history, got) {
+	if got := bodyOf(t, third, "/api/v1/history"); !bytes.Equal(history, got) {
 		t.Errorf("history diverged across restart:\n  before: %s\n  after:  %s", history, got)
 	}
 }
@@ -866,7 +859,7 @@ func TestDurableRestoredJobRunsWithProductionWorkers(t *testing.T) {
 func TestDurableGenesisMismatch(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
+	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -886,8 +879,8 @@ func TestDurableGenesisMismatch(t *testing.T) {
 	badSize.Labels = g.Labels[:len(g.Labels)-2]
 	badSize.ModelPredictions = g.ModelPredictions[:len(g.ModelPredictions)-2]
 	for name, bad := range map[string]Genesis{"reliability": badRel, "testset size": badSize} {
-		if s, err := newTenant(bad, dir, Options{}); err == nil {
-			s.Close()
+		if s, err := openTestTenant(bad, dir, Options{}, false); err == nil {
+			closeTestTenant(s)
 			t.Fatalf("restart with different %s accepted the old data dir", name)
 		} else if !strings.Contains(err.Error(), "fingerprint") {
 			t.Errorf("%s mismatch error = %v, want a fingerprint error", name, err)
@@ -896,20 +889,20 @@ func TestDurableGenesisMismatch(t *testing.T) {
 
 	// The original genesis still recovers; Close compacts, moving the
 	// fingerprint into the snapshot.
-	same, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
+	same, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same.Close()
-	if s, err := newTenant(badRel, dir, Options{}); err == nil {
-		s.Close()
+	closeTestTenant(same)
+	if s, err := openTestTenant(badRel, dir, Options{}, false); err == nil {
+		closeTestTenant(s)
 		t.Fatal("post-compaction restart with a different config accepted the old data dir")
 	} else if !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("snapshot mismatch error = %v, want a fingerprint error", err)
 	}
-	final, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
+	final, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final.Close()
+	closeTestTenant(final)
 }

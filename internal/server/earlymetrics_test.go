@@ -90,7 +90,7 @@ func TestMetricsEarlyExitCounters(t *testing.T) {
 func TestDurableJournalsLooks(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := newTenant(g, dir, Options{})
+	srv, err := openTestTenant(g, dir, Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestDurableJournalsLooks(t *testing.T) {
 
 	// Crash (no Close): restart replays the log, cross-checking the
 	// recorded look decisions against the re-run evaluation.
-	restarted, err := newTenant(g, dir, Options{})
+	restarted, err := openTestTenant(g, dir, Options{}, false)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	defer restarted.Close()
+	defer closeTestTenant(restarted)
 	if got := getBody(t, restarted, "/api/v1/history"); !bytes.Equal(got, history) {
 		t.Fatalf("history changed across restart:\n%s\n%s", got, history)
 	}

@@ -82,19 +82,19 @@ func runGoldenScript(t *testing.T, cond string, ed engine.EarlyDecision) (respon
 	}
 	var tick atomic.Int64
 	dir := t.TempDir()
-	srv, err := newTenant(g, dir, Options{
+	srv, err := openTestTenant(g, dir, Options{
 		Clock:         func() int64 { return tick.Add(1) },
 		WALNoSync:     true,
 		CompactAt:     -1,
 		EarlyDecision: ed,
-	})
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	closed := false
 	defer func() {
 		if !closed {
-			srv.Close()
+			closeTestTenant(srv)
 		}
 	}()
 
@@ -154,7 +154,7 @@ func runGoldenScript(t *testing.T, cond string, ed engine.EarlyDecision) (respon
 	}
 	// A clean shutdown compacts the log into a snapshot, which carries
 	// the engine's revealed-label set and label ledger.
-	srv.Close()
+	closeTestTenant(srv)
 	closed = true
 	snapBytes, err = os.ReadFile(filepath.Join(dir, "snapshot.json"))
 	if err != nil {

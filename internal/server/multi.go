@@ -179,15 +179,11 @@ func (sp ProjectSpec) genesis() (Genesis, error) {
 	return g, nil
 }
 
-// tenantOptions shapes the spec's quotas onto the template. Every tenant
-// queue is Manual: the shared pool is the only executor.
-func (m *Multi) tenantOptions(id string, sp ProjectSpec) Options {
+// tenantOptions shapes the spec's quotas onto the template.
+func (m *Multi) tenantOptions(sp ProjectSpec) Options {
 	topts := m.base
-	topts.ManualQueue = true
 	topts.QueueCapacity = sp.QueueCapacity
 	topts.LabelQuota = sp.LabelQuota
-	topts.OnEnqueue = func() { m.pool.Kick(id) }
-	topts.OnDequeue = func() { m.pool.Unkick(id) }
 	return topts
 }
 
@@ -203,9 +199,6 @@ func NewMulti(g Genesis, opts MultiOptions) (*Multi, error) {
 		sick:        make(map[string]string),
 		quotas:      make(map[string]projectQuotas),
 	}
-	// Clear the tenant-only hooks off the template; each tenant gets its
-	// own closures.
-	m.base.ManualQueue = true
 	controlDir := ""
 	if opts.DataDir != "" {
 		if err := migrateLegacyLayout(opts.DataDir); err != nil {
@@ -232,7 +225,7 @@ func NewMulti(g Genesis, opts MultiOptions) (*Multi, error) {
 	m.reg = reg
 	m.pool = queue.NewPool(queue.PoolOptions{Workers: opts.PoolWorkers, Manual: opts.ManualPool})
 
-	defOpts := m.tenantOptions(DefaultProject, ProjectSpec{
+	defOpts := m.tenantOptions(ProjectSpec{
 		QueueCapacity: opts.Tenant.QueueCapacity,
 		LabelQuota:    opts.Tenant.LabelQuota,
 	})
@@ -262,7 +255,7 @@ func NewMulti(g Genesis, opts MultiOptions) (*Multi, error) {
 			pg, perr = sp.genesis()
 		}
 		if perr == nil {
-			_, perr = m.openTenant(p.ID, pg, sp.Weight, m.tenantOptions(p.ID, sp))
+			_, perr = m.openTenant(p.ID, pg, sp.Weight, m.tenantOptions(sp))
 		}
 		if perr != nil {
 			if m.dataDir != "" && errors.Is(perr, wal.ErrCorrupt) {
@@ -278,8 +271,7 @@ func NewMulti(g Genesis, opts MultiOptions) (*Multi, error) {
 }
 
 // openTenant builds one project's server (durable when the control plane
-// has a data dir), registers its queue with the scheduler, and re-kicks
-// any jobs recovery restored as queued.
+// has a data dir) and attaches it to the shared pool.
 func (m *Multi) openTenant(id string, g Genesis, weight int, topts Options) (*Server, error) {
 	dir := ""
 	if m.dataDir != "" {
@@ -304,15 +296,9 @@ func (m *Multi) openTenant(id string, g Genesis, weight int, topts Options) (*Se
 	if err != nil {
 		return nil, err
 	}
-	if err := m.pool.Register(id, srv.jobs, weight, 1); err != nil {
+	if err := attachTenant(m.pool, id, srv, weight); err != nil {
 		srv.Close()
 		return nil, err
-	}
-	// Restored queued jobs predate the scheduler's pending counts; hand
-	// the scheduler one kick per restored job now that the tenant is
-	// fully wired.
-	for i := srv.jobs.Pending(); i > 0; i-- {
-		m.pool.Kick(id)
 	}
 	m.mu.Lock()
 	m.tenants[id] = srv
@@ -691,7 +677,7 @@ func (m *Multi) handleCreateProject(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err.Error())
 		return
 	}
-	if _, err := m.openTenant(req.ID, g, req.Weight, m.tenantOptions(req.ID, req.ProjectSpec)); err != nil {
+	if _, err := m.openTenant(req.ID, g, req.Weight, m.tenantOptions(req.ProjectSpec)); err != nil {
 		_ = m.reg.Delete(req.ID)
 		m.dropQuotas(req.ID)
 		if m.dataDir != "" {
@@ -843,6 +829,18 @@ func (m *Multi) scopedTenant(w http.ResponseWriter, r *http.Request, sc scope) (
 	return id, srv, ok
 }
 
+// requireDurable reports whether the control plane has a data
+// directory, and answers 409 when it has none: the storage admin
+// endpoints (backup, compact) have nothing to work on in memory. They
+// resolve their scope first, so an unknown project is 404 in every
+// spelling.
+func (m *Multi) requireDurable(w http.ResponseWriter) bool {
+	if m.dataDir == "" {
+		writeError(w, http.StatusConflict, "control plane is not durable (no data directory)")
+	}
+	return m.dataDir != ""
+}
+
 // openProject looks a project's tenant up, answering 503 for a sick
 // project and 404 for an unknown one.
 func (m *Multi) openProject(w http.ResponseWriter, id string) (*Server, bool) {
@@ -900,17 +898,13 @@ type CompactResponse struct {
 // one project's when scoped (by path or ?project=), otherwise every
 // durable tenant's plus the control log.
 func (m *Multi) handleAdminCompact(w http.ResponseWriter, r *http.Request, sc scope) {
-	if m.dataDir == "" {
-		writeError(w, http.StatusConflict, "control plane is not durable (no data directory)")
-		return
-	}
 	// Both scopes hold lifecycleMu across the compaction: a concurrent
 	// DELETE of the tenant being compacted must not close its WAL or
 	// remove its directory while Compact is writing a snapshot into it.
 	m.lifecycleMu.Lock()
 	defer m.lifecycleMu.Unlock()
 	id, srv, ok := m.scopedTenant(w, r, sc)
-	if !ok {
+	if !ok || !m.requireDurable(w) {
 		return
 	}
 	if srv != nil {

@@ -94,8 +94,8 @@ func newTestMulti(t *testing.T, opts MultiOptions) *Multi {
 // a standalone single-tenant server answers for the same traffic, and the
 // scoped /api/v1/projects/default/... spelling matches the alias exactly.
 func TestMultiAliasByteEquivalence(t *testing.T) {
-	oracle, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: notify.NewOutbox()})
-	defer oracle.Close()
+	oracle, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: notify.NewOutbox()}, false)
+	defer closeTestTenant(oracle)
 	m := newTestMulti(t, MultiOptions{})
 	defer m.Close()
 
@@ -884,18 +884,18 @@ func TestNewFromGenesisValidation(t *testing.T) {
 	g, _ := durableGenesis(t, 3, testSize)
 	bad := g
 	bad.Condition = "not a condition"
-	if _, err := newTenant(bad, "", Options{}); err == nil {
+	if _, err := openTestTenant(bad, "", Options{}, false); err == nil {
 		t.Error("bad condition accepted")
 	}
 	bad = g
 	bad.ModelPredictions = bad.ModelPredictions[:7]
-	if _, err := newTenant(bad, "", Options{}); err == nil {
+	if _, err := openTestTenant(bad, "", Options{}, false); err == nil {
 		t.Error("prediction/label length mismatch accepted")
 	}
 	bad = g
 	bad.Labels = []int{0, 1, 2, 99}
 	bad.ModelPredictions = []int{0, 1, 2, 3}
-	if _, err := newTenant(bad, "", Options{}); err == nil {
+	if _, err := openTestTenant(bad, "", Options{}, false); err == nil {
 		t.Error("out-of-range label accepted")
 	}
 }
@@ -1053,7 +1053,7 @@ func TestMultiCloseNeverStrandsSyncWaiter(t *testing.T) {
 func TestMultiMigratesLegacyLayout(t *testing.T) {
 	dir := t.TempDir()
 	g, labels := durableGenesis(t, 3, testSize)
-	legacy, err := newTenant(g, dir, Options{WALNoSync: true, Webhooks: notify.NewOutbox()})
+	legacy, err := openTestTenant(g, dir, Options{WALNoSync: true, Webhooks: notify.NewOutbox()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1063,7 +1063,7 @@ func TestMultiMigratesLegacyLayout(t *testing.T) {
 		t.Fatal(rec.Body.String())
 	}
 	wantHist := doH(t, tenantHandler(legacy), http.MethodGet, "/api/v1/history", nil).Body.Bytes()
-	legacy.Close()
+	closeTestTenant(legacy)
 	if _, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil {
 		t.Fatalf("test setup: no legacy root-level wal.log: %v", err)
 	}

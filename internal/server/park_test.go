@@ -64,9 +64,9 @@ func jobState(t *testing.T, srv *Server, id string) JobStatusResponse {
 // awaiting_labels instead of failing it, and the released job delivers a
 // verdict byte-identical to a server whose oracle never failed.
 func TestParkAndReleaseEndToEnd(t *testing.T) {
-	control, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{ManualQueue: true})
+	control, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, true)
 	acc := submitAsync(t, tenantHandler(control), "/api/v1/commit/async", labels, "cand", 2)
-	if !control.RunNextJob() {
+	if !control.pool.RunOne() {
 		t.Fatal("control job did not run")
 	}
 	want := jobState(t, control, acc.JobID)
@@ -75,12 +75,11 @@ func TestParkAndReleaseEndToEnd(t *testing.T) {
 	}
 
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
-		ManualQueue:   true,
 		ManualRelease: true,
 		OracleFactory: flakyFactory(2),
-	})
+	}, true)
 	acc = submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
-	if !srv.RunNextJob() {
+	if !srv.pool.RunOne() {
 		t.Fatal("flaky job did not run")
 	}
 	st := jobState(t, srv, acc.JobID)
@@ -93,7 +92,7 @@ func TestParkAndReleaseEndToEnd(t *testing.T) {
 	if got := srv.ParkedCount(); got != 1 {
 		t.Fatalf("ParkedCount = %d", got)
 	}
-	if srv.RunNextJob() {
+	if srv.pool.RunOne() {
 		t.Fatal("parked job ran without a release")
 	}
 
@@ -103,7 +102,7 @@ func TestParkAndReleaseEndToEnd(t *testing.T) {
 	if st := jobState(t, srv, acc.JobID); st.State != "queued" {
 		t.Fatalf("released job = %q, want queued", st.State)
 	}
-	if !srv.RunNextJob() {
+	if !srv.pool.RunOne() {
 		t.Fatal("released job did not run")
 	}
 	got := jobState(t, srv, acc.JobID)
@@ -138,11 +137,10 @@ func TestParkAutoRelease(t *testing.T) {
 		})
 	}
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
-		ManualQueue:   true,
 		OracleFactory: factory,
-	})
+	}, true)
 	acc := submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
-	if !srv.RunNextJob() {
+	if !srv.pool.RunOne() {
 		t.Fatal("job did not run")
 	}
 	if st := jobState(t, srv, acc.JobID); st.State != "awaiting_labels" {
@@ -157,7 +155,7 @@ func TestParkAutoRelease(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if !srv.RunNextJob() {
+	if !srv.pool.RunOne() {
 		t.Fatal("auto-released job did not run")
 	}
 	if st := jobState(t, srv, acc.JobID); st.State != "done" {
@@ -170,14 +168,13 @@ func TestParkAutoRelease(t *testing.T) {
 // project.
 func TestParkMetricsSurviveAdminReset(t *testing.T) {
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
-		ManualQueue:   true,
 		ManualRelease: true,
 		OracleFactory: flakyFactory(2),
-	})
+	}, true)
 	acc := submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
-	srv.RunNextJob()
+	srv.pool.RunOne()
 	srv.ReleaseParked()
-	srv.RunNextJob()
+	srv.pool.RunOne()
 	if st := jobState(t, srv, acc.JobID); st.State != "done" {
 		t.Fatalf("setup: job = %+v", st)
 	}
@@ -215,7 +212,7 @@ func TestParkMetricsSurviveAdminReset(t *testing.T) {
 // TestParkWithoutFactoryAbsent: servers with no remote oracle expose no
 // label_oracle block and never park.
 func TestParkWithoutFactoryAbsent(t *testing.T) {
-	srv, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{ManualQueue: true})
+	srv, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, true)
 	_, body := doJSON(t, srv, http.MethodGet, "/api/v1/metrics", nil)
 	if _, ok := body["label_oracle"]; ok {
 		t.Error("label_oracle present without an OracleFactory")
@@ -234,29 +231,28 @@ func TestDurableRestartWhileParked(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 
 	controlDir := t.TempDir()
-	control, err := newTenant(g, controlDir, Options{ManualQueue: true, Webhooks: notify.NewOutbox()})
+	control, err := openTestTenant(g, controlDir, Options{Webhooks: notify.NewOutbox()}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer control.Close()
+	defer closeTestTenant(control)
 	cacc := submitAsync(t, tenantHandler(control), "/api/v1/commit/async", labels, "cand", 2)
-	if !control.RunNextJob() {
+	if !control.pool.RunOne() {
 		t.Fatal("control job did not run")
 	}
 	want := jobState(t, control, cacc.JobID)
 
 	dir := t.TempDir()
-	srv, err := newTenant(g, dir, Options{
-		ManualQueue:   true,
+	srv, err := openTestTenant(g, dir, Options{
 		ManualRelease: true,
 		Webhooks:      notify.NewOutbox(),
 		OracleFactory: flakyFactory(1000), // hard down: every attempt fails
-	})
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	acc := submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
-	if !srv.RunNextJob() {
+	if !srv.pool.RunOne() {
 		t.Fatal("job did not run")
 	}
 	if st := jobState(t, srv, acc.JobID); st.State != "awaiting_labels" {
@@ -264,20 +260,19 @@ func TestDurableRestartWhileParked(t *testing.T) {
 	}
 	// Crash: no Close, no release. The provider is back when the process
 	// returns.
-	restarted, err := newTenant(g, dir, Options{
-		ManualQueue:   true,
+	restarted, err := openTestTenant(g, dir, Options{
 		ManualRelease: true,
 		Webhooks:      notify.NewOutbox(),
 		OracleFactory: flakyFactory(0),
-	})
+	}, true)
 	if err != nil {
 		t.Fatalf("restart with a parked job: %v", err)
 	}
-	defer restarted.Close()
+	defer closeTestTenant(restarted)
 	if st := jobState(t, restarted, acc.JobID); st.State != "queued" {
 		t.Fatalf("parked job after restart = %q, want queued (restart is the release)", st.State)
 	}
-	if !restarted.RunNextJob() {
+	if !restarted.pool.RunOne() {
 		t.Fatal("re-enqueued job did not run")
 	}
 	got := jobState(t, restarted, acc.JobID)
@@ -358,12 +353,11 @@ func TestMultiDeleteProjectWithParkedJob(t *testing.T) {
 // queued job — the poller sees failed/canceled, not a hang.
 func TestJobCancelWhileParked(t *testing.T) {
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
-		ManualQueue:   true,
 		ManualRelease: true,
 		OracleFactory: flakyFactory(1000),
-	})
+	}, true)
 	acc := submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
-	if !srv.RunNextJob() {
+	if !srv.pool.RunOne() {
 		t.Fatal("job did not run")
 	}
 	if st := jobState(t, srv, acc.JobID); st.State != "awaiting_labels" {
@@ -386,26 +380,27 @@ func TestJobCancelWhileParked(t *testing.T) {
 }
 
 // TestParkReleaseKicksScheduler: every parked job released back to the
-// queue runs the OnEnqueue hook, so a shared scheduler sees its credit.
+// queue kicks the tenant's pool, so the scheduler sees its credit.
 func TestParkReleaseKicksScheduler(t *testing.T) {
-	var kicks int
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
-		ManualQueue:   true,
 		ManualRelease: true,
 		OracleFactory: flakyFactory(2),
-		OnEnqueue:     func() { kicks++ },
-	})
+	}, true)
+	pending := func() int { return srv.pool.Stats().Sources[0].Pending }
 	submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
-	if kicks != 1 {
-		t.Fatalf("kicks after submit = %d, want 1", kicks)
+	if got := pending(); got != 1 {
+		t.Fatalf("pool pending after submit = %d, want 1", got)
 	}
-	if !srv.RunNextJob() || srv.ParkedCount() != 1 {
+	if !srv.pool.RunOne() || srv.ParkedCount() != 1 {
 		t.Fatalf("job did not park: parked = %d", srv.ParkedCount())
+	}
+	if got := pending(); got != 0 {
+		t.Fatalf("pool pending while parked = %d, want 0", got)
 	}
 	if got := srv.ReleaseParked(); got != 1 {
 		t.Fatalf("ReleaseParked = %d", got)
 	}
-	if kicks != 2 {
-		t.Fatalf("kicks after release = %d, want 2", kicks)
+	if got := pending(); got != 1 {
+		t.Fatalf("pool pending after release = %d, want 1", got)
 	}
 }

@@ -48,7 +48,7 @@ func TestCommitRangeErrors(t *testing.T) {
 	dir := t.TempDir()
 	var tick atomic.Int64
 	opts := Options{Clock: func() int64 { return tick.Add(1) }, WALNoSync: true, CompactAt: -1}
-	srv, err := newTenant(g, dir, opts)
+	srv, err := openTestTenant(g, dir, opts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCommitRangeErrors(t *testing.T) {
 	}
 
 	// Crash: abandon srv and replay the log.
-	restarted, err := newTenant(g, dir, opts)
+	restarted, err := openTestTenant(g, dir, opts, false)
 	if err != nil {
 		t.Fatalf("restart from the log: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestCommitRangeErrors(t *testing.T) {
 	for i := 1; i <= 2*len(rangeCases)+1; i++ {
 		getBody(t, restarted, fmt.Sprintf("%sjob-%d", jobsPath, i))
 	}
-	restarted.Close()
+	closeTestTenant(restarted)
 	snapBytes, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -115,11 +115,11 @@ func TestCommitRangeErrors(t *testing.T) {
 		t.Errorf("snapshot bytes changed: sha256 %x, want %s", sum, rangeSnapSum)
 	}
 
-	fromSnap, err := newTenant(g, dir, opts)
+	fromSnap, err := openTestTenant(g, dir, opts, false)
 	if err != nil {
 		t.Fatalf("restart from the snapshot: %v", err)
 	}
-	defer fromSnap.Close()
+	defer closeTestTenant(fromSnap)
 	if got := getBody(t, fromSnap, "/api/v1/history"); !bytes.Equal(got, history) {
 		t.Errorf("history changed across the snapshot restart:\n%s\n%s", got, history)
 	}

@@ -138,7 +138,7 @@ func FuzzDecodeRotateRequest(f *testing.F) {
 // commit endpoints' 400, and a rotation to a larger testset raises the
 // limit with it.
 func TestRotateBodyLimit(t *testing.T) {
-	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{})
+	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, false)
 	// padded returns an indented rotation to labels, padded with trailing
 	// whitespace, which encoding/json ignores, to exactly size bytes.
 	padded := func(t *testing.T, labels []int, size int64) []byte {
@@ -209,7 +209,7 @@ func TestDurableRotateAnyLayout(t *testing.T) {
 			t.Fatalf("%s: canonical = %v, want %v", tc.name, !tc.canonical, tc.canonical)
 		}
 		dir := t.TempDir()
-		srv, err := newTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
+		srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func BenchmarkRotate(b *testing.B) {
 			var srv *Server
 			defer func() {
 				if srv != nil {
-					srv.Close()
+					closeTestTenant(srv)
 				}
 			}()
 			b.SetBytes(int64(len(body)))
@@ -306,9 +306,9 @@ func BenchmarkRotate(b *testing.B) {
 				if i%32 == 0 {
 					b.StopTimer()
 					if srv != nil {
-						srv.Close()
+						closeTestTenant(srv)
 					}
-					if srv, err = newTenant(g, "", Options{}); err != nil {
+					if srv, err = openTestTenant(g, "", Options{}, false); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()
@@ -330,8 +330,8 @@ func BenchmarkRotate(b *testing.B) {
 // rotation holding that lock.
 func TestRotateConcurrent(t *testing.T) {
 	const n, workers, rotations = 2000, 2, 50
-	srv, _ := newServerWith(t, script.AdaptivityFull, 3, n, Options{})
-	defer srv.Close()
+	srv, _ := newServerWith(t, script.AdaptivityFull, 3, n, Options{}, false)
+	defer closeTestTenant(srv)
 	bodies := make([][]byte, workers)
 	for w := range bodies {
 		body, err := json.Marshal(benchRotateRequest(n, int64(w)))

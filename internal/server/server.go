@@ -142,10 +142,13 @@ type Server struct {
 	earlyExits  atomic.Uint64
 	lookHist    [lookHistBuckets]atomic.Uint64
 
-	// Multi-tenant wiring: scheduler notifications and the tenant's label
-	// budget (see Options.OnEnqueue/OnDequeue/LabelQuota).
-	onEnqueue  func()
-	onDequeue  func()
+	// The shared pool that runs this tenant's commit jobs, and the ID the
+	// tenant is registered under there; set by attachTenant before any
+	// job can run. Every accepted or released job kicks the pool once,
+	// every canceled one takes its kick back.
+	pool      *queue.Pool
+	projectID string
+	// labelQuota is the tenant's label budget (see Options.LabelQuota).
 	labelQuota int
 
 	// Remote label sourcing (see Options.OracleFactory). oracle is the
@@ -160,17 +163,17 @@ type Server struct {
 	releaseTimer  *time.Timer
 }
 
-// Options tunes the server's asynchronous commit pipeline. The zero value
-// is the production default.
+// Options tunes one tenant: its commit queue, webhook delivery,
+// write-ahead log, label budget and label source. The zero value is the
+// production default. The queue has no executor of its own: the shared
+// pool the tenant is attached to runs every commit job, so tests that
+// step execution use a manual pool (queue.PoolOptions.Manual).
 type Options struct {
 	// QueueCapacity bounds the pending commit backlog (0 means
 	// queue.DefaultCapacity); a full backlog answers 503.
 	QueueCapacity int
 	// QueueRetain bounds how many finished jobs stay pollable.
 	QueueRetain int
-	// ManualQueue disables the background workers so a test can step the
-	// queue deterministically via RunNextJob.
-	ManualQueue bool
 	// Clock stamps job transitions (tests inject a counter).
 	Clock queue.Clock
 	// Webhooks delivers job-finished callbacks; nil means real HTTP
@@ -198,18 +201,6 @@ type Options struct {
 	// this many bytes (durable servers only). 0 means DefaultCompactAt;
 	// negative disables automatic compaction.
 	CompactAt int64
-	// EngineNotifier receives the engine's third-party results and
-	// alarms; nil means an in-memory outbox.
-	EngineNotifier notify.Notifier
-	// OnEnqueue runs under the queue lock, atomically with a commit job's
-	// acceptance (sync or async path) and after its submit record is
-	// durable; a multi-tenant front end kicks the shared scheduler here.
-	// The lock is what makes a shutdown racing the submit observe either
-	// no job or a kicked job — never an accepted job the scheduler missed.
-	// OnDequeue runs under the queue lock after a queued job is canceled,
-	// taking the kick back. Nil means no-op.
-	OnEnqueue func()
-	OnDequeue func()
 	// LabelQuota caps the tenant's cumulative label spend: once the
 	// engine's label cost reaches it, further commits are rejected with a
 	// quota error (HTTP 429). 0 means unlimited. The check runs inside
@@ -242,7 +233,8 @@ type Options struct {
 	OracleFactory func(gen int, truth []int) labeling.Oracle
 	// ManualRelease disables the automatic parked-job release timer;
 	// parked jobs resume only via ReleaseParked — the deterministic test
-	// harness, the parked-state counterpart of ManualQueue/ManualRetry.
+	// harness, the parked-state counterpart of a manual pool and
+	// ManualRetry.
 	ManualRelease bool
 }
 
@@ -318,6 +310,7 @@ type durableState struct {
 // dataDir before the acknowledgment, and a restart replays snapshot + log
 // through the same engine code to a byte-identical state: pending jobs
 // re-enqueue and run exactly once, unresolved webhooks redeliver.
+// No job runs until attachTenant registers the tenant with a pool.
 // Callers must Close the server to drain its queue and release the log.
 func newTenant(g Genesis, dataDir string, opts Options) (*Server, error) {
 	cfg, err := g.config()
@@ -334,14 +327,12 @@ func newTenant(g Genesis, dataDir string, opts Options) (*Server, error) {
 			return nil, err
 		}
 		eng = d.eng
-	} else if eng, err = g.engine(cfg, engineNotifier(opts), opts.EarlyDecision); err != nil {
+	} else if eng, err = g.engine(cfg, notify.NewOutbox(), opts.EarlyDecision); err != nil {
 		return nil, fmt.Errorf("server: genesis: %w", err)
 	}
 	s := &Server{eng: eng, cfg: cfg}
 	s.testsetLen.Store(int64(eng.Testsets().Current().Len()))
 	s.classes = eng.Testsets().Current().Data.Classes
-	s.onEnqueue = opts.OnEnqueue
-	s.onDequeue = opts.OnDequeue
 	s.labelQuota = opts.LabelQuota
 	s.webhooks = opts.Webhooks
 	if s.webhooks == nil {
@@ -361,33 +352,21 @@ func newTenant(g Genesis, dataDir string, opts Options) (*Server, error) {
 		}
 		return nil, err
 	}
-	// Exactly one worker: commit evaluation serializes on the engine lock
-	// anyway (more workers add no throughput), and a single drainer is
-	// what makes completion order equal FIFO submission order — the
-	// property the sync/async equivalence guarantee rests on.
+	// The pool keeps one job of this queue in flight at a time: commit
+	// evaluation serializes on the engine lock anyway, and a single
+	// drainer is what makes completion order equal FIFO submission order
+	// — the property the sync/async equivalence guarantee rests on. The
+	// submit and cancel hooks run under the queue lock, so the pool's
+	// kick and un-kick are atomic with acceptance and cancellation (see
+	// onSubmitHook and onCancelHook).
 	qopts := queue.Options[commitJob, CommitResponse]{
 		Capacity: opts.QueueCapacity,
-		Workers:  1,
 		Retain:   opts.QueueRetain,
-		Manual:   opts.ManualQueue,
 		Clock:    opts.Clock,
+		Exec:     s.executeCommitJob,
 		OnFinish: s.deliverWebhook,
-		ExecJob:  s.executeCommitJob,
-	}
-	if d != nil || s.onDequeue != nil {
-		// The un-kick must fire under the queue lock, atomically with the
-		// cancel: taken out of band, a scheduler pick racing the cancel can
-		// strand a later job with no pending credit until the next kick.
-		qopts.OnCancel = s.onCancelHook
-	}
-	if d != nil || s.onEnqueue != nil {
-		// The kick mirrors the un-kick: fired under the queue lock,
-		// atomically with acceptance (and after the WAL submit record in
-		// durable mode). Out of band, a job accepted just before a
-		// shutdown could be journaled yet never kicked — the pool would
-		// observe zero pending, stop its workers, and strand the job's
-		// waiter in the live process.
-		qopts.OnSubmit = s.onSubmitHook
+		OnSubmit: s.onSubmitHook,
+		OnCancel: s.onCancelHook,
 	}
 	s.oracleFactory = opts.OracleFactory
 	s.manualRelease = opts.ManualRelease
@@ -420,37 +399,41 @@ func newTenant(g Genesis, dataDir string, opts Options) (*Server, error) {
 		}
 		qopts.Restore = d.restored
 		qopts.StartSeq = d.nextSeq
-		// Workers must not run before the engine journal, notifier and
-		// webhook redelivery are wired below: a restored job executing
-		// earlier would commit without its audit records.
-		qopts.DeferStart = true
 	}
-	jobs, err := queue.New(nil, qopts)
+	jobs, err := queue.New(qopts)
 	if err != nil {
 		return fail(fmt.Errorf("server: %w", err))
 	}
 	s.jobs = jobs
 	if d != nil {
-		s.resume(opts)
+		s.resume()
 	}
 	return s, nil
 }
 
-// engineNotifier is where the engine's third-party results and alarms go:
-// Options.EngineNotifier, or an in-memory outbox.
-func engineNotifier(opts Options) notify.Notifier {
-	if opts.EngineNotifier != nil {
-		return opts.EngineNotifier
+// attachTenant puts a built tenant on the pool that runs its commit
+// jobs: it registers the tenant's queue under id at the given weight,
+// with one job in flight, then kicks the pool once per job recovery
+// restored as queued (those predate the pool's pending counts). Until
+// this returns no job of the tenant can run, which is what lets newTenant
+// finish recovery wiring first. On error the tenant is not attached.
+func attachTenant(pool *queue.Pool, id string, s *Server, weight int) error {
+	s.pool, s.projectID = pool, id
+	if err := pool.Register(id, s.jobs, weight, 1); err != nil {
+		return err
 	}
-	return notify.NewOutbox()
+	for i := s.jobs.Pending(); i > 0; i-- {
+		pool.Kick(id)
+	}
+	return nil
 }
 
 // Close drains the commit queue gracefully: accepted jobs finish, new
-// submissions are rejected, and Close returns once the workers have
-// exited and the webhook retry queue has drained (never-attempted
-// deliveries get one final attempt; deliveries waiting out a backoff are
-// abandoned — in durable mode their missing outcome record is what makes
-// the next start redeliver them). A durable server then compacts the log
+// submissions are rejected, and Close returns once the backlog and the
+// webhook retry queue have drained (never-attempted deliveries get one
+// final attempt; deliveries waiting out a backoff are abandoned — in
+// durable mode their missing outcome record is what makes the next start
+// redeliver them). A durable server then compacts the log
 // (best effort — a crash here just means a longer replay) and closes it.
 func (s *Server) Close() {
 	s.releaseMu.Lock()
@@ -505,12 +488,10 @@ func (s *Server) onParkHook(j *queue.Job[commitJob, CommitResponse], err error) 
 }
 
 // onReleaseHook runs per job as parked work rejoins the pending queue;
-// the multi-tenant pool needs a kick per job or the fair scheduler would
-// see no pending credit for the tenant.
+// the pool needs a kick per job or the fair scheduler would see no
+// pending credit for the tenant.
 func (s *Server) onReleaseHook(*queue.Job[commitJob, CommitResponse]) {
-	if s.onEnqueue != nil {
-		s.onEnqueue()
-	}
+	s.pool.Kick(s.projectID)
 }
 
 // scheduleRelease arms (once) the automatic parked-job release. The
@@ -559,38 +540,38 @@ func (s *Server) CloseIntake() { s.jobs.CloseIntake() }
 
 // onSubmitHook runs under the queue lock, atomically with a job's
 // acceptance: the WAL submit record first (record-then-accept — an
-// accepted job is a recoverable job), then the scheduler kick. The
-// enqueue-side mirror of onCancelHook.
+// accepted job is a recoverable job), then the pool kick. Fired out of
+// band, a job accepted just before a shutdown could be journaled yet
+// never kicked: the pool would see zero pending, stop its workers, and
+// strand the job's waiter. The enqueue-side mirror of onCancelHook.
 func (s *Server) onSubmitHook(j *queue.Job[commitJob, CommitResponse]) error {
 	if s.wlog != nil {
 		if err := s.walOnSubmit(j); err != nil {
 			return err
 		}
 	}
-	if s.onEnqueue != nil {
-		s.onEnqueue()
-	}
+	s.pool.Kick(s.projectID)
 	return nil
 }
 
 // onCancelHook runs under the queue lock for a cancelable job: the WAL
-// record first (record-then-cancel), then the scheduler un-kick.
+// record first (record-then-cancel), then the pool un-kick. Taken out
+// of band, a pool pick racing the cancel could strand a later job with
+// no pending credit until the next kick.
 func (s *Server) onCancelHook(j *queue.Job[commitJob, CommitResponse]) error {
 	if s.wlog != nil {
 		if err := s.walOnCancel(j); err != nil {
 			return err
 		}
 	}
-	if s.onDequeue != nil {
-		s.onDequeue()
-	}
+	s.pool.Unkick(s.projectID)
 	return nil
 }
 
 // RunDueWebhooks attempts every webhook delivery whose schedule has come
 // due, returning how many attempts were made. Only meaningful with
 // Options.ManualRetry — the deterministic test harness's hook, the
-// webhook counterpart of RunNextJob.
+// webhook counterpart of a manual pool's RunOne.
 func (s *Server) RunDueWebhooks() int {
 	n := 0
 	for s.deliver.RunDue() {
@@ -598,11 +579,6 @@ func (s *Server) RunDueWebhooks() int {
 	}
 	return n
 }
-
-// RunNextJob executes the oldest queued commit job on the calling
-// goroutine, returning false when the backlog is empty. Only meaningful
-// with Options.ManualQueue — it is the deterministic test harness's hook.
-func (s *Server) RunNextJob() bool { return s.jobs.RunNext() }
 
 // --- wire types ---------------------------------------------------------
 

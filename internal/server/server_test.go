@@ -14,6 +14,7 @@ import (
 	"github.com/easeml/ci/internal/model"
 	"github.com/easeml/ci/internal/notify"
 	"github.com/easeml/ci/internal/planner"
+	"github.com/easeml/ci/internal/queue"
 	"github.com/easeml/ci/internal/script"
 )
 
@@ -32,7 +33,34 @@ func testLabels() []int {
 
 func newTestServer(t *testing.T, adaptKind script.AdaptivityKind) (*Server, []int) {
 	t.Helper()
-	return newServerWith(t, adaptKind, 3, testSize, Options{})
+	return newServerWith(t, adaptKind, 3, testSize, Options{}, false)
+}
+
+// openTestTenant builds a tenant from g (durable under dir, in memory
+// when dir is "") and attaches it to a private pool exactly as Multi
+// attaches one to the shared pool: a one-worker pool, or with manual set
+// a pool that runs nothing until the test calls srv.pool.RunOne. Shut it
+// down with closeTestTenant.
+func openTestTenant(g Genesis, dir string, opts Options, manual bool) (*Server, error) {
+	srv, err := newTenant(g, dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	pool := queue.NewPool(queue.PoolOptions{Workers: 1, Manual: manual})
+	if err := attachTenant(pool, DefaultProject, srv, 1); err != nil {
+		pool.Close()
+		srv.Close()
+		return nil, err
+	}
+	return srv, nil
+}
+
+// closeTestTenant shuts a test tenant down in Multi.Close's order: stop
+// intake, let the pool drain every accepted job, then close the tenant.
+func closeTestTenant(s *Server) {
+	s.CloseIntake()
+	s.pool.Close()
+	s.Close()
 }
 
 // serveTenant answers r from one tenant's rows below the alias prefix,
@@ -254,7 +282,7 @@ func TestRotateValidation(t *testing.T) {
 // in-memory or durable.
 func TestNewValidation(t *testing.T) {
 	for _, dir := range []string{"", t.TempDir()} {
-		if _, err := newTenant(Genesis{}, dir, Options{}); err == nil {
+		if _, err := openTestTenant(Genesis{}, dir, Options{}, false); err == nil {
 			t.Errorf("zero genesis (data dir %q) should fail", dir)
 		}
 	}
@@ -553,7 +581,7 @@ func TestConcurrentPlanBatchCommit(t *testing.T) {
 // accepted job reaches a terminal state exactly once.
 func TestConcurrentAsyncCommitHammer(t *testing.T) {
 	outbox := notify.NewOutbox()
-	srv, labels := newServerWith(t, script.AdaptivityFull, 8, 900, Options{Webhooks: outbox})
+	srv, labels := newServerWith(t, script.AdaptivityFull, 8, 900, Options{Webhooks: outbox}, false)
 
 	var mu sync.Mutex
 	var accepted []string

@@ -187,17 +187,8 @@ func rawDirEntries(dir, prefix string) []tarEntry {
 // pausing intake anywhere (each tenant is frozen only for its in-memory
 // byte capture).
 func (m *Multi) handleAdminBackup(w http.ResponseWriter, r *http.Request, sc scope) {
-	if m.dataDir == "" {
-		// A path-scoped backup names the tenant it could not back up.
-		what := "control plane"
-		if sc.id != "" {
-			what = "server"
-		}
-		writeError(w, http.StatusConflict, what+" is not durable (no data directory)")
-		return
-	}
 	_, srv, ok := m.scopedTenant(w, r, sc)
-	if !ok {
+	if !ok || !m.requireDurable(w) {
 		return
 	}
 	if srv != nil {

@@ -490,7 +490,7 @@ func TestScopedBackupRestoresAsDefault(t *testing.T) {
 func TestMigrationResumesAfterCrashAtRename(t *testing.T) {
 	root := t.TempDir()
 	g, labels := durableGenesis(t, 3, testSize)
-	srv, err := newTenant(g, root, Options{WALNoSync: true, Webhooks: notify.NewOutbox()})
+	srv, err := openTestTenant(g, root, Options{WALNoSync: true, Webhooks: notify.NewOutbox()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestMigrationResumesAfterCrashAtRename(t *testing.T) {
 		}
 	}
 	history := getBody(t, srv, "/api/v1/history")
-	srv.Close()
+	closeTestTenant(srv)
 
 	// Simulate the crash: the migration's first rename (snapshot) landed,
 	// the second (wal.log) never ran.
@@ -534,7 +534,7 @@ func TestBackupFingerprint(t *testing.T) {
 	want := g.fingerprint()
 
 	logOnly := t.TempDir()
-	srv, err := newTenant(g, logOnly, Options{Webhooks: notify.NewOutbox(), CompactAt: -1})
+	srv, err := openTestTenant(g, logOnly, Options{Webhooks: notify.NewOutbox(), CompactAt: -1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,11 +546,11 @@ func TestBackupFingerprint(t *testing.T) {
 	}
 
 	snapshotted := t.TempDir()
-	srv, err = newTenant(g, snapshotted, Options{Webhooks: notify.NewOutbox()})
+	srv, err = openTestTenant(g, snapshotted, Options{Webhooks: notify.NewOutbox()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Close() // compacts into snapshot.json
+	closeTestTenant(srv) // compacts into snapshot.json
 	if got, err := backupFingerprint(snapshotted); err != nil || got != want {
 		t.Fatalf("snapshot fingerprint = %q, %v; want %q", got, err, want)
 	}

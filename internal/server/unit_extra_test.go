@@ -81,8 +81,8 @@ func TestDatasetFromLabelsSharesIndexRows(t *testing.T) {
 
 // TestMethodNotAllowed sweeps every endpoint with the wrong verb.
 func TestMethodNotAllowed(t *testing.T) {
-	srv, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{})
-	defer srv.Close()
+	srv, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, false)
+	defer closeTestTenant(srv)
 	cases := []struct{ method, path string }{
 		{http.MethodPost, "/api/v1/plan"},
 		{http.MethodPost, "/api/v1/status"},

@@ -373,7 +373,7 @@ func postRaw(srv *Server, path string, body []byte) *httptest.ResponseRecorder {
 // refuse one byte more with the project-create endpoint's 400; a rotation
 // to a larger testset raises the limit with it.
 func TestCommitBodyLimit(t *testing.T) {
-	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{})
+	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, false)
 	// padded returns a valid indented commit padded with trailing
 	// whitespace, which encoding/json ignores, to exactly size bytes.
 	padded := func(t *testing.T, labels []int, model string, size int64) []byte {
