@@ -204,9 +204,13 @@ func main() {
 
 	dGenesis := genesis("n > 0.6 +/- 0.1", full, 4, small)
 
-	// A manual pool holds the job in "queued" so the crash lands before
-	// the evaluation — the worst possible moment.
-	durable, err := server.NewMulti(dGenesis, server.MultiOptions{DataDir: dataDir, ManualPool: true})
+	// A harness clock holds the job in "queued" so the crash lands before
+	// the evaluation — the worst possible moment. With Tenant.Clock set the
+	// server runs nothing time-driven on its own: its pool has no workers,
+	// so the job runs only when RunOne is called, and this demo never
+	// calls it. Wall time is a fine clock here; what matters is that one
+	// is set.
+	durable, err := server.NewMulti(dGenesis, server.MultiOptions{DataDir: dataDir, Tenant: server.Options{Clock: time.Now}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,15 +21,16 @@ const jobsPath = apiPrefix + jobsRest
 
 // newServerWith builds an in-memory tenant over a synthetic testset of
 // the given size and step budget through openTestTenant, with explicit
-// options; manual selects a pool the test steps with srv.pool.RunOne.
-func newServerWith(t *testing.T, adaptKind script.AdaptivityKind, steps, size int, opts Options, manual bool) (*Server, []int) {
+// options; a harness clock (opts.Clock) gives it a pool the test steps
+// with srv.pool.RunOne.
+func newServerWith(t *testing.T, adaptKind script.AdaptivityKind, steps, size int, opts Options) (*Server, []int) {
 	t.Helper()
 	g, labels := durableGenesis(t, steps, size)
 	g.Adaptivity = script.Adaptivity{Kind: adaptKind}
 	if adaptKind == script.AdaptivityNone {
 		g.Adaptivity.Email = "qa@x.y"
 	}
-	srv, err := openTestTenant(g, "", opts, manual)
+	srv, err := openTestTenant(g, "", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +88,9 @@ func pollUntilTerminal(t *testing.T, srv *Server, jobID string) JobStatusRespons
 func TestAsyncSubmitPollWebhookDeterministic(t *testing.T) {
 	outbox := notify.NewOutbox()
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
+		Clock:    testClock,
 		Webhooks: outbox,
-	}, true)
+	})
 	rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
 		CommitRequest: CommitRequest{
 			Model: "cand", Author: "dev", Message: "async",
@@ -133,9 +135,14 @@ func TestAsyncSubmitPollWebhookDeterministic(t *testing.T) {
 	}
 
 	// Exactly one webhook, carrying the same JobStatusResponse the poll
-	// endpoint serves. Delivery happens off the worker goroutine, so wait
-	// for it.
-	hooks := waitForWebhooks(t, outbox, 1)
+	// endpoint serves, and only once the harness delivers it.
+	if len(outbox.Messages()) != 0 {
+		t.Error("webhook delivered before RunDueWebhooks")
+	}
+	if n := srv.RunDueWebhooks(); n != 1 {
+		t.Fatalf("RunDueWebhooks = %d, want 1", n)
+	}
+	hooks := outbox.Messages()
 	if len(hooks) != 1 {
 		t.Fatalf("webhook deliveries = %d, want 1", len(hooks))
 	}
@@ -153,7 +160,7 @@ func TestAsyncSubmitPollWebhookDeterministic(t *testing.T) {
 }
 
 func TestAsyncValidation(t *testing.T) {
-	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, true)
+	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Clock: testClock})
 	rec, _ := doJSON(t, srv, http.MethodGet, "/api/v1/commit/async", nil)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET async status = %d", rec.Code)
@@ -211,7 +218,7 @@ func TestAsyncValidation(t *testing.T) {
 }
 
 func TestAsyncCancel(t *testing.T) {
-	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, true)
+	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Clock: testClock})
 	preds := goodPredictions(t, labels, 0.9, 2)
 	submit := func(name string) string {
 		rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
@@ -261,8 +268,9 @@ func TestAsyncCancel(t *testing.T) {
 
 func TestAsyncQueueFullAnswers503(t *testing.T) {
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
+		Clock:         testClock,
 		QueueCapacity: 1,
-	}, true)
+	})
 	preds := goodPredictions(t, labels, 0.9, 2)
 	rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
 		CommitRequest: CommitRequest{Model: "first", Predictions: preds},
@@ -303,7 +311,7 @@ func TestWebhookEndToEnd(t *testing.T) {
 	}))
 	defer subscriber.Close()
 
-	srv, labels := newServerWith(t, script.AdaptivityFull, 16, 900, Options{}, false)
+	srv, labels := newServerWith(t, script.AdaptivityFull, 16, 900, Options{})
 	var ids []string
 	for i := 0; i < 8; i++ {
 		rec, _ := doJSON(t, srv, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
@@ -359,7 +367,7 @@ func TestAsyncSyncEquivalence(t *testing.T) {
 	}
 
 	// Sequential synchronous reference.
-	syncSrv, labels := newServerWith(t, script.AdaptivityFull, burst, 2500, Options{}, false)
+	syncSrv, labels := newServerWith(t, script.AdaptivityFull, burst, 2500, Options{})
 	for i := 0; i < burst; i++ {
 		rec, _ := doJSON(t, syncSrv, http.MethodPost, "/api/v1/commit", CommitRequest{
 			Model: fmt.Sprintf("m%d", i), Author: "dev", Message: fmt.Sprintf("commit %d", i),
@@ -373,7 +381,7 @@ func TestAsyncSyncEquivalence(t *testing.T) {
 	// Concurrent asynchronous burst. Submission order must be the FIFO
 	// order, so the burst races the HTTP accept path (the part that must
 	// absorb concurrency) while each goroutine waits its turn to submit.
-	asyncSrv, labels2 := newServerWith(t, script.AdaptivityFull, burst, 2500, Options{QueueCapacity: burst}, false)
+	asyncSrv, labels2 := newServerWith(t, script.AdaptivityFull, burst, 2500, Options{QueueCapacity: burst})
 	if len(labels2) != len(labels) {
 		t.Fatal("test servers disagree on testset size")
 	}
@@ -582,8 +590,8 @@ func TestAdminResetCaches(t *testing.T) {
 // without it, and no delivery is ever attempted.
 func TestSyncCommitIgnoresWebhook(t *testing.T) {
 	outbox := notify.NewOutbox()
-	withHook, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: outbox}, false)
-	plain, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, false)
+	withHook, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: outbox})
+	plain, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{})
 	for i, hook := range []string{`"http://127.0.0.1:1/hook"`, `5`} {
 		preds, err := json.Marshal(goodPredictions(t, labels, 0.9, int64(30+i)))
 		if err != nil {

@@ -352,7 +352,7 @@ func openDurable(cfg *script.Config, g Genesis, dataDir string, opts Options) (*
 // poison every future recovery.
 func (s *Server) resume() {
 	s.eng.SetNotifier(notify.NewOutbox())
-	s.eng.SetJournal(walJournal{s})
+	s.eng.SetJournal(journalFunc(s.walAppend))
 	// Redeliver webhooks of jobs that finished but whose delivery never
 	// reached a recorded outcome (crash mid-backoff, or before the first
 	// attempt). The retry queue applies its usual backoff and breakers.
@@ -478,7 +478,7 @@ func recoverDurable(cfg *script.Config, g Genesis, opts Options, snap *wal.Snaps
 				return nil, fmt.Errorf("record %d: commit for unknown job %s", rec.Seq, r.Job)
 			}
 			v := &auditVerifier{pending: audit}
-			eng.SetJournal(v)
+			eng.SetJournal(journalFunc(v.take))
 			resp, err := evalCommit(cfg, eng, labelQuota, &e.Req)
 			eng.SetJournal(nil)
 			audit = nil
@@ -586,8 +586,26 @@ func recoverDurable(cfg *script.Config, g Genesis, opts Options, snap *wal.Snaps
 	return d, nil
 }
 
-// auditVerifier is the replay-time engine journal: instead of appending,
-// it consumes the logged audit records and fails on any divergence
+// journalFunc is the engine journal: it turns each of the engine's
+// journal calls into its WAL record and hands the record to the func.
+// Live traffic passes Server.walAppend; replay passes auditVerifier.take.
+type journalFunc func(typ string, payload any) error
+
+func (f journalFunc) JournalReveal(count int) error {
+	return f(recTypeReveal, recReveal{Count: count})
+}
+func (f journalFunc) JournalCharge(labels int) error {
+	return f(recTypeCharge, recCharge{Labels: labels})
+}
+func (f journalFunc) JournalPromote(m string) error {
+	return f(recTypePromote, recPromote{Model: m})
+}
+func (f journalFunc) JournalLooks(looks, saved int, early bool) error {
+	return f(recTypeLooks, recLooks{Looks: looks, Saved: saved, Early: early})
+}
+
+// auditVerifier checks replay's journal records: instead of appending,
+// take consumes the logged audit records and fails on any divergence
 // between what replay derives and what the live run logged.
 type auditVerifier struct {
 	pending []wal.Record
@@ -616,45 +634,17 @@ func (v *auditVerifier) take(typ string, payload any) error {
 	return nil
 }
 
-func (v *auditVerifier) JournalReveal(count int) error {
-	return v.take(recTypeReveal, recReveal{Count: count})
-}
-func (v *auditVerifier) JournalCharge(labels int) error {
-	return v.take(recTypeCharge, recCharge{Labels: labels})
-}
-func (v *auditVerifier) JournalPromote(m string) error {
-	return v.take(recTypePromote, recPromote{Model: m})
-}
-func (v *auditVerifier) JournalLooks(looks, saved int, early bool) error {
-	return v.take(recTypeLooks, recLooks{Looks: looks, Saved: saved, Early: early})
-}
-
-// walJournal is the live-traffic engine journal: every engine side
-// effect inside a commit is appended (unsynced — the commit record's
-// fsync makes the whole transaction durable at once). An append failure
-// poisons the server and aborts the commit mid-application; the restart
-// replays to the pre-commit state.
-type walJournal struct{ s *Server }
-
-func (j walJournal) append(typ string, payload any) error {
-	if _, err := j.s.wlog.Append(typ, payload); err != nil {
-		j.s.walFailed.Store(true)
+// walAppend is the live journal's append: every engine side effect
+// inside a commit is appended unsynced (the commit record's fsync makes
+// the whole transaction durable at once). An append failure poisons the
+// server and aborts the commit mid-application; the restart replays to
+// the pre-commit state.
+func (s *Server) walAppend(typ string, payload any) error {
+	if _, err := s.wlog.Append(typ, payload); err != nil {
+		s.walFailed.Store(true)
 		return fmt.Errorf("%w: %v", errWALPoisoned, err)
 	}
 	return nil
-}
-
-func (j walJournal) JournalReveal(count int) error {
-	return j.append(recTypeReveal, recReveal{Count: count})
-}
-func (j walJournal) JournalCharge(labels int) error {
-	return j.append(recTypeCharge, recCharge{Labels: labels})
-}
-func (j walJournal) JournalPromote(m string) error {
-	return j.append(recTypePromote, recPromote{Model: m})
-}
-func (j walJournal) JournalLooks(looks, saved int, early bool) error {
-	return j.append(recTypeLooks, recLooks{Looks: looks, Saved: saved, Early: early})
 }
 
 // walAppendSyncLocked appends one record and fsyncs, poisoning the

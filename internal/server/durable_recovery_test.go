@@ -19,7 +19,7 @@ import (
 func seedDurableLog(t *testing.T, g Genesis, labels []int) []wal.Record {
 	t.Helper()
 	dir := t.TempDir()
-	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
+	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := writeLog(t, tc.mutate())
-			srv, err := openTestTenant(g, dir, Options{}, false)
+			srv, err := openTestTenant(g, dir, Options{})
 			if err == nil {
 				closeTestTenant(srv)
 				t.Fatal("recovery accepted a tampered log")
@@ -184,7 +184,7 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		log.Close()
-		if srv, err := openTestTenant(g, dir, Options{}, false); err == nil {
+		if srv, err := openTestTenant(g, dir, Options{}); err == nil {
 			closeTestTenant(srv)
 			t.Fatal("recovery accepted a non-object snapshot")
 		} else if !strings.Contains(err.Error(), "snapshot") {
@@ -202,7 +202,7 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		log.Close()
-		if srv, err := openTestTenant(g, dir, Options{}, false); err == nil {
+		if srv, err := openTestTenant(g, dir, Options{}); err == nil {
 			closeTestTenant(srv)
 			t.Fatal("recovery accepted an empty engine snapshot")
 		}
@@ -216,7 +216,7 @@ func TestDurableRecoveryRejectsTamperedLog(t *testing.T) {
 func TestDurableCompactFailurePoisons(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := openTestTenant(g, dir, Options{}, false)
+	srv, err := openTestTenant(g, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestDurableCompactFailurePoisons(t *testing.T) {
 func TestDurableCancelAndPruneAcrossRestart(t *testing.T) {
 	g, labels := durableGenesis(t, 8, testSize)
 	dir := t.TempDir()
-	srv, err := openTestTenant(g, dir, Options{QueueRetain: 2}, true)
+	srv, err := openTestTenant(g, dir, Options{Clock: testClock, QueueRetain: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestDurableCancelAndPruneAcrossRestart(t *testing.T) {
 	// retain=2 kept only the two newest (the done ids[3] and the canceled
 	// ids[4]) in the snapshot. Restart from it: only those two jobs are
 	// answerable, in the exact states they were journaled with.
-	revived, err := openTestTenant(g, dir, Options{QueueRetain: 2}, true)
+	revived, err := openTestTenant(g, dir, Options{Clock: testClock, QueueRetain: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestDurableCancelAndPruneAcrossRestart(t *testing.T) {
 func TestDurableCancelReplaysFromRawLog(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := openTestTenant(g, dir, Options{}, true)
+	srv, err := openTestTenant(g, dir, Options{Clock: testClock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestDurableCancelReplaysFromRawLog(t *testing.T) {
 		t.Fatalf("cancel status = %d: %s", rec.Code, rec.Body.String())
 	}
 	// Abandon without Close: recovery replays submit + cancel records.
-	revived, err := openTestTenant(g, dir, Options{}, true)
+	revived, err := openTestTenant(g, dir, Options{Clock: testClock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestDurableRestartEquivalence(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 
 	// Oracle: plain in-memory server, same engine numbers, same traffic.
-	oracle, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: notify.NewOutbox()}, false)
+	oracle, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: notify.NewOutbox()})
 	defer closeTestTenant(oracle)
 	driveTraffic(t, oracle, labels)
 	oracleHistory := getBody(t, oracle, "/api/v1/history")
@@ -148,7 +148,7 @@ func TestDurableRestartEquivalence(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
+			srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestDurableRestartEquivalence(t *testing.T) {
 				closeTestTenant(srv) // compacts into snapshot.json; restart restores from it
 			} // else: abandon without Close — the log replays from genesis
 
-			restarted, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
+			restarted, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 			if err != nil {
 				t.Fatalf("restart: %v", err)
 			}
@@ -203,7 +203,7 @@ func TestDurableRestartEquivalence(t *testing.T) {
 func TestDurablePendingJobResume(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, true)
+	srv, err := openTestTenant(g, dir, Options{Clock: testClock, Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestDurablePendingJobResume(t *testing.T) {
 	done0 := getBody(t, srv, jobsPath+id0)
 	// Crash: abandon without Close — job 1 was accepted but never ran.
 
-	restarted, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, true)
+	restarted, err := openTestTenant(g, dir, Options{Clock: testClock, Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestDurableCrashAtEveryRecordBoundary(t *testing.T) {
 
 	// Produce a full run's log: commits, a rotation, another commit.
 	dir := t.TempDir()
-	srv, err := openTestTenant(g, dir, base, false)
+	srv, err := openTestTenant(g, dir, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestDurableCrashAtEveryRecordBoundary(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(d, "wal.log"), []byte(logPrefix), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := openTestTenant(g, d, Options{WALNoSync: true, CompactAt: -1, Webhooks: notify.NewOutbox()}, true)
+		s, err := openTestTenant(g, d, Options{Clock: testClock, WALNoSync: true, CompactAt: -1, Webhooks: notify.NewOutbox()})
 		if err != nil {
 			t.Fatalf("recovery failed: %v", err)
 		}
@@ -409,16 +409,14 @@ func TestDurableWebhookFlakySubscriberExactlyOnce(t *testing.T) {
 	hook := &flakyNotifier{failures: 3}
 	clock := &fakeClock{}
 	srv, err := openTestTenant(g, t.TempDir(), Options{
-		ManualRetry: true,
-		Webhooks:    hook,
-		RetryClock:  clock.now,
-		RetryJitter: func() float64 { return 0 },
+		Clock:    clock.now,
+		Webhooks: hook,
 		RetryPolicy: notify.RetryPolicy{
 			MaxAttempts: 5,
 			Backoff:     time.Second,
 			Breaker:     resilience.BreakerOptions{FailureThreshold: 3, Cooldown: 2 * time.Second},
 		},
-	}, true)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,12 +503,11 @@ func TestDurableWebhookRedeliveryAcrossRestart(t *testing.T) {
 	clock := &fakeClock{}
 	opts := func(n notify.Notifier) Options {
 		return Options{
-			ManualRetry: true, Webhooks: n,
-			RetryClock: clock.now, RetryJitter: func() float64 { return 0 },
+			Clock: clock.now, Webhooks: n,
 			RetryPolicy: notify.RetryPolicy{MaxAttempts: 5, Backoff: time.Minute},
 		}
 	}
-	srv, err := openTestTenant(g, dir, opts(down), true)
+	srv, err := openTestTenant(g, dir, opts(down))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +535,7 @@ func TestDurableWebhookRedeliveryAcrossRestart(t *testing.T) {
 	closeTestTenant(srv)
 
 	up := &flakyNotifier{}
-	restarted, err := openTestTenant(g, dir, opts(up), true)
+	restarted, err := openTestTenant(g, dir, opts(up))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +557,7 @@ func TestDurableWebhookRedeliveryAcrossRestart(t *testing.T) {
 
 	// The outcome is recorded now: a third start must not redeliver.
 	final := &flakyNotifier{}
-	again, err := openTestTenant(g, dir, opts(final), true)
+	again, err := openTestTenant(g, dir, opts(final))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +578,7 @@ func TestDurableWALPoisoning(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
 	fs := faultfs.New()
-	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox(), WALFS: fs}, true)
+	srv, err := openTestTenant(g, dir, Options{Clock: testClock, Webhooks: notify.NewOutbox(), WALFS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +631,7 @@ func TestDurableWALPoisoning(t *testing.T) {
 	// Crash (Close would try to compact through the bad disk; a poisoned
 	// server skips that, but the abandon path is the harsher test).
 
-	restarted, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox(), WALFS: fs}, true)
+	restarted, err := openTestTenant(g, dir, Options{Clock: testClock, Webhooks: notify.NewOutbox(), WALFS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -753,7 +750,7 @@ func TestDurableAdminEndpoints(t *testing.T) {
 func TestDurableAutoCompaction(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1}, false) // every commit exceeds 1 byte
+	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1}) // every commit exceeds 1 byte
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -774,7 +771,7 @@ func TestDurableAutoCompaction(t *testing.T) {
 	}
 	history := getBody(t, srv, "/api/v1/history")
 	// Crash after compaction: restart restores from the snapshot.
-	restarted, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1}, false)
+	restarted, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox(), CompactAt: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -790,12 +787,12 @@ func TestNewDurableValidation(t *testing.T) {
 	g, _ := durableGenesis(t, 3, testSize)
 	bad := g
 	bad.ModelPredictions = bad.ModelPredictions[:3]
-	if _, err := openTestTenant(bad, t.TempDir(), Options{}, false); err == nil {
+	if _, err := openTestTenant(bad, t.TempDir(), Options{}); err == nil {
 		t.Error("mismatched genesis predictions must fail")
 	}
 	bad = g
 	bad.Condition = "!!"
-	if _, err := openTestTenant(bad, t.TempDir(), Options{}, false); err == nil {
+	if _, err := openTestTenant(bad, t.TempDir(), Options{}); err == nil {
 		t.Error("bad condition must fail")
 	}
 }
@@ -813,7 +810,7 @@ func TestDurableRestoredJobRunsUnderPool(t *testing.T) {
 	_, labels := durableGenesis(t, 3, testSize)
 
 	// Accept a job but never run it (manual pool), then crash.
-	m := newTestMulti(t, MultiOptions{DataDir: dir, ManualPool: true})
+	m := newTestMulti(t, MultiOptions{DataDir: dir, Tenant: Options{Clock: testClock}})
 	rec := doH(t, m, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
 		CommitRequest: CommitRequest{
 			Model: "m", Author: "dev", Message: "x",
@@ -844,7 +841,7 @@ func TestDurableRestoredJobRunsUnderPool(t *testing.T) {
 	// Abandon again without Close (no compaction): the third start must
 	// replay the raw log, including the restored job's charge/reveal
 	// records written by the revived process.
-	third := newTestMulti(t, MultiOptions{DataDir: dir, ManualPool: true})
+	third := newTestMulti(t, MultiOptions{DataDir: dir, Tenant: Options{Clock: testClock}})
 	defer third.Close()
 	if got := bodyOf(t, third, "/api/v1/history"); !bytes.Equal(history, got) {
 		t.Errorf("history diverged across restart:\n  before: %s\n  after:  %s", history, got)
@@ -859,7 +856,7 @@ func TestDurableRestoredJobRunsUnderPool(t *testing.T) {
 func TestDurableGenesisMismatch(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
+	srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -879,7 +876,7 @@ func TestDurableGenesisMismatch(t *testing.T) {
 	badSize.Labels = g.Labels[:len(g.Labels)-2]
 	badSize.ModelPredictions = g.ModelPredictions[:len(g.ModelPredictions)-2]
 	for name, bad := range map[string]Genesis{"reliability": badRel, "testset size": badSize} {
-		if s, err := openTestTenant(bad, dir, Options{}, false); err == nil {
+		if s, err := openTestTenant(bad, dir, Options{}); err == nil {
 			closeTestTenant(s)
 			t.Fatalf("restart with different %s accepted the old data dir", name)
 		} else if !strings.Contains(err.Error(), "fingerprint") {
@@ -889,18 +886,18 @@ func TestDurableGenesisMismatch(t *testing.T) {
 
 	// The original genesis still recovers; Close compacts, moving the
 	// fingerprint into the snapshot.
-	same, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
+	same, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	closeTestTenant(same)
-	if s, err := openTestTenant(badRel, dir, Options{}, false); err == nil {
+	if s, err := openTestTenant(badRel, dir, Options{}); err == nil {
 		closeTestTenant(s)
 		t.Fatal("post-compaction restart with a different config accepted the old data dir")
 	} else if !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("snapshot mismatch error = %v, want a fingerprint error", err)
 	}
-	final, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
+	final, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}

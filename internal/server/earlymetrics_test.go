@@ -90,7 +90,7 @@ func TestMetricsEarlyExitCounters(t *testing.T) {
 func TestDurableJournalsLooks(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	srv, err := openTestTenant(g, dir, Options{}, false)
+	srv, err := openTestTenant(g, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestDurableJournalsLooks(t *testing.T) {
 
 	// Crash (no Close): restart replays the log, cross-checking the
 	// recorded look decisions against the re-run evaluation.
-	restarted, err := openTestTenant(g, dir, Options{}, false)
+	restarted, err := openTestTenant(g, dir, Options{})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"github.com/easeml/ci/internal/engine"
@@ -80,14 +79,12 @@ func runGoldenScript(t *testing.T, cond string, ed engine.EarlyDecision) (respon
 		ModelName:        "h0",
 		ModelPredictions: h0,
 	}
-	var tick atomic.Int64
 	dir := t.TempDir()
 	srv, err := openTestTenant(g, dir, Options{
-		Clock:         func() int64 { return tick.Add(1) },
 		WALNoSync:     true,
 		CompactAt:     -1,
 		EarlyDecision: ed,
-	}, false)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

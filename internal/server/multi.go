@@ -11,7 +11,6 @@ import (
 
 	"github.com/easeml/ci/internal/bounds"
 	"github.com/easeml/ci/internal/interval"
-	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/planner"
 	"github.com/easeml/ci/internal/queue"
 	"github.com/easeml/ci/internal/registry"
@@ -76,12 +75,9 @@ type MultiOptions struct {
 	DataDir string
 	// PoolWorkers sizes the shared worker pool (0 means
 	// queue.DefaultPoolWorkers) — how many tenants evaluate concurrently.
+	// Under a harness clock (Tenant.Clock) the pool has no workers: RunOne
+	// makes each scheduling decision.
 	PoolWorkers int
-	// ManualPool disables the pool's workers; tests drive scheduling
-	// decisions one at a time via RunOne.
-	ManualPool bool
-	// DefaultWeight is the default project's scheduling weight (<1 means 1).
-	DefaultWeight int
 	// AutoSalvage runs wal.Salvage and retries once when a tenant's (or
 	// the control plane's) write-ahead state refuses to open with
 	// wal.ErrCorrupt. Off by default: salvage truncates the log to its
@@ -93,7 +89,8 @@ type MultiOptions struct {
 	// Tenant is the per-tenant Options template: clock, webhooks, retry
 	// policy, and WAL tuning apply to every project; QueueCapacity and
 	// LabelQuota apply to the default project (registered projects carry
-	// their own in their specs).
+	// their own in their specs). The default project's scheduling weight
+	// is 1.
 	Tenant Options
 }
 
@@ -223,13 +220,13 @@ func NewMulti(g Genesis, opts MultiOptions) (*Multi, error) {
 		return nil, fmt.Errorf("server: control plane: %w", err)
 	}
 	m.reg = reg
-	m.pool = queue.NewPool(queue.PoolOptions{Workers: opts.PoolWorkers, Manual: opts.ManualPool})
+	m.pool = queue.NewPool(queue.PoolOptions{Workers: opts.PoolWorkers, Manual: opts.Tenant.Clock != nil})
 
 	defOpts := m.tenantOptions(ProjectSpec{
 		QueueCapacity: opts.Tenant.QueueCapacity,
 		LabelQuota:    opts.Tenant.LabelQuota,
 	})
-	if _, err := m.openTenant(DefaultProject, g, opts.DefaultWeight, defOpts); err != nil {
+	if _, err := m.openTenant(DefaultProject, g, 1, defOpts); err != nil {
 		if m.dataDir != "" && errors.Is(err, wal.ErrCorrupt) {
 			// The default project's state is damaged but the control plane
 			// is not: boot degraded, answer its requests 503/salvage-required,
@@ -428,8 +425,9 @@ func (m *Multi) tenant(id string) *Server {
 // pre-projects API path aliases to.
 func (m *Multi) Default() *Server { return m.tenant(DefaultProject) }
 
-// RunOne drives one scheduling decision on the calling goroutine; only
-// meaningful with MultiOptions.ManualPool (the deterministic harness).
+// RunOne runs one scheduling decision on the calling goroutine and
+// reports whether a job ran. Under a harness clock (Options.Clock) it is
+// the only thing that runs commit jobs; a worker pool runs them itself.
 func (m *Multi) RunOne() bool { return m.pool.RunOne() }
 
 // Close shuts the control plane down in dependency order: intake stops
@@ -484,31 +482,6 @@ type ProjectListResponse struct {
 	Projects []ProjectInfo `json:"projects"`
 }
 
-// TenantMetrics is one project's slice of the control-plane metrics:
-// everything tenant-owned, none of the shared caches (those are reported
-// once at the top level).
-type TenantMetrics struct {
-	ID                string      `json:"id"`
-	State             string      `json:"state"`
-	CommitQueue       queue.Stats `json:"commit_queue"`
-	CommitsEvaluated  uint64      `json:"commits_evaluated"`
-	CommitEvalNsTotal uint64      `json:"commit_eval_ns_total"`
-	LabelsSavedTotal  uint64      `json:"labels_saved_total"`
-	EarlyExitsTotal   uint64      `json:"early_exits_total"`
-	EarlyExitLooks    []uint64    `json:"early_exit_looks,omitempty"`
-	WebhooksSent      uint64      `json:"webhooks_sent"`
-	WebhooksFailed    uint64      `json:"webhooks_failed"`
-	WAL               *wal.Stats  `json:"wal,omitempty"`
-	// LabelOracle is this tenant's remote label client health (see
-	// MetricsResponse.LabelOracle). Like the WAL stats, it survives the
-	// admin cache reset — delivery state, not a cache.
-	LabelOracle *labeling.OracleStats `json:"label_oracle,omitempty"`
-	// Storage is the tenant's write-ahead state health (poisoning,
-	// salvage history, quarantined bytes, backups). Survives the admin
-	// cache reset — operational state, not a cache.
-	Storage *StorageHealth `json:"storage,omitempty"`
-}
-
 // MultiMetricsResponse is GET /api/v1/metrics on the control plane: the
 // process-wide shared caches exactly once (tenants warm them for each
 // other, so per-tenant attribution would double-count), the scheduler,
@@ -527,25 +500,6 @@ type MultiMetricsResponse struct {
 	// into one global view (worst state wins). Survives the admin cache
 	// reset.
 	Storage *StorageHealth `json:"storage,omitempty"`
-}
-
-// tenantMetrics gathers one server's tenant-owned counters.
-func (s *Server) tenantMetrics(id, state string) TenantMetrics {
-	return TenantMetrics{
-		ID:                id,
-		State:             state,
-		CommitQueue:       s.jobs.Stats(),
-		CommitsEvaluated:  s.commitsEvaluated.Load(),
-		CommitEvalNsTotal: s.commitEvalNs.Load(),
-		LabelsSavedTotal:  s.labelsSaved.Load(),
-		EarlyExitsTotal:   s.earlyExits.Load(),
-		EarlyExitLooks:    s.lookHistSnapshot(),
-		WebhooksSent:      s.webhooksSent.Load(),
-		WebhooksFailed:    s.webhooksFailed.Load(),
-		WAL:               s.WALStats(),
-		LabelOracle:       s.oracleStats(),
-		Storage:           s.storageHealth(),
-	}
 }
 
 // resetCommitCounters clears the tenant-owned serving counters — the
@@ -810,8 +764,26 @@ func (m *Multi) sickTenantMetrics(id string) TenantMetrics {
 	}
 }
 
-func (m *Multi) handleMetrics(w http.ResponseWriter, r *http.Request, _ scope) {
-	writeJSON(w, http.StatusOK, m.metricsSnapshot())
+// handleMetrics answers GET metrics. The alias path answers the control
+// plane's MultiMetricsResponse (?project= does not scope it); a project's
+// path answers that project's MetricsResponse.
+func (m *Multi) handleMetrics(w http.ResponseWriter, r *http.Request, sc scope) {
+	if sc.id == "" {
+		writeJSON(w, http.StatusOK, m.metricsSnapshot())
+		return
+	}
+	if srv, ok := m.openProject(w, sc.id); ok {
+		writeJSON(w, http.StatusOK, MetricsResponse{sharedCacheStats(), srv.tenantMetrics(sc.id, m.projectState(sc.id))})
+	}
+}
+
+// projectState is a project's registry state; the default project has
+// no registry record and is active.
+func (m *Multi) projectState(id string) string {
+	if p, ok := m.reg.Get(id); ok {
+		return string(p.State)
+	}
+	return string(registry.Active)
 }
 
 // scopedTenant resolves an admin request's scope: the project its path
@@ -867,11 +839,7 @@ func (m *Multi) handleAdminReset(w http.ResponseWriter, r *http.Request, sc scop
 		return
 	}
 	if srv != nil {
-		state := string(registry.Active)
-		if p, ok := m.reg.Get(id); ok {
-			state = string(p.State)
-		}
-		pre := srv.tenantMetrics(id, state)
+		pre := srv.tenantMetrics(id, m.projectState(id))
 		srv.resetCommitCounters()
 		writeJSON(w, http.StatusOK, pre)
 		return

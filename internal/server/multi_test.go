@@ -94,7 +94,7 @@ func newTestMulti(t *testing.T, opts MultiOptions) *Multi {
 // a standalone single-tenant server answers for the same traffic, and the
 // scoped /api/v1/projects/default/... spelling matches the alias exactly.
 func TestMultiAliasByteEquivalence(t *testing.T) {
-	oracle, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: notify.NewOutbox()}, false)
+	oracle, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Webhooks: notify.NewOutbox()})
 	defer closeTestTenant(oracle)
 	m := newTestMulti(t, MultiOptions{})
 	defer m.Close()
@@ -293,7 +293,7 @@ func TestMultiLabelQuota(t *testing.T) {
 // TestMultiQueueDepthQuota: a tenant's queue-capacity quota bounds its
 // backlog (503 past it) without touching other tenants' intake.
 func TestMultiQueueDepthQuota(t *testing.T) {
-	m := newTestMulti(t, MultiOptions{ManualPool: true})
+	m := newTestMulti(t, MultiOptions{Tenant: Options{Clock: testClock}})
 	defer m.Close()
 	spec := testSpec(t, 3, testSize, 2)
 	spec.QueueCapacity = 1
@@ -731,7 +731,7 @@ func TestMultiConcurrentHammer(t *testing.T) {
 // project cannot monopolize scheduling — a weighted tenant gets its
 // share of picks, observable through the scheduler metrics.
 func TestMultiFairnessScoped(t *testing.T) {
-	m := newTestMulti(t, MultiOptions{ManualPool: true})
+	m := newTestMulti(t, MultiOptions{Tenant: Options{Clock: testClock}})
 	defer m.Close()
 	// Jobs past the 3-step budget fail fast when run; scheduling order —
 	// what this test measures — is unaffected.
@@ -884,18 +884,18 @@ func TestNewFromGenesisValidation(t *testing.T) {
 	g, _ := durableGenesis(t, 3, testSize)
 	bad := g
 	bad.Condition = "not a condition"
-	if _, err := openTestTenant(bad, "", Options{}, false); err == nil {
+	if _, err := openTestTenant(bad, "", Options{}); err == nil {
 		t.Error("bad condition accepted")
 	}
 	bad = g
 	bad.ModelPredictions = bad.ModelPredictions[:7]
-	if _, err := openTestTenant(bad, "", Options{}, false); err == nil {
+	if _, err := openTestTenant(bad, "", Options{}); err == nil {
 		t.Error("prediction/label length mismatch accepted")
 	}
 	bad = g
 	bad.Labels = []int{0, 1, 2, 99}
 	bad.ModelPredictions = []int{0, 1, 2, 3}
-	if _, err := openTestTenant(bad, "", Options{}, false); err == nil {
+	if _, err := openTestTenant(bad, "", Options{}); err == nil {
 		t.Error("out-of-range label accepted")
 	}
 }
@@ -948,7 +948,7 @@ func TestNewMultiStartupFailures(t *testing.T) {
 // backlog gets its terminal 409, not a handler goroutine that hangs
 // forever on a queue nothing will ever drain.
 func TestMultiDeleteProjectFailsPendingBacklog(t *testing.T) {
-	m := newTestMulti(t, MultiOptions{ManualPool: true})
+	m := newTestMulti(t, MultiOptions{Tenant: Options{Clock: testClock}})
 	defer m.Close()
 	if rec := doH(t, m, http.MethodPost, "/api/v1/projects", CreateProjectRequest{ID: "doomed", ProjectSpec: testSpec(t, 3, testSize, 2)}); rec.Code != http.StatusCreated {
 		t.Fatal(rec.Body.String())
@@ -1053,7 +1053,7 @@ func TestMultiCloseNeverStrandsSyncWaiter(t *testing.T) {
 func TestMultiMigratesLegacyLayout(t *testing.T) {
 	dir := t.TempDir()
 	g, labels := durableGenesis(t, 3, testSize)
-	legacy, err := openTestTenant(g, dir, Options{WALNoSync: true, Webhooks: notify.NewOutbox()}, false)
+	legacy, err := openTestTenant(g, dir, Options{WALNoSync: true, Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func jobState(t *testing.T, srv *Server, id string) JobStatusResponse {
 // awaiting_labels instead of failing it, and the released job delivers a
 // verdict byte-identical to a server whose oracle never failed.
 func TestParkAndReleaseEndToEnd(t *testing.T) {
-	control, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, true)
+	control, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Clock: testClock})
 	acc := submitAsync(t, tenantHandler(control), "/api/v1/commit/async", labels, "cand", 2)
 	if !control.pool.RunOne() {
 		t.Fatal("control job did not run")
@@ -75,9 +75,9 @@ func TestParkAndReleaseEndToEnd(t *testing.T) {
 	}
 
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
-		ManualRelease: true,
+		Clock:         testClock,
 		OracleFactory: flakyFactory(2),
-	}, true)
+	})
 	acc = submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
 	if !srv.pool.RunOne() {
 		t.Fatal("flaky job did not run")
@@ -120,9 +120,9 @@ func TestParkAndReleaseEndToEnd(t *testing.T) {
 	}
 }
 
-// TestParkAutoRelease: without ManualRelease the server re-queues parked
-// jobs on a timer, pacing off the provider's Retry-After hint (floored at
-// MinParkRelease).
+// TestParkAutoRelease: without a harness clock the server re-queues
+// parked jobs on a timer, pacing off the provider's Retry-After hint
+// (floored at MinParkRelease), and the pool's workers run them.
 func TestParkAutoRelease(t *testing.T) {
 	factory := func(gen int, truth []int) labeling.Oracle {
 		faults := labeling.NewFaultOracle(labeling.NewTruthOracle(truth), []labeling.Fault{
@@ -138,29 +138,27 @@ func TestParkAutoRelease(t *testing.T) {
 	}
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
 		OracleFactory: factory,
-	}, true)
+	})
 	acc := submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
-	if !srv.pool.RunOne() {
-		t.Fatal("job did not run")
-	}
-	if st := jobState(t, srv, acc.JobID); st.State != "awaiting_labels" {
-		t.Fatalf("job after outage = %+v", st)
-	}
-	// The release timer fires on its own (hint 10ms, floored to
-	// MinParkRelease = 1s) and re-queues the job.
-	deadline := time.Now().Add(10 * time.Second)
-	for jobState(t, srv, acc.JobID).State != "queued" {
-		if time.Now().After(deadline) {
-			t.Fatal("auto-release timer never re-queued the parked job")
+	// The worker runs the job into the outage; the release timer (hint
+	// 10ms, floored to MinParkRelease = 1s) then re-queues it and the
+	// worker runs it again against the recovered provider.
+	waitState := func(want string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := jobState(t, srv, acc.JobID)
+			if st.State == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job = %+v, never reached %s", st, want)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if !srv.pool.RunOne() {
-		t.Fatal("auto-released job did not run")
-	}
-	if st := jobState(t, srv, acc.JobID); st.State != "done" {
-		t.Fatalf("job after auto-release = %+v", st)
-	}
+	waitState("awaiting_labels")
+	waitState("done")
 }
 
 // TestParkMetricsSurviveAdminReset: oracle health is delivery state, not
@@ -168,9 +166,9 @@ func TestParkAutoRelease(t *testing.T) {
 // project.
 func TestParkMetricsSurviveAdminReset(t *testing.T) {
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
-		ManualRelease: true,
+		Clock:         testClock,
 		OracleFactory: flakyFactory(2),
-	}, true)
+	})
 	acc := submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
 	srv.pool.RunOne()
 	srv.ReleaseParked()
@@ -212,7 +210,7 @@ func TestParkMetricsSurviveAdminReset(t *testing.T) {
 // TestParkWithoutFactoryAbsent: servers with no remote oracle expose no
 // label_oracle block and never park.
 func TestParkWithoutFactoryAbsent(t *testing.T) {
-	srv, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, true)
+	srv, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{Clock: testClock})
 	_, body := doJSON(t, srv, http.MethodGet, "/api/v1/metrics", nil)
 	if _, ok := body["label_oracle"]; ok {
 		t.Error("label_oracle present without an OracleFactory")
@@ -231,7 +229,7 @@ func TestDurableRestartWhileParked(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 
 	controlDir := t.TempDir()
-	control, err := openTestTenant(g, controlDir, Options{Webhooks: notify.NewOutbox()}, true)
+	control, err := openTestTenant(g, controlDir, Options{Clock: testClock, Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +242,10 @@ func TestDurableRestartWhileParked(t *testing.T) {
 
 	dir := t.TempDir()
 	srv, err := openTestTenant(g, dir, Options{
-		ManualRelease: true,
+		Clock:         testClock,
 		Webhooks:      notify.NewOutbox(),
 		OracleFactory: flakyFactory(1000), // hard down: every attempt fails
-	}, true)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +259,10 @@ func TestDurableRestartWhileParked(t *testing.T) {
 	// Crash: no Close, no release. The provider is back when the process
 	// returns.
 	restarted, err := openTestTenant(g, dir, Options{
-		ManualRelease: true,
+		Clock:         testClock,
 		Webhooks:      notify.NewOutbox(),
 		OracleFactory: flakyFactory(0),
-	}, true)
+	})
 	if err != nil {
 		t.Fatalf("restart with a parked job: %v", err)
 	}
@@ -303,7 +301,6 @@ func TestDurableRestartWhileParked(t *testing.T) {
 func TestMultiDeleteProjectWithParkedJob(t *testing.T) {
 	m := newTestMulti(t, MultiOptions{Tenant: Options{
 		OracleFactory: flakyFactory(1000),
-		ManualRelease: true,
 	}})
 	defer m.Close()
 	if rec := doH(t, m, http.MethodPost, "/api/v1/projects", CreateProjectRequest{ID: "flaky", ProjectSpec: testSpec(t, 3, testSize, 2)}); rec.Code != http.StatusCreated {
@@ -353,9 +350,9 @@ func TestMultiDeleteProjectWithParkedJob(t *testing.T) {
 // queued job — the poller sees failed/canceled, not a hang.
 func TestJobCancelWhileParked(t *testing.T) {
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
-		ManualRelease: true,
+		Clock:         testClock,
 		OracleFactory: flakyFactory(1000),
-	}, true)
+	})
 	acc := submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
 	if !srv.pool.RunOne() {
 		t.Fatal("job did not run")
@@ -383,9 +380,9 @@ func TestJobCancelWhileParked(t *testing.T) {
 // queue kicks the tenant's pool, so the scheduler sees its credit.
 func TestParkReleaseKicksScheduler(t *testing.T) {
 	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{
-		ManualRelease: true,
+		Clock:         testClock,
 		OracleFactory: flakyFactory(2),
-	}, true)
+	})
 	pending := func() int { return srv.pool.Stats().Sources[0].Pending }
 	submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, "cand", 2)
 	if got := pending(); got != 1 {
@@ -402,5 +399,92 @@ func TestParkReleaseKicksScheduler(t *testing.T) {
 	}
 	if got := pending(); got != 1 {
 		t.Fatalf("pool pending after release = %d, want 1", got)
+	}
+}
+
+// TestParkHarnessClock pins the harness clock both ways on a Multi whose
+// Tenant.Clock is set: each time-driven step holds still until the test
+// takes it, then does what production does on its own. An accepted job
+// stays queued until RunOne; a finished job's webhook stays undelivered
+// until RunDueWebhooks; a parked job stays awaiting_labels, with no
+// release timer armed, until ReleaseParked.
+func TestParkHarnessClock(t *testing.T) {
+	outbox := notify.NewOutbox()
+	releaseUnarmed := func(s *Server) bool {
+		s.releaseMu.Lock()
+		defer s.releaseMu.Unlock()
+		return s.releaseTimer == nil
+	}
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		webhook string
+		runs    int    // RunOne calls before the hold
+		held    string // the job's state while held
+		holding func(*Server) bool
+		step    func(*Multi, *Server) bool
+	}{
+		{
+			name: "job queued until RunOne",
+			held: "queued",
+			step: func(m *Multi, _ *Server) bool { return m.RunOne() },
+		},
+		{
+			name:    "webhook undelivered until RunDueWebhooks",
+			opts:    Options{Webhooks: outbox},
+			webhook: "http://hooks.local/ci",
+			runs:    1,
+			held:    "done",
+			holding: func(*Server) bool { return len(outbox.Messages()) == 0 },
+			step: func(_ *Multi, s *Server) bool {
+				return s.RunDueWebhooks() == 1 && len(outbox.Messages()) == 1
+			},
+		},
+		{
+			name:    "parked until ReleaseParked",
+			opts:    Options{OracleFactory: flakyFactory(2)},
+			runs:    1,
+			held:    "awaiting_labels",
+			holding: releaseUnarmed,
+			step:    func(m *Multi, s *Server) bool { return s.ReleaseParked() == 1 && m.RunOne() },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Clock = testClock
+			m := newTestMulti(t, MultiOptions{Tenant: opts})
+			defer m.Close()
+			srv := m.Default()
+			rec := doH(t, m, http.MethodPost, "/api/v1/commit/async", AsyncCommitRequest{
+				CommitRequest: CommitRequest{Model: "cand", Predictions: goodPredictions(t, testLabels(), 0.9, 2)},
+				Webhook:       tc.webhook,
+			})
+			if rec.Code != http.StatusAccepted {
+				t.Fatalf("submit = %d: %s", rec.Code, rec.Body.String())
+			}
+			var acc JobAcceptedResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.runs; i++ {
+				if !m.RunOne() {
+					t.Fatalf("RunOne %d found no job", i+1)
+				}
+			}
+			// Give a wall-clock worker or timer, were one running, time to act.
+			time.Sleep(20 * time.Millisecond)
+			if st := jobState(t, srv, acc.JobID); st.State != tc.held {
+				t.Fatalf("held job = %+v, want %s", st, tc.held)
+			}
+			if tc.holding != nil && !tc.holding(srv) {
+				t.Fatal("the harness let a time-driven step run on its own")
+			}
+			if !tc.step(m, srv) {
+				t.Fatal("the harness step did not act")
+			}
+			if st := jobState(t, srv, acc.JobID); st.State != "done" {
+				t.Fatalf("job after the step = %+v, want done", st)
+			}
+		})
 	}
 }

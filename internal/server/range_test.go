@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 )
 
@@ -46,9 +45,8 @@ const (
 func TestCommitRangeErrors(t *testing.T) {
 	g, labels := durableGenesis(t, 3, testSize)
 	dir := t.TempDir()
-	var tick atomic.Int64
-	opts := Options{Clock: func() int64 { return tick.Add(1) }, WALNoSync: true, CompactAt: -1}
-	srv, err := openTestTenant(g, dir, opts, false)
+	opts := Options{WALNoSync: true, CompactAt: -1}
+	srv, err := openTestTenant(g, dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +91,7 @@ func TestCommitRangeErrors(t *testing.T) {
 	}
 
 	// Crash: abandon srv and replay the log.
-	restarted, err := openTestTenant(g, dir, opts, false)
+	restarted, err := openTestTenant(g, dir, opts)
 	if err != nil {
 		t.Fatalf("restart from the log: %v", err)
 	}
@@ -115,7 +113,7 @@ func TestCommitRangeErrors(t *testing.T) {
 		t.Errorf("snapshot bytes changed: sha256 %x, want %s", sum, rangeSnapSum)
 	}
 
-	fromSnap, err := openTestTenant(g, dir, opts, false)
+	fromSnap, err := openTestTenant(g, dir, opts)
 	if err != nil {
 		t.Fatalf("restart from the snapshot: %v", err)
 	}

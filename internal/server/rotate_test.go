@@ -138,7 +138,7 @@ func FuzzDecodeRotateRequest(f *testing.F) {
 // commit endpoints' 400, and a rotation to a larger testset raises the
 // limit with it.
 func TestRotateBodyLimit(t *testing.T) {
-	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, false)
+	srv, labels := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{})
 	// padded returns an indented rotation to labels, padded with trailing
 	// whitespace, which encoding/json ignores, to exactly size bytes.
 	padded := func(t *testing.T, labels []int, size int64) []byte {
@@ -209,7 +209,7 @@ func TestDurableRotateAnyLayout(t *testing.T) {
 			t.Fatalf("%s: canonical = %v, want %v", tc.name, !tc.canonical, tc.canonical)
 		}
 		dir := t.TempDir()
-		srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()}, false)
+		srv, err := openTestTenant(g, dir, Options{Webhooks: notify.NewOutbox()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func BenchmarkRotate(b *testing.B) {
 					if srv != nil {
 						closeTestTenant(srv)
 					}
-					if srv, err = openTestTenant(g, "", Options{}, false); err != nil {
+					if srv, err = openTestTenant(g, "", Options{}); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()
@@ -330,7 +330,7 @@ func BenchmarkRotate(b *testing.B) {
 // rotation holding that lock.
 func TestRotateConcurrent(t *testing.T) {
 	const n, workers, rotations = 2000, 2, 50
-	srv, _ := newServerWith(t, script.AdaptivityFull, 3, n, Options{}, false)
+	srv, _ := newServerWith(t, script.AdaptivityFull, 3, n, Options{})
 	defer closeTestTenant(srv)
 	bodies := make([][]byte, workers)
 	for w := range bodies {

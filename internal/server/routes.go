@@ -45,7 +45,7 @@ var routes = []route{
 	{rest: "plan/batch", methods: "POST", tenant: (*Server).handlePlanBatch},
 	{rest: "status", methods: "GET", tenant: (*Server).handleStatus},
 	{rest: "history", methods: "GET", tenant: (*Server).handleHistory},
-	{rest: "metrics", methods: "GET", tenant: (*Server).handleMetrics, control: (*Multi).handleMetrics},
+	{rest: "metrics", methods: "GET", control: (*Multi).handleMetrics},
 	{rest: "commit", methods: "POST", tenant: (*Server).handleCommit, mutating: true},
 	{rest: "commit/async", methods: "POST", tenant: (*Server).handleCommitAsync, mutating: true},
 	{rest: jobsRest, methods: "GET or DELETE", tenant: (*Server).handleCommitJob},
@@ -93,8 +93,10 @@ func (rt *route) allows(w http.ResponseWriter, r *http.Request) bool {
 //	                        adaptivity?}, ...]}, up to MaxBatchQueries
 //	GET  status             testset generation/budget, active model, label cost
 //	GET  history            evaluation results so far
-//	GET  metrics            scoped: the project's MetricsResponse; alias: the
-//	                        control plane's MultiMetricsResponse
+//	GET  metrics            scoped: the project's MetricsResponse, the shared
+//	                        caches and its TenantMetrics; alias: the control
+//	                        plane's MultiMetricsResponse (?project= does not
+//	                        scope it)
 //	POST commit *           {"model", "author", "message", "predictions":[...]},
 //	                        at most 1 MiB + 32 bytes per testset example;
 //	                        answers with the verdict

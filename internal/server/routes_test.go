@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,10 +56,7 @@ func TestRoutePins(t *testing.T) {
 		bounds.ResetExactCache()
 	}
 	resetShared()
-	var tick atomic.Int64
-	m := newTestMulti(t, MultiOptions{ManualPool: true, Tenant: Options{
-		Clock: func() int64 { return tick.Add(1) },
-	}})
+	m := newTestMulti(t, MultiOptions{Tenant: Options{Clock: testClock}})
 	defer m.Close()
 	_, labels := durableGenesis(t, 3, testSize)
 	commit := mustMarshal(t, CommitRequest{Model: "m", Author: "dev", Message: "x",

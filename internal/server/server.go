@@ -158,37 +158,28 @@ type Server struct {
 	oracleFactory func(gen int, truth []int) labeling.Oracle
 	oracleMu      sync.Mutex // guards oracle: rotation swaps it while metrics read it
 	oracle        labeling.Oracle
-	manualRelease bool
-	releaseMu     sync.Mutex
-	releaseTimer  *time.Timer
+	// harness is Options.Clock != nil: parked jobs wait for ReleaseParked.
+	harness      bool
+	releaseMu    sync.Mutex
+	releaseTimer *time.Timer
 }
 
 // Options tunes one tenant: its commit queue, webhook delivery,
-// write-ahead log, label budget and label source. The zero value is the
-// production default. The queue has no executor of its own: the shared
-// pool the tenant is attached to runs every commit job, so tests that
-// step execution use a manual pool (queue.PoolOptions.Manual).
+// write-ahead log, label budget, label source and clock. The zero value
+// is the production default. The queue has no executor of its own: the
+// shared pool the tenant is attached to runs every commit job.
 type Options struct {
 	// QueueCapacity bounds the pending commit backlog (0 means
 	// queue.DefaultCapacity); a full backlog answers 503.
 	QueueCapacity int
 	// QueueRetain bounds how many finished jobs stay pollable.
 	QueueRetain int
-	// Clock stamps job transitions (tests inject a counter).
-	Clock queue.Clock
 	// Webhooks delivers job-finished callbacks; nil means real HTTP
 	// delivery (notify.NewHTTPPoster). Tests inject a notify.Outbox.
 	Webhooks notify.Notifier
 	// RetryPolicy tunes webhook redelivery (backoff, attempts, circuit
 	// breakers); the zero value means the notify defaults.
 	RetryPolicy notify.RetryPolicy
-	// RetryClock / RetryJitter make retry scheduling deterministic in
-	// tests; nil means wall clock and math/rand.
-	RetryClock  func() time.Time
-	RetryJitter func() float64
-	// ManualRetry disables the webhook retry worker; deliveries happen
-	// only via RunDueWebhooks — the deterministic test harness.
-	ManualRetry bool
 	// WALNoSync skips fsync on the write-ahead log (durable servers
 	// only); crash-consistency tests and benchmarks set it.
 	WALNoSync bool
@@ -231,11 +222,16 @@ type Options struct {
 	// automatically when the provider's suggested retry delay elapses,
 	// and survive restarts as re-enqueued work.
 	OracleFactory func(gen int, truth []int) labeling.Oracle
-	// ManualRelease disables the automatic parked-job release timer;
-	// parked jobs resume only via ReleaseParked — the deterministic test
-	// harness, the parked-state counterpart of a manual pool and
-	// ManualRetry.
-	ManualRelease bool
+	// Clock, when set, makes the tenant the deterministic test harness,
+	// in which nothing time-driven runs unless the test steps it: webhook
+	// retries are scheduled and timed on Clock, without jitter, and run
+	// only on RunDueWebhooks; parked jobs are released only by
+	// ReleaseParked, with no timer armed; and a Multi whose Tenant.Clock
+	// is set runs commit jobs on a manual pool that RunOne steps. A
+	// wall-clock timer or worker would otherwise fire on the wrong time.
+	// Nil, the production setting, means wall time, a background retry
+	// worker and release timers.
+	Clock func() time.Time
 }
 
 // Parked-job release pacing: a provider hint (Retry-After, breaker
@@ -338,13 +334,12 @@ func newTenant(g Genesis, dataDir string, opts Options) (*Server, error) {
 	if s.webhooks == nil {
 		s.webhooks = notify.NewHTTPPoster(nil)
 	}
-	s.deliver = notify.NewReliable(s.webhooks, notify.ReliableOptions{
-		Policy:    opts.RetryPolicy,
-		Clock:     opts.RetryClock,
-		Jitter:    opts.RetryJitter,
-		Manual:    opts.ManualRetry,
-		OnOutcome: s.onWebhookOutcome,
-	})
+	s.harness = opts.Clock != nil
+	retry := notify.ReliableOptions{Policy: opts.RetryPolicy, OnOutcome: s.onWebhookOutcome}
+	if s.harness {
+		retry.Clock, retry.Jitter, retry.Manual = opts.Clock, func() float64 { return 0 }, true
+	}
+	s.deliver = notify.NewReliable(s.webhooks, retry)
 	fail := func(err error) (*Server, error) {
 		s.deliver.Close()
 		if d != nil {
@@ -362,14 +357,12 @@ func newTenant(g Genesis, dataDir string, opts Options) (*Server, error) {
 	qopts := queue.Options[commitJob, CommitResponse]{
 		Capacity: opts.QueueCapacity,
 		Retain:   opts.QueueRetain,
-		Clock:    opts.Clock,
 		Exec:     s.executeCommitJob,
 		OnFinish: s.deliverWebhook,
 		OnSubmit: s.onSubmitHook,
 		OnCancel: s.onCancelHook,
 	}
 	s.oracleFactory = opts.OracleFactory
-	s.manualRelease = opts.ManualRelease
 	if s.oracleFactory != nil {
 		// Provider outages park the commit job instead of failing it. The
 		// classification is the labeling package's contract: only
@@ -500,7 +493,7 @@ func (s *Server) onReleaseHook(*queue.Job[commitJob, CommitResponse]) {
 // is enough: if the provider is still down, the released jobs park again
 // and re-arm the timer with a fresh hint.
 func (s *Server) scheduleRelease(err error) {
-	if s.manualRelease {
+	if s.harness {
 		return
 	}
 	delay := DefaultParkRelease
@@ -524,8 +517,8 @@ func (s *Server) scheduleRelease(err error) {
 }
 
 // ReleaseParked re-enqueues every parked commit job immediately and
-// reports how many moved. The manual counterpart of the release timer
-// (and the deterministic lever tests drive); safe to call at any time.
+// reports how many moved; safe to call at any time. Under a harness clock
+// (Options.Clock) no release timer is armed, so this is the only release.
 func (s *Server) ReleaseParked() int { return s.jobs.ReleaseParked() }
 
 // ParkedCount reports how many commit jobs are waiting out a provider
@@ -569,9 +562,9 @@ func (s *Server) onCancelHook(j *queue.Job[commitJob, CommitResponse]) error {
 }
 
 // RunDueWebhooks attempts every webhook delivery whose schedule has come
-// due, returning how many attempts were made. Only meaningful with
-// Options.ManualRetry — the deterministic test harness's hook, the
-// webhook counterpart of a manual pool's RunOne.
+// due on the harness clock, returning how many attempts were made. Under
+// Options.Clock it is the only thing that delivers webhooks; in
+// production the background retry worker does.
 func (s *Server) RunDueWebhooks() int {
 	n := 0
 	for s.deliver.RunDue() {
@@ -900,16 +893,14 @@ func sharedCacheStats() SharedCacheStats {
 	}
 }
 
-// MetricsResponse is one project's GET /api/v1/projects/{id}/metrics:
-// the shared caches, then the tenant's queue, webhook and storage
-// counters.
-type MetricsResponse struct {
-	SharedCacheStats
+// TenantMetrics is one project's counters: its queue, evaluation,
+// webhook and storage state, and none of the shared caches. It is a row
+// of the control plane's metrics and the body of a project's own.
+type TenantMetrics struct {
+	ID    string `json:"id"`
+	State string `json:"state"`
 	// CommitQueue is the async pipeline's traffic counters.
 	CommitQueue queue.Stats `json:"commit_queue"`
-	// WebhooksSent/Failed count job-finished callback deliveries.
-	WebhooksSent   uint64 `json:"webhooks_sent"`
-	WebhooksFailed uint64 `json:"webhooks_failed"`
 	// CommitsEvaluated counts commits the engine evaluated successfully;
 	// CommitEvalNsTotal is the cumulative wall time inside engine.Commit
 	// in nanoseconds, so total/count is the served per-commit evaluation
@@ -926,47 +917,52 @@ type MetricsResponse struct {
 	LabelsSavedTotal uint64   `json:"labels_saved_total"`
 	EarlyExitsTotal  uint64   `json:"early_exits_total"`
 	EarlyExitLooks   []uint64 `json:"early_exit_looks,omitempty"`
-	// WebhookRetry is the webhook retry queue: attempts, backoff
-	// reschedules, per-kind delivery latency, and each subscriber's
-	// circuit breaker state. Not cleared by the admin cache reset — the
-	// retry queue is delivery state, not a cache.
+	// WebhooksSent/Failed count job-finished callback deliveries.
+	WebhooksSent   uint64 `json:"webhooks_sent"`
+	WebhooksFailed uint64 `json:"webhooks_failed"`
+	// The fields below are delivery and operational state, not caches:
+	// the admin cache reset leaves them. WebhookRetry is the webhook
+	// retry queue: attempts, backoff reschedules, per-kind delivery
+	// latency, and each subscriber's circuit breaker state.
 	WebhookRetry notify.RetryStats `json:"webhook_retry"`
 	// WAL reports the write-ahead log's traffic (durable servers only).
-	// Not cleared by the admin cache reset.
 	WAL *wal.Stats `json:"wal,omitempty"`
 	// LabelOracle is the remote label provider's client health — attempts,
 	// retries, partial batches, short circuits, the breaker state, and the
 	// fetch-latency histogram. Present only when labels are sourced
-	// remotely (Options.OracleFactory). Like WebhookRetry, it is NOT
-	// cleared by the admin cache reset: delivery state, not a cache.
+	// remotely (Options.OracleFactory).
 	LabelOracle *labeling.OracleStats `json:"label_oracle,omitempty"`
 	// Storage is the durable server's storage health: poisoning state,
-	// salvage history, quarantined bytes, backup counters. NOT cleared by
-	// the admin cache reset — operational history, not a cache.
+	// salvage history, quarantined bytes, backup counters.
 	Storage *StorageHealth `json:"storage,omitempty"`
 }
 
-// metricsSnapshot gathers the tenant's point-in-time counters.
-func (s *Server) metricsSnapshot() MetricsResponse {
-	m := MetricsResponse{
-		SharedCacheStats:  sharedCacheStats(),
+// MetricsResponse is one project's GET /api/v1/projects/{id}/metrics:
+// the shared caches, then the project's own counters.
+type MetricsResponse struct {
+	SharedCacheStats
+	TenantMetrics
+}
+
+// tenantMetrics gathers one server's counters under the project's ID and
+// state.
+func (s *Server) tenantMetrics(id, state string) TenantMetrics {
+	return TenantMetrics{
+		ID:                id,
+		State:             state,
 		CommitQueue:       s.jobs.Stats(),
-		WebhooksSent:      s.webhooksSent.Load(),
-		WebhooksFailed:    s.webhooksFailed.Load(),
 		CommitsEvaluated:  s.commitsEvaluated.Load(),
 		CommitEvalNsTotal: s.commitEvalNs.Load(),
 		LabelsSavedTotal:  s.labelsSaved.Load(),
 		EarlyExitsTotal:   s.earlyExits.Load(),
 		EarlyExitLooks:    s.lookHistSnapshot(),
+		WebhooksSent:      s.webhooksSent.Load(),
+		WebhooksFailed:    s.webhooksFailed.Load(),
+		WebhookRetry:      s.deliver.Stats(),
+		WAL:               s.WALStats(),
+		LabelOracle:       s.oracleStats(),
+		Storage:           s.storageHealth(),
 	}
-	m.WebhookRetry = s.deliver.Stats()
-	if s.wlog != nil {
-		st := s.wlog.Stats()
-		m.WAL = &st
-	}
-	m.LabelOracle = s.oracleStats()
-	m.Storage = s.storageHealth()
-	return m
 }
 
 // oracleStats snapshots the remote label client's health, when the
@@ -985,10 +981,6 @@ func (s *Server) oracleStats() *labeling.OracleStats {
 	}
 	stats := st.Stats()
 	return &stats
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, _ scope) {
-	writeJSON(w, http.StatusOK, s.metricsSnapshot())
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, _ scope) {

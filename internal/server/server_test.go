@@ -33,20 +33,25 @@ func testLabels() []int {
 
 func newTestServer(t *testing.T, adaptKind script.AdaptivityKind) (*Server, []int) {
 	t.Helper()
-	return newServerWith(t, adaptKind, 3, testSize, Options{}, false)
+	return newServerWith(t, adaptKind, 3, testSize, Options{})
 }
 
+// testClock is the harness clock of tests that step a tenant by hand.
+// It stands still: a webhook is due at once, and a retry after a backoff
+// never comes due.
+func testClock() time.Time { return time.Unix(0, 0) }
+
 // openTestTenant builds a tenant from g (durable under dir, in memory
-// when dir is "") and attaches it to a private pool exactly as Multi
-// attaches one to the shared pool: a one-worker pool, or with manual set
-// a pool that runs nothing until the test calls srv.pool.RunOne. Shut it
-// down with closeTestTenant.
-func openTestTenant(g Genesis, dir string, opts Options, manual bool) (*Server, error) {
+// when dir is "") and attaches it to a private pool as NewMulti attaches
+// one to the shared pool: a one-worker pool, or under a harness clock
+// (opts.Clock) a pool that runs nothing until the test calls
+// srv.pool.RunOne. Shut it down with closeTestTenant.
+func openTestTenant(g Genesis, dir string, opts Options) (*Server, error) {
 	srv, err := newTenant(g, dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	pool := queue.NewPool(queue.PoolOptions{Workers: 1, Manual: manual})
+	pool := queue.NewPool(queue.PoolOptions{Workers: 1, Manual: opts.Clock != nil})
 	if err := attachTenant(pool, DefaultProject, srv, 1); err != nil {
 		pool.Close()
 		srv.Close()
@@ -65,15 +70,18 @@ func closeTestTenant(s *Server) {
 
 // serveTenant answers r from one tenant's rows below the alias prefix,
 // as Multi answers them for a project — for tests that drive a tenant
-// built without a control plane.
+// built without a control plane. Its metrics are the body a project's
+// scoped metrics path answers.
 func serveTenant(s *Server, w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, apiPrefix)
 	rt := lookupRoute(rest)
-	if rt == nil || rt.tenant == nil {
+	switch {
+	case rt == nil || (rt.tenant == nil && rest != "metrics"):
 		http.NotFound(w, r)
-		return
-	}
-	if rt.allows(w, r) {
+	case !rt.allows(w, r):
+	case rt.tenant == nil:
+		writeJSON(w, http.StatusOK, MetricsResponse{sharedCacheStats(), s.tenantMetrics(DefaultProject, "active")})
+	default:
 		rt.tenant(s, w, r, scope{id: DefaultProject, prefix: apiPrefix, rest: rest})
 	}
 }
@@ -282,7 +290,7 @@ func TestRotateValidation(t *testing.T) {
 // in-memory or durable.
 func TestNewValidation(t *testing.T) {
 	for _, dir := range []string{"", t.TempDir()} {
-		if _, err := openTestTenant(Genesis{}, dir, Options{}, false); err == nil {
+		if _, err := openTestTenant(Genesis{}, dir, Options{}); err == nil {
 			t.Errorf("zero genesis (data dir %q) should fail", dir)
 		}
 	}
@@ -581,7 +589,7 @@ func TestConcurrentPlanBatchCommit(t *testing.T) {
 // accepted job reaches a terminal state exactly once.
 func TestConcurrentAsyncCommitHammer(t *testing.T) {
 	outbox := notify.NewOutbox()
-	srv, labels := newServerWith(t, script.AdaptivityFull, 8, 900, Options{Webhooks: outbox}, false)
+	srv, labels := newServerWith(t, script.AdaptivityFull, 8, 900, Options{Webhooks: outbox})
 
 	var mu sync.Mutex
 	var accepted []string

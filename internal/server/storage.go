@@ -9,7 +9,6 @@ package server
 
 import (
 	"archive/tar"
-	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -245,14 +244,6 @@ func (m *Multi) handleAdminBackup(w http.ResponseWriter, r *http.Request, sc sco
 
 // --- restore ------------------------------------------------------------
 
-// walEnvelope mirrors the wal package's on-disk line shape, for reading
-// a backup's snapshot/genesis without an open log.
-type walEnvelope struct {
-	S uint64          `json:"s"`
-	T string          `json:"t"`
-	D json.RawMessage `json:"d"`
-}
-
 // RestoreBackup unpacks a backup tarball (either shape: a flat tenant
 // backup or a full control-plane backup) into dataDir, verifying the
 // default project's genesis fingerprint against g before adopting
@@ -370,15 +361,17 @@ func sanitizeTarName(name string) (string, error) {
 
 // backupFingerprint extracts the genesis config fingerprint from a
 // staged tenant directory: from the snapshot's payload if one exists,
-// else from the log's genesis record.
+// else from the log's genesis record. The files are read through the
+// wal package, so a snapshot whose CRC fails or a log damaged mid-way is
+// refused with wal.ErrCorrupt before anything is adopted.
 func backupFingerprint(dir string) (string, error) {
-	if raw, err := os.ReadFile(filepath.Join(dir, "snapshot.json")); err == nil {
-		var env walEnvelope
-		if err := json.Unmarshal(bytes.TrimSpace(raw), &env); err != nil {
-			return "", fmt.Errorf("backup snapshot: %w", err)
-		}
+	snap, records, err := wal.Read(dir)
+	if err != nil {
+		return "", fmt.Errorf("backup: %w", err)
+	}
+	if snap != nil {
 		var ws walSnapshot
-		if err := json.Unmarshal(env.D, &ws); err != nil {
+		if err := json.Unmarshal(snap.Data, &ws); err != nil {
 			return "", fmt.Errorf("backup snapshot payload: %w", err)
 		}
 		if ws.Genesis == "" {
@@ -386,17 +379,14 @@ func backupFingerprint(dir string) (string, error) {
 		}
 		return ws.Genesis, nil
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "wal.log"))
-	if err != nil {
+	if len(records) == 0 {
 		return "", errors.New("backup holds neither a snapshot nor a log to verify the genesis fingerprint from")
 	}
-	line, _, _ := bytes.Cut(raw, []byte{'\n'})
-	var env walEnvelope
-	if err := json.Unmarshal(line, &env); err != nil || env.T != recTypeGenesis {
+	if records[0].Type != recTypeGenesis {
 		return "", errors.New("backup log does not begin with a genesis record")
 	}
 	var rg recGenesis
-	if err := json.Unmarshal(env.D, &rg); err != nil || rg.Fingerprint == "" {
+	if err := json.Unmarshal(records[0].Data, &rg); err != nil || rg.Fingerprint == "" {
 		return "", errors.New("backup genesis record carries no fingerprint")
 	}
 	return rg.Fingerprint, nil

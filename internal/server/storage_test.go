@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/easeml/ci/internal/notify"
+	"github.com/easeml/ci/internal/wal"
 	"github.com/easeml/ci/internal/wal/faultfs"
 )
 
@@ -438,6 +440,60 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 	mustCommit(t, m2, "/api/v1/commit", labels, "r0", 40)
 }
 
+// TestBackupRestoreRefusesCorruptSnapshot: a backup whose snapshot
+// payload has one flipped digit still parses and still carries the right
+// genesis fingerprint, but its CRC fails. Restore refuses it with
+// wal.ErrCorrupt and adopts nothing, instead of handing the next boot a
+// default project that opens salvage-required.
+func TestBackupRestoreRefusesCorruptSnapshot(t *testing.T) {
+	g, labels := durableGenesis(t, 3, testSize)
+	m := newTestMulti(t, MultiOptions{DataDir: t.TempDir(), Tenant: Options{CompactAt: -1}})
+	mustCommit(t, m, "/api/v1/commit", labels, "m0", 10)
+	rec := doH(t, m, http.MethodPost, "/api/v1/projects/default/admin/backup", nil)
+	m.Close()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("backup status = %d: %s", rec.Code, rec.Body.String())
+	}
+	entries := readTarball(t, rec.Body.Bytes())
+	snap := entries["snapshot.json"]
+	flipped := bytes.Replace(snap, []byte(`"next_job_seq":1`), []byte(`"next_job_seq":7`), 1)
+	if bytes.Equal(flipped, snap) {
+		t.Fatalf("snapshot has no next_job_seq of 1 to flip: %.200s", snap)
+	}
+
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	tw := tar.NewWriter(gz)
+	for _, e := range []tarEntry{{"snapshot.json", flipped}, {"wal.log", entries["wal.log"]}} {
+		if err := tw.WriteHeader(&tar.Header{Name: e.Name, Mode: 0o644, Size: int64(len(e.Data))}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write(e.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tarPath := filepath.Join(t.TempDir(), "backup.tar.gz")
+	if err := os.WriteFile(tarPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restoreDir := t.TempDir()
+	if err := RestoreBackup(tarPath, restoreDir, g); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("restore of a corrupt snapshot = %v, want wal.ErrCorrupt", err)
+	}
+	for _, name := range []string{DefaultProject, controlDirName} {
+		if _, err := os.Stat(filepath.Join(restoreDir, name)); !os.IsNotExist(err) {
+			t.Errorf("refused restore left %s/ in the data directory (stat: %v)", name, err)
+		}
+	}
+}
+
 // TestScopedBackupRestoresAsDefault: one tenant's flat backup tarball
 // restores into a fresh data dir as that server's default project.
 func TestScopedBackupRestoresAsDefault(t *testing.T) {
@@ -490,7 +546,7 @@ func TestScopedBackupRestoresAsDefault(t *testing.T) {
 func TestMigrationResumesAfterCrashAtRename(t *testing.T) {
 	root := t.TempDir()
 	g, labels := durableGenesis(t, 3, testSize)
-	srv, err := openTestTenant(g, root, Options{WALNoSync: true, Webhooks: notify.NewOutbox()}, false)
+	srv, err := openTestTenant(g, root, Options{WALNoSync: true, Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +590,7 @@ func TestBackupFingerprint(t *testing.T) {
 	want := g.fingerprint()
 
 	logOnly := t.TempDir()
-	srv, err := openTestTenant(g, logOnly, Options{Webhooks: notify.NewOutbox(), CompactAt: -1}, false)
+	srv, err := openTestTenant(g, logOnly, Options{Webhooks: notify.NewOutbox(), CompactAt: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +602,7 @@ func TestBackupFingerprint(t *testing.T) {
 	}
 
 	snapshotted := t.TempDir()
-	srv, err = openTestTenant(g, snapshotted, Options{Webhooks: notify.NewOutbox()}, false)
+	srv, err = openTestTenant(g, snapshotted, Options{Webhooks: notify.NewOutbox()})
 	if err != nil {
 		t.Fatal(err)
 	}

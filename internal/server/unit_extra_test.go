@@ -81,7 +81,7 @@ func TestDatasetFromLabelsSharesIndexRows(t *testing.T) {
 
 // TestMethodNotAllowed sweeps every endpoint with the wrong verb.
 func TestMethodNotAllowed(t *testing.T) {
-	srv, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{}, false)
+	srv, _ := newServerWith(t, script.AdaptivityFull, 3, testSize, Options{})
 	defer closeTestTenant(srv)
 	cases := []struct{ method, path string }{
 		{http.MethodPost, "/api/v1/plan"},

@@ -187,6 +187,28 @@ func Open(dir string, opts Options) (*Log, *Snapshot, []Record, error) {
 	return l, snap, records, nil
 }
 
+// Read decodes the write-ahead state in dir without opening it for
+// writing: the snapshot in effect (nil if none) and every record beyond
+// it, as Open would hand them back. Nothing is written or truncated. A
+// torn tail is left out of the records, as Open would cut it; a snapshot
+// CRC mismatch or mid-log damage is ErrCorrupt. A directory holding
+// neither file reads as (nil, nil, nil).
+func Read(dir string) (*Snapshot, []Record, error) {
+	snap, err := readSnapshot(OSFS{}, filepath.Join(dir, snapshotName))
+	if err != nil {
+		return nil, nil, err
+	}
+	var snapSeq uint64
+	if snap != nil {
+		snapSeq = snap.LastSeq
+	}
+	records, _, _, err := readLog(OSFS{}, filepath.Join(dir, logName), snapSeq)
+	if err != nil {
+		return nil, nil, err
+	}
+	return snap, records, nil
+}
+
 // crcOf computes the record checksum over seq, type, and the exact
 // payload bytes — the same input at write and read time.
 func crcOf(seq uint64, typ string, data []byte) uint32 {

@@ -188,6 +188,48 @@ func TestMidLogCorruptionIsError(t *testing.T) {
 	}
 }
 
+// TestReadIsReadOnly: Read hands back what Open would — the snapshot and
+// the records beyond it, a torn tail left out — without cutting the tail
+// off the file, and refuses mid-log damage and a bad snapshot CRC with
+// ErrCorrupt.
+func TestReadIsReadOnly(t *testing.T) {
+	if snap, recs, err := Read(t.TempDir()); snap != nil || recs != nil || err != nil {
+		t.Fatalf("empty dir: Read = %v, %v, %v", snap, recs, err)
+	}
+	dir := t.TempDir()
+	l, _, _ := openT(t, dir)
+	appendN(t, l, 2)
+	if err := l.Compact(testPayload{N: 2}); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 3)
+	l.Close()
+	path := filepath.Join(dir, logName)
+	raw, _ := os.ReadFile(path)
+	torn := append(raw, `{"s":6,"t":"commit"`...)
+	os.WriteFile(path, torn, 0o644)
+	snap, recs, err := Read(dir)
+	if err != nil || snap == nil || snap.LastSeq != 2 || len(recs) != 3 || recs[0].Seq != 3 {
+		t.Fatalf("Read = %+v, %d records, %v; want the snapshot at 2 and records 3-5", snap, len(recs), err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != string(torn) {
+		t.Fatal("Read changed the log file")
+	}
+
+	lines := strings.SplitAfter(string(raw), "\n")
+	os.WriteFile(path, []byte(lines[0]+strings.Replace(lines[1], "rec-1", "rec-X", 1)+lines[2]), 0o644)
+	if _, _, err := Read(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("mid-log corruption: err = %v, want ErrCorrupt", err)
+	}
+	os.WriteFile(path, raw, 0o644)
+	snapPath := filepath.Join(dir, snapshotName)
+	rawSnap, _ := os.ReadFile(snapPath)
+	os.WriteFile(snapPath, []byte(strings.Replace(string(rawSnap), `"n":2`, `"n":3`, 1)), 0o644)
+	if _, _, err := Read(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt snapshot: err = %v, want ErrCorrupt", err)
+	}
+}
+
 func TestSnapshotCompactReplay(t *testing.T) {
 	dir := t.TempDir()
 	l, _, _ := openT(t, dir)
