@@ -143,17 +143,13 @@ func Open(dir string, opts Options) (*Log, *Snapshot, []Record, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	snap, err := readSnapshot(fsys, filepath.Join(dir, snapshotName))
+	snap, records, torn, lastSeq, err := read(fsys, dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	var snapSeq uint64
 	if snap != nil {
 		snapSeq = snap.LastSeq
-	}
-	records, torn, lastSeq, err := readLog(fsys, filepath.Join(dir, logName), snapSeq)
-	if err != nil {
-		return nil, nil, nil, err
 	}
 	f, err := fsys.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -194,19 +190,25 @@ func Open(dir string, opts Options) (*Log, *Snapshot, []Record, error) {
 // CRC mismatch or mid-log damage is ErrCorrupt. A directory holding
 // neither file reads as (nil, nil, nil).
 func Read(dir string) (*Snapshot, []Record, error) {
-	snap, err := readSnapshot(OSFS{}, filepath.Join(dir, snapshotName))
-	if err != nil {
-		return nil, nil, err
+	snap, records, _, _, err := read(OSFS{}, dir)
+	return snap, records, err
+}
+
+// read decodes dir's snapshot and the log records beyond it, plus the
+// length of the log's torn tail and the highest sequence number seen.
+func read(fsys FS, dir string) (snap *Snapshot, records []Record, torn int, lastSeq uint64, err error) {
+	if snap, err = readSnapshot(fsys, filepath.Join(dir, snapshotName)); err != nil {
+		return nil, nil, 0, 0, err
 	}
 	var snapSeq uint64
 	if snap != nil {
 		snapSeq = snap.LastSeq
 	}
-	records, _, _, err := readLog(OSFS{}, filepath.Join(dir, logName), snapSeq)
+	records, torn, lastSeq, err = readLog(fsys, filepath.Join(dir, logName), snapSeq)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, 0, err
 	}
-	return snap, records, nil
+	return snap, records, torn, lastSeq, nil
 }
 
 // crcOf computes the record checksum over seq, type, and the exact
