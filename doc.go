@@ -178,7 +178,8 @@
 // cumulative label budget answers 429 once spent (deterministically, so
 // durable replay reproduces the refusals). GET /api/v1/metrics reports
 // the shared caches once plus scheduler and per-project counters;
-// /api/v1/projects/{id}/metrics is the single-tenant view. The admin
+// /api/v1/projects/{id}/metrics is the shared caches plus that one
+// project's counters, in the same shape as its row. The admin
 // endpoints (reset-caches, compact, backup) act on one project under
 // /api/v1/projects/{id}/admin/... or with ?project={id}, and on the whole
 // control plane otherwise. A scoped async commit's poll path stays in its
