@@ -3,7 +3,8 @@
 // (active or suspended), and an opaque per-project spec the serving
 // layer interprets (genesis, scheduling weight, quotas). Every mutation
 // is appended to a control-plane write-ahead log before it is applied,
-// so a restart recovers the full project set by replay — the same
+// and applied by the same function replay applies the logged record
+// with, so a restart recovers the full project set exactly — the same
 // record-then-apply discipline the per-project engine WALs use, one
 // level up.
 //
@@ -26,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"slices"
 	"sync"
 
 	"github.com/easeml/ci/internal/wal"
@@ -101,8 +103,11 @@ type regSnapshot struct {
 }
 
 // Registry is the project table. Safe for concurrent use. With a log it
-// is durable (append-then-apply on every mutation); without one it is a
-// plain in-memory table with identical semantics.
+// is durable: each lifecycle change is checked, appended and only then
+// applied, through the same check and apply that Open's replay runs on
+// every logged record, so the live table and a replayed one cannot
+// differ. Without a log it is a plain in-memory table with identical
+// semantics.
 type Registry struct {
 	mu    sync.Mutex
 	log   *wal.Log // nil in memory-only mode
@@ -122,11 +127,38 @@ func Open(dir string, opts Options) (*Registry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
+	if err := r.replay(snap, records); err != nil {
+		_ = log.Close()
+		return nil, err
+	}
+	r.log = log
+	return r, nil
+}
+
+// Read replays the control-plane log in dir as Open would, failing where
+// Open would (damage the wal package refuses is wal.ErrCorrupt), but
+// writes nothing: a torn tail is left out, not truncated.
+func Read(dir string) ([]Project, error) {
+	snap, records, err := wal.Read(dir)
+	if err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
+	}
+	r := &Registry{table: make(map[string]*Project)}
+	if err := r.replay(snap, records); err != nil {
+		return nil, err
+	}
+	return r.listLocked(), nil
+}
+
+// replay rebuilds the table from a snapshot and the records after it.
+// Replay is strict: a record that does not apply cleanly means the log
+// and table have diverged, and recovery fails loudly rather than serving
+// a project set the log does not vouch for.
+func (r *Registry) replay(snap *wal.Snapshot, records []wal.Record) error {
 	if snap != nil {
 		var rs regSnapshot
 		if err := json.Unmarshal(snap.Data, &rs); err != nil {
-			_ = log.Close()
-			return nil, fmt.Errorf("registry: snapshot: %w", err)
+			return fmt.Errorf("registry: snapshot: %w", err)
 		}
 		for i := range rs.Projects {
 			p := rs.Projects[i]
@@ -135,72 +167,72 @@ func Open(dir string, opts Options) (*Registry, error) {
 		}
 	}
 	for _, rec := range records {
-		if err := r.applyRecord(rec); err != nil {
-			_ = log.Close()
-			return nil, err
+		var d recProject
+		err := json.Unmarshal(rec.Data, &d)
+		if err == nil {
+			err = r.check(rec.Type, d.ID)
+		}
+		if err == nil {
+			err = r.apply(rec.Type, d)
+		}
+		if err != nil {
+			return fmt.Errorf("registry: record %d (%s): %w", rec.Seq, rec.Type, err)
 		}
 	}
-	r.log = log
-	return r, nil
+	return nil
 }
 
-// applyRecord replays one lifecycle record during Open. Replay is strict:
-// a record that does not apply cleanly means the log and table have
-// diverged, and recovery fails loudly rather than serving a project set
-// the log does not vouch for.
-func (r *Registry) applyRecord(rec wal.Record) error {
-	var d recProject
-	if err := json.Unmarshal(rec.Data, &d); err != nil {
-		return fmt.Errorf("registry: record %d (%s): %w", rec.Seq, rec.Type, err)
+// check refuses a lifecycle record the table cannot take: a create for a
+// registered ID, or any other record for an unregistered one.
+func (r *Registry) check(typ, id string) error {
+	_, ok := r.table[id]
+	switch {
+	case typ == recCreate && ok:
+		return fmt.Errorf("%w: %q", ErrExists, id)
+	case typ != recCreate && !ok:
+		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	switch rec.Type {
+	return nil
+}
+
+// apply makes one checked lifecycle record's change to the table: the
+// one place each change is written, called by replay and, once the
+// record is durable, by mutate.
+func (r *Registry) apply(typ string, d recProject) error {
+	switch typ {
 	case recCreate:
-		if _, dup := r.table[d.ID]; dup {
-			return fmt.Errorf("registry: record %d: duplicate create for %q", rec.Seq, d.ID)
-		}
 		r.table[d.ID] = &Project{ID: d.ID, State: Active, Spec: d.Spec}
 		r.order = append(r.order, d.ID)
-	case recSuspend, recResume:
-		p, ok := r.table[d.ID]
-		if !ok {
-			return fmt.Errorf("registry: record %d: %s for unknown project %q", rec.Seq, rec.Type, d.ID)
-		}
-		if rec.Type == recSuspend {
-			p.State = Suspended
-		} else {
-			p.State = Active
-		}
+	case recSuspend:
+		r.table[d.ID].State = Suspended
+	case recResume:
+		r.table[d.ID].State = Active
 	case recDelete:
-		if _, ok := r.table[d.ID]; !ok {
-			return fmt.Errorf("registry: record %d: delete for unknown project %q", rec.Seq, d.ID)
-		}
 		delete(r.table, d.ID)
-		for i, id := range r.order {
-			if id == d.ID {
-				r.order = append(r.order[:i], r.order[i+1:]...)
-				break
-			}
-		}
+		r.order = slices.DeleteFunc(r.order, func(id string) bool { return id == d.ID })
 	default:
-		return fmt.Errorf("registry: record %d: unknown type %q", rec.Seq, rec.Type)
+		return fmt.Errorf("unknown type %q", typ)
 	}
 	return nil
 }
 
-// append writes one record durably (record-then-apply: callers mutate
-// the table only after append returns nil). Memory-only registries
-// apply directly.
-func (r *Registry) append(typ string, d recProject) error {
-	if r.log == nil {
-		return nil
+// mutate is every live lifecycle change: check it, append its record
+// durably (record-then-apply: the table changes only after the append
+// returns nil), then apply it. Memory-only registries apply directly.
+// Callers hold r.mu.
+func (r *Registry) mutate(typ string, d recProject) error {
+	if err := r.check(typ, d.ID); err != nil {
+		return err
 	}
-	if _, err := r.log.Append(typ, d); err != nil {
-		return fmt.Errorf("registry: %w", err)
+	if r.log != nil {
+		if _, err := r.log.Append(typ, d); err != nil {
+			return fmt.Errorf("registry: %w", err)
+		}
+		if err := r.log.Sync(); err != nil {
+			return fmt.Errorf("registry: %w", err)
+		}
 	}
-	if err := r.log.Sync(); err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	return nil
+	return r.apply(typ, d)
 }
 
 // Create registers a new project with the given opaque spec, initially
@@ -211,15 +243,7 @@ func (r *Registry) Create(id string, spec json.RawMessage) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.table[id]; dup {
-		return fmt.Errorf("%w: %q", ErrExists, id)
-	}
-	if err := r.append(recCreate, recProject{ID: id, Spec: spec}); err != nil {
-		return err
-	}
-	r.table[id] = &Project{ID: id, State: Active, Spec: spec}
-	r.order = append(r.order, id)
-	return nil
+	return r.mutate(recCreate, recProject{ID: id, Spec: spec})
 }
 
 // Suspend marks a project suspended; idempotent on an already-suspended
@@ -229,21 +253,14 @@ func (r *Registry) Suspend(id string) error { return r.setState(id, Suspended, r
 // Resume marks a suspended project active again; idempotent.
 func (r *Registry) Resume(id string) error { return r.setState(id, Active, recResume) }
 
+// setState journals typ unless the project is already in state want.
 func (r *Registry) setState(id string, want State, typ string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p, ok := r.table[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	if p.State == want {
+	if p, ok := r.table[id]; ok && p.State == want {
 		return nil
 	}
-	if err := r.append(typ, recProject{ID: id}); err != nil {
-		return err
-	}
-	p.State = want
-	return nil
+	return r.mutate(typ, recProject{ID: id})
 }
 
 // Delete removes a project from the table. The delete record is durable
@@ -254,20 +271,7 @@ func (r *Registry) setState(id string, want State, typ string) error {
 func (r *Registry) Delete(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.table[id]; !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	if err := r.append(recDelete, recProject{ID: id}); err != nil {
-		return err
-	}
-	delete(r.table, id)
-	for i, oid := range r.order {
-		if oid == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	return nil
+	return r.mutate(recDelete, recProject{ID: id})
 }
 
 // Get returns a copy of one project.
@@ -285,18 +289,16 @@ func (r *Registry) Get(id string) (Project, bool) {
 func (r *Registry) List() []Project {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.listLocked()
+}
+
+// listLocked is List under r.mu, also the snapshot's project rows.
+func (r *Registry) listLocked() []Project {
 	out := make([]Project, 0, len(r.order))
 	for _, id := range r.order {
 		out = append(out, *r.table[id])
 	}
 	return out
-}
-
-// Len reports how many projects are registered.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.table)
 }
 
 // Compact snapshots the table and truncates the control-plane log.
@@ -311,11 +313,7 @@ func (r *Registry) compactLocked() error {
 	if r.log == nil {
 		return nil
 	}
-	snap := regSnapshot{Projects: make([]Project, 0, len(r.order))}
-	for _, id := range r.order {
-		snap.Projects = append(snap.Projects, *r.table[id])
-	}
-	if err := r.log.Compact(snap); err != nil {
+	if err := r.log.Compact(regSnapshot{Projects: r.listLocked()}); err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
 	return nil
@@ -333,11 +331,7 @@ func (r *Registry) Backup() (snapshot, log []byte, err error) {
 	if r.log == nil {
 		return nil, nil, nil
 	}
-	snap := regSnapshot{Projects: make([]Project, 0, len(r.order))}
-	for _, id := range r.order {
-		snap.Projects = append(snap.Projects, *r.table[id])
-	}
-	snapshot, err = r.log.SnapshotBytes(snap)
+	snapshot, err = r.log.SnapshotBytes(regSnapshot{Projects: r.listLocked()})
 	if err != nil {
 		return nil, nil, fmt.Errorf("registry: backup: %w", err)
 	}

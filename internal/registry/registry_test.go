@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/easeml/ci/internal/wal"
 )
 
 func spec(s string) json.RawMessage { return json.RawMessage(s) }
@@ -68,8 +70,8 @@ func TestLifecycleInMemory(t *testing.T) {
 	if err := r.Delete("alpha"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete = %v", err)
 	}
-	if r.Len() != 1 {
-		t.Fatalf("len = %d", r.Len())
+	if n := len(r.List()); n != 1 {
+		t.Fatalf("len = %d", n)
 	}
 	if st := r.Stats(); st != nil {
 		t.Fatalf("in-memory stats = %+v, want nil", st)
@@ -272,8 +274,8 @@ func TestReplayRawLifecycleRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Len() != 2 {
-		t.Fatalf("Len after raw replay = %d, want 2", r.Len())
+	if n := len(r.List()); n != 2 {
+		t.Fatalf("projects after raw replay = %d, want 2", n)
 	}
 	if p, ok := r.Get("b"); !ok || p.State != Active {
 		t.Fatalf("b after replay = %+v, %v", p, ok)
@@ -345,5 +347,90 @@ func TestBackupRoundTrip(t *testing.T) {
 	}
 	if string(got[0].Spec) != `{"name":"alpha"}` {
 		t.Fatalf("restored alpha spec = %s", got[0].Spec)
+	}
+}
+
+// TestReadMatchesOpen: Read replays a control log read-only to the
+// table Open recovers, leaves a torn tail on disk, and refuses what
+// Open refuses: a record that does not apply, and a snapshot whose CRC
+// fails (wal.ErrCorrupt).
+func TestReadMatchesOpen(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		if err := r.Create(id, spec(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Suspend("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	_ = r.log.Close() // abandon uncompacted
+	logPath := filepath.Join(dir, "wal.log")
+	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"s":6,"t":"project.del`); err != nil { // torn tail
+		t.Fatal(err)
+	}
+	f.Close()
+	before, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := os.ReadFile(logPath); string(after) != string(before) {
+		t.Fatal("Read changed the log on disk")
+	}
+	opened, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := opened.List()
+	if err := opened.Close(); err != nil { // compacts into a snapshot
+		t.Fatal(err)
+	}
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(want)
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatalf("Read = %s, Open = %s", gotJSON, wantJSON)
+	}
+
+	// A dangling record: Open refuses it, and so does Read.
+	dangling := t.TempDir()
+	r, err = Open(dangling, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.log.Append(recResume, recProject{ID: "ghost"}); err != nil {
+		t.Fatal(err)
+	}
+	_ = r.log.Close()
+	if _, err := Read(dangling); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Read of a resume for an unknown project = %v, want ErrNotFound", err)
+	}
+
+	// One changed payload byte in the snapshot Close wrote.
+	snapPath := filepath.Join(dir, "snapshot.json")
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapPath, []byte(strings.Replace(string(snap), `"suspended"`, `"suspendee"`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(dir); !errors.Is(err, wal.ErrCorrupt) {
+		t.Errorf("Read of a snapshot whose CRC fails = %v, want wal.ErrCorrupt", err)
 	}
 }

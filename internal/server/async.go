@@ -165,21 +165,7 @@ func (s *Server) executeCommitJob(j *queue.Job[commitJob, CommitResponse]) (Comm
 		}
 		rec.Res = b
 	}
-	s.tableMu.Lock()
-	werr := s.walAppendSyncLocked(recTypeCommit, rec)
-	if werr == nil {
-		if e := s.table[j.ID]; e != nil {
-			if err != nil {
-				e.State = jobFailed
-				e.Err = err.Error()
-			} else {
-				e.State = jobDone
-				e.Res = rec.Res
-			}
-		}
-	}
-	s.tableMu.Unlock()
-	if werr != nil {
+	if werr := s.walRecord(recTypeCommit, rec, func() { _, _ = s.table.commit(rec) }); werr != nil {
 		return CommitResponse{}, werr
 	}
 	s.maybeCompactLocked()
@@ -279,17 +265,24 @@ func (s *Server) deliverWebhook(job *queue.Job[commitJob, CommitResponse]) {
 	if job.Req.Webhook == "" {
 		return
 	}
-	payload, err := json.Marshal(jobStatus(job))
+	n, err := webhookNotification(job.Req.Webhook, jobStatus(job))
 	if err != nil {
 		s.webhooksFailed.Add(1)
 		return
 	}
-	_ = s.deliver.Send(notify.Notification{
+	_ = s.deliver.Send(n)
+}
+
+// webhookNotification is the job-finished callback that POSTs st to url:
+// the first delivery and every redelivery after a restart.
+func webhookNotification(url string, st JobStatusResponse) (notify.Notification, error) {
+	payload, err := json.Marshal(st)
+	return notify.Notification{
 		Kind:    notify.KindWebhook,
-		To:      job.Req.Webhook,
-		Subject: fmt.Sprintf("easeml-ci job %s %s", job.ID, job.State()),
+		To:      url,
+		Subject: fmt.Sprintf("easeml-ci job %s %s", st.JobID, st.State),
 		Body:    string(payload),
-	})
+	}, err
 }
 
 // onWebhookOutcome is the retry queue's terminal-outcome hook: it keeps
@@ -316,12 +309,5 @@ func (s *Server) onWebhookOutcome(n notify.Notification, delivered bool, attempt
 	if err != nil {
 		rec.Err = err.Error()
 	}
-	s.tableMu.Lock()
-	defer s.tableMu.Unlock()
-	if s.walAppendSyncLocked(recTypeWebhook, rec) != nil {
-		return
-	}
-	if e := s.table[body.JobID]; e != nil {
-		e.WebhookDone = true
-	}
+	_ = s.walRecord(recTypeWebhook, rec, func() { s.table.webhook(rec) })
 }

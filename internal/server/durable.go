@@ -27,11 +27,13 @@ import (
 // to the last durable state and clears the condition.
 var errWALPoisoned = errors.New("server: write-ahead log failed; state is read-only until restart")
 
-// WAL record types. Submit/commit/cancel are the job lifecycle;
-// reveal/charge/promote are the engine's audit trail within one commit
-// (replay re-derives and cross-checks them); webhook closes the delivery
-// loop; rotate is a testset rotation; rollback marks trailing audit
-// records of a torn commit as discarded.
+// WAL record types. A tenant's log begins with the genesis stamp, then
+// holds the job lifecycle (submit, then commit or cancel; park is audit
+// only), each commit's engine audit trail (looks, reveal, charge,
+// promote), webhook outcomes, testset rotations, and rollback, which
+// discards a torn commit's audit records. Each type's replay is its row
+// of replayRecord; a record that changes the job table does so through
+// one jobTable method, which its live append site calls too.
 const (
 	recTypeGenesis  = "genesis"
 	recTypeSubmit   = "job.submit"
@@ -126,10 +128,7 @@ type recRollback struct {
 }
 
 // recPark is the audit trail of a provider outage: the job entered the
-// awaiting_labels state with this error. It never changes the job's
-// recoverability — a parked job is recoverable because its submit record
-// has no commit record yet, so replay re-enqueues it exactly like a job
-// that was still queued at the crash.
+// awaiting_labels state with this error.
 type recPark struct {
 	Job string `json:"job"`
 	Err string `json:"err,omitempty"`
@@ -143,10 +142,9 @@ const (
 )
 
 // jobEntry mirrors one job's WAL records: what was submitted, how it
-// ended, and whether its webhook outcome was recorded. The table exists
-// so compaction can snapshot the queue without re-reading the log. Its
-// JSON, a snapshot row, is written by appendJSON (record.go) and read
-// back by encoding/json.
+// ended, and whether its webhook outcome was recorded. Its JSON, a
+// snapshot row, is written by appendJSON (record.go) and read back by
+// encoding/json.
 type jobEntry struct {
 	ID          string          `json:"id"`
 	Seq         int             `json:"seq"`
@@ -155,6 +153,121 @@ type jobEntry struct {
 	Res         json.RawMessage `json:"res,omitempty"`
 	Err         string          `json:"err,omitempty"`
 	WebhookDone bool            `json:"webhook_done,omitempty"`
+}
+
+// jobTable is the log's materialized view of the commit queue, so
+// compaction never re-reads the log: its rows, in submission order, are
+// the snapshot's job rows, and nextSeq is the highest job sequence
+// number issued. Its submit, commit, cancel and webhook methods are each
+// record's one effect on the table, called by live traffic once the
+// record is durable and by replay for each logged record. They are
+// strict, and live traffic never trips them: job IDs are never reissued,
+// and a job whose commit or cancel is being appended is queued, which
+// prune never drops.
+type jobTable struct {
+	rows    []*jobEntry
+	byID    map[string]*jobEntry
+	nextSeq int
+}
+
+// newJobTable reads snapshot rows (nil for none) back into a table.
+func newJobTable(rows []*jobEntry, nextSeq int) jobTable {
+	t := jobTable{rows: rows, byID: make(map[string]*jobEntry, len(rows)), nextSeq: nextSeq}
+	for _, e := range rows {
+		t.byID[e.ID] = e
+	}
+	return t
+}
+
+// submit applies a job.submit record: the job joins the table, queued.
+func (t *jobTable) submit(r recSubmit) error {
+	if _, dup := t.byID[r.Job]; dup {
+		return fmt.Errorf("duplicate submit for job %s", r.Job)
+	}
+	e := &jobEntry{ID: r.Job, Seq: r.Seq, Req: r.Req, State: jobQueued}
+	t.byID[r.Job] = e
+	t.rows = append(t.rows, e)
+	t.nextSeq = max(t.nextSeq, r.Seq)
+	return nil
+}
+
+// commit applies a job.commit record: the job ends failed with the
+// logged error, or done with the logged response.
+func (t *jobTable) commit(r recCommit) (*jobEntry, error) {
+	e := t.byID[r.Job]
+	if e == nil {
+		return nil, fmt.Errorf("commit for unknown job %s", r.Job)
+	}
+	if r.Err != "" {
+		e.State, e.Err = jobFailed, r.Err
+	} else {
+		e.State, e.Res = jobDone, r.Res
+	}
+	return e, nil
+}
+
+// cancel applies a job.cancel record: the job ends as a commit failed
+// with queue.ErrCanceled.
+func (t *jobTable) cancel(r recCancel) error {
+	if t.byID[r.Job] == nil {
+		return fmt.Errorf("cancel for unknown job %s", r.Job)
+	}
+	_, err := t.commit(recCommit{Job: r.Job, Err: queue.ErrCanceled.Error()})
+	return err
+}
+
+// webhook applies a webhook record: the job's delivery has an outcome,
+// so no restart redelivers it. A job already pruned is skipped.
+func (t *jobTable) webhook(r recWebhook) {
+	if e := t.byID[r.Job]; e != nil {
+		e.WebhookDone = true
+	}
+}
+
+// prune drops terminal, delivery-resolved jobs beyond the retain bound
+// (newest kept), mirroring the queue's own eviction: a job the queue
+// would no longer answer polls for need not be recovered.
+func (t *jobTable) prune(retain int) {
+	prunable := func(e *jobEntry) bool {
+		return e.State != jobQueued && (e.Req.Webhook == "" || e.WebhookDone)
+	}
+	drop := -retain
+	for _, e := range t.rows {
+		if prunable(e) {
+			drop++
+		}
+	}
+	kept := t.rows[:0]
+	for _, e := range t.rows {
+		if drop > 0 && prunable(e) {
+			delete(t.byID, e.ID)
+			drop--
+			continue
+		}
+		kept = append(kept, e)
+	}
+	clear(t.rows[len(kept):])
+	t.rows = kept
+}
+
+// restored hands the table to the queue as restore entries, in
+// submission order.
+func (t *jobTable) restored() ([]queue.Restored[commitJob, CommitResponse], error) {
+	out := make([]queue.Restored[commitJob, CommitResponse], 0, len(t.rows))
+	for _, e := range t.rows {
+		r := queue.Restored[commitJob, CommitResponse]{ID: e.ID, Seq: e.Seq, Req: e.Req, State: queue.Queued}
+		switch e.State {
+		case jobDone:
+			r.State = queue.Done
+			if err := json.Unmarshal(e.Res, &r.Res); err != nil {
+				return nil, fmt.Errorf("job %s: stored response: %w", e.ID, err)
+			}
+		case jobFailed:
+			r.State, r.Err = queue.Failed, e.Err
+		}
+		out = append(out, r)
+	}
+	return out, nil
 }
 
 // walSnapshot is the compaction payload: the engine's full durable state
@@ -325,12 +438,12 @@ func openDurable(cfg *script.Config, g Genesis, dataDir string, opts Options) (*
 	}
 	d.log = wlog
 	d.dir = dataDir
-	if d.tornAudit > 0 {
+	if len(d.audit) > 0 {
 		// A commit was mid-application at the crash: its audit records
 		// have no commit record, so replay discarded them. Mark them
 		// rolled back so the next replay doesn't fold them into a later
 		// commit's audit trail.
-		if _, err := wlog.Append(recTypeRollback, recRollback{Discarded: d.tornAudit}); err == nil {
+		if _, err := wlog.Append(recTypeRollback, recRollback{Discarded: len(d.audit)}); err == nil {
 			err = wlog.Sync()
 		}
 		if err != nil {
@@ -360,21 +473,13 @@ func (s *Server) resume() {
 	// play, and its recorded outcomes mutate the table concurrently.
 	s.tableMu.Lock()
 	var redeliver []notify.Notification
-	for _, id := range s.tableOrder {
-		e := s.table[id]
+	for _, e := range s.table.rows {
 		if e.State == jobQueued || e.Req.Webhook == "" || e.WebhookDone {
 			continue
 		}
-		payload, merr := json.Marshal(e.status())
-		if merr != nil {
-			continue
+		if n, err := webhookNotification(e.Req.Webhook, e.status()); err == nil {
+			redeliver = append(redeliver, n)
 		}
-		redeliver = append(redeliver, notify.Notification{
-			Kind:    notify.KindWebhook,
-			To:      e.Req.Webhook,
-			Subject: fmt.Sprintf("easeml-ci job %s %s", e.ID, e.State),
-			Body:    string(payload),
-		})
 	}
 	s.tableMu.Unlock()
 	for _, n := range redeliver {
@@ -398,192 +503,196 @@ func (e *jobEntry) status() JobStatusResponse {
 	return out
 }
 
+// durableState is the write-ahead state replay rebuilds (the engine, the
+// job table, and the audit records its next commit record checks),
+// carried from openDurable into newTenant; nil means an in-memory server.
+type durableState struct {
+	log        *wal.Log
+	dir        string // the data directory (for fsck/quarantine accounting)
+	fp         string // genesis config fingerprint, re-stamped into snapshots
+	cfg        *script.Config
+	labelQuota int
+	eng        *engine.Engine
+	table      jobTable
+	audit      []wal.Record
+}
+
 // recoverDurable rebuilds the engine and job table from snapshot +
-// records. The engine is restored from the snapshot (or built fresh from
-// genesis), then every logged commit re-executes through the identical
-// evaluation path, with the result byte-compared against the logged
-// response and the engine's journal cross-checked against the logged
-// audit records — recovery fails loudly on any divergence rather than
-// serving a history the log doesn't vouch for. Evaluation-affecting
-// options (LabelQuota, EarlyDecision) follow the quota precedent: they
-// are not fingerprinted, so the operator must keep them stable across
-// restarts of a data directory — the byte-compare catches divergence.
+// records: it checks the genesis stamp, restores the engine from the
+// snapshot (or builds it from genesis), and applies each record through
+// replayRecord, failing loudly on one that does not apply rather than
+// serving a history the log doesn't vouch for. Audit records left over
+// belong to a commit a crash tore; openDurable marks them rolled back.
 func recoverDurable(cfg *script.Config, g Genesis, opts Options, snap *wal.Snapshot, records []wal.Record) (*durableState, error) {
-	labelQuota := opts.LabelQuota
-	d := &durableState{table: make(map[string]*jobEntry), fp: g.fingerprint()}
-	var eng *engine.Engine
-	var err error
+	d := &durableState{fp: g.fingerprint(), cfg: cfg, labelQuota: opts.LabelQuota, table: newJobTable(nil, 0)}
+	stamp, stamped, err := stampedGenesis(snap, records)
+	switch {
+	case snap != nil && err != nil:
+		return nil, fmt.Errorf("snapshot: %w", err)
+	case snap != nil && stamp.Fingerprint != d.fp:
+		return nil, fmt.Errorf("snapshot: config fingerprint %q does not match the supplied genesis %q — the data directory was created under a different configuration (condition, reliability, adaptivity, steps, or testset); point the server at a fresh data directory or restore the original flags", stamp.Fingerprint, d.fp)
+	case snap == nil && len(records) > 0 && !stamped:
+		return nil, fmt.Errorf("record %d: log does not begin with a genesis record; cannot verify the data directory's configuration", records[0].Seq)
+	}
 	if snap != nil {
 		var ws walSnapshot
 		if err := json.Unmarshal(snap.Data, &ws); err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
-		if ws.Genesis != d.fp {
-			return nil, fmt.Errorf("snapshot: config fingerprint %q does not match the supplied genesis %q — the data directory was created under a different configuration (condition, reliability, adaptivity, steps, or testset); point the server at a fresh data directory or restore the original flags", ws.Genesis, d.fp)
-		}
-		eng, err = engine.Restore(cfg, ws.Engine, engine.Options{Notifier: notify.Discard{}, EarlyDecision: opts.EarlyDecision})
-		if err != nil {
+		if d.eng, err = engine.Restore(cfg, ws.Engine, engine.Options{Notifier: notify.Discard{}, EarlyDecision: opts.EarlyDecision}); err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
-		for _, e := range ws.Jobs {
-			d.table[e.ID] = e
-			d.order = append(d.order, e.ID)
-		}
-		d.nextSeq = ws.NextJobSeq
-	} else if eng, err = g.engine(cfg, notify.Discard{}, opts.EarlyDecision); err != nil {
+		d.table = newJobTable(ws.Jobs, ws.NextJobSeq)
+	} else if d.eng, err = g.engine(cfg, notify.Discard{}, opts.EarlyDecision); err != nil {
 		return nil, fmt.Errorf("genesis: %w", err)
 	}
-	d.eng = eng
-
-	if snap == nil && len(records) > 0 && records[0].Type != recTypeGenesis {
-		return nil, fmt.Errorf("record %d: log does not begin with a genesis record; cannot verify the data directory's configuration", records[0].Seq)
-	}
-	var audit []wal.Record
 	for _, rec := range records {
-		switch rec.Type {
-		case recTypeGenesis:
-			var r recGenesis
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
-				return nil, fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
-			}
-			if r.Fingerprint != d.fp {
-				return nil, fmt.Errorf("record %d: config fingerprint %q does not match the supplied genesis %q — the data directory was created under a different configuration (logged: condition %q, reliability %v, adaptivity %s, steps %d, %d examples, %d classes, model %q); point the server at a fresh data directory or restore the original flags",
-					rec.Seq, r.Fingerprint, d.fp, r.Condition, r.Reliability, r.Adaptivity, r.Steps, r.Examples, r.Classes, r.Model)
-			}
-		case recTypeSubmit:
-			var r recSubmit
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
-				return nil, fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
-			}
-			if _, dup := d.table[r.Job]; dup {
-				return nil, fmt.Errorf("record %d: duplicate submit for job %s", rec.Seq, r.Job)
-			}
-			e := &jobEntry{ID: r.Job, Seq: r.Seq, Req: r.Req, State: jobQueued}
-			d.table[r.Job] = e
-			d.order = append(d.order, r.Job)
-			if r.Seq > d.nextSeq {
-				d.nextSeq = r.Seq
-			}
-		case recTypeReveal, recTypeCharge, recTypePromote, recTypeLooks:
-			audit = append(audit, rec)
-		case recTypeRollback:
-			audit = nil
-		case recTypeCommit:
-			var r recCommit
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
-				return nil, fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
-			}
-			e := d.table[r.Job]
-			if e == nil {
-				return nil, fmt.Errorf("record %d: commit for unknown job %s", rec.Seq, r.Job)
-			}
-			v := &auditVerifier{pending: audit}
-			eng.SetJournal(journalFunc(v.take))
-			resp, err := evalCommit(cfg, eng, labelQuota, &e.Req)
-			eng.SetJournal(nil)
-			audit = nil
-			if v.err != nil {
-				return nil, fmt.Errorf("record %d: job %s: %w", rec.Seq, r.Job, v.err)
-			}
-			if len(v.pending) != 0 {
-				return nil, fmt.Errorf("record %d: job %s: %d logged audit records not reproduced by replay", rec.Seq, r.Job, len(v.pending))
-			}
-			if r.Err != "" {
-				if err == nil || err.Error() != r.Err {
-					return nil, fmt.Errorf("record %d: job %s: logged failure %q, replay got %v", rec.Seq, r.Job, r.Err, err)
-				}
-				e.State = jobFailed
-				e.Err = r.Err
-				continue
-			}
-			if err != nil {
-				return nil, fmt.Errorf("record %d: job %s: replay failed (%v) where the log has a success", rec.Seq, r.Job, err)
-			}
-			got, merr := json.Marshal(resp)
-			if merr != nil {
-				return nil, merr
-			}
-			if !bytes.Equal(got, []byte(r.Res)) {
-				return nil, fmt.Errorf("record %d: job %s: replayed response diverges from log:\n  log:    %s\n  replay: %s", rec.Seq, r.Job, r.Res, got)
-			}
-			e.State = jobDone
-			e.Res = r.Res
-		case recTypeCancel:
-			var r recCancel
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
-				return nil, fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
-			}
-			e := d.table[r.Job]
-			if e == nil {
-				return nil, fmt.Errorf("record %d: cancel for unknown job %s", rec.Seq, r.Job)
-			}
-			e.State = jobFailed
-			e.Err = queue.ErrCanceled.Error()
-		case recTypeWebhook:
-			var r recWebhook
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
-				return nil, fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
-			}
-			if e := d.table[r.Job]; e != nil {
-				e.WebhookDone = true
-			}
-		case recTypePark:
-			// Audit only: the job parked on a provider outage. It has no
-			// commit record (parking and recording are mutually exclusive by
-			// construction), so the restore loop below re-enqueues it from
-			// its submit record — restart IS the release path. Lenient on an
-			// unknown job for the same reason webhook records are: the
-			// record changes no state.
-			var r recPark
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
-				return nil, fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
-			}
-		case recTypeRotate:
-			var r recRotate
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
-				return nil, fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
-			}
-			classes := eng.Testsets().Current().Data.Classes
-			next, err := datasetFromLabels("rotated", r.Labels, classes)
-			if err != nil {
-				return nil, fmt.Errorf("record %d (rotate): %w", rec.Seq, err)
-			}
-			active := model.NewFixedPredictions(eng.ActiveModelName(), r.ActivePreds)
-			if err := eng.RotateTestset(next, labeling.NewTruthOracle(next.Y), active); err != nil {
-				return nil, fmt.Errorf("record %d (rotate): %w", rec.Seq, err)
-			}
-			if got := eng.Testsets().Current().Generation; r.Generation != 0 && got != r.Generation {
-				return nil, fmt.Errorf("record %d (rotate): replayed generation %d, log says %d", rec.Seq, got, r.Generation)
-			}
-		default:
+		apply := replayRecord[rec.Type]
+		if apply == nil {
 			return nil, fmt.Errorf("record %d: unknown type %q", rec.Seq, rec.Type)
 		}
-	}
-	// Trailing audit records (a commit that crashed mid-application):
-	// discard — the replayed engine never executed that commit, so the
-	// recovered state is the pre-record state.
-	d.tornAudit = len(audit)
-
-	// Hand the table to the queue as restore entries, in submission
-	// order.
-	for _, id := range d.order {
-		e := d.table[id]
-		r := queue.Restored[commitJob, CommitResponse]{ID: e.ID, Seq: e.Seq, Req: e.Req}
-		switch e.State {
-		case jobDone:
-			r.State = queue.Done
-			if err := json.Unmarshal(e.Res, &r.Res); err != nil {
-				return nil, fmt.Errorf("job %s: stored response: %w", e.ID, err)
-			}
-		case jobFailed:
-			r.State = queue.Failed
-			r.Err = e.Err
-		default:
-			r.State = queue.Queued
+		if err := apply(d, rec); err != nil {
+			return nil, err
 		}
-		d.restored = append(d.restored, r)
 	}
 	return d, nil
+}
+
+// replayRecord is each record type's replay: the one place its recovery
+// rule is written.
+var replayRecord = map[string]func(*durableState, wal.Record) error{
+	recTypeGenesis: replayAs(func(d *durableState, g recGenesis) error { return g.check(d.fp) }),
+	recTypeSubmit:  replayAs(func(d *durableState, r recSubmit) error { return d.table.submit(r) }),
+	recTypeCommit:  replayAs((*durableState).replayCommit),
+	recTypeCancel:  replayAs(func(d *durableState, r recCancel) error { return d.table.cancel(r) }),
+	recTypeWebhook: replayAs(func(d *durableState, r recWebhook) error { d.table.webhook(r); return nil }),
+	// A parked job has no commit record, so it is restored queued from
+	// its submit record: restart is its release.
+	recTypePark:    replayAs(func(*durableState, recPark) error { return nil }),
+	recTypeRotate:  replayAs((*durableState).replayRotate),
+	recTypeReveal:  (*durableState).holdAudit,
+	recTypeCharge:  (*durableState).holdAudit,
+	recTypePromote: (*durableState).holdAudit,
+	recTypeLooks:   (*durableState).holdAudit,
+	recTypeRollback: func(d *durableState, _ wal.Record) error {
+		d.audit = nil
+		return nil
+	},
+}
+
+// replayAs decodes a record's payload as T, then applies it.
+func replayAs[T any](apply func(*durableState, T) error) func(*durableState, wal.Record) error {
+	return func(d *durableState, rec wal.Record) error {
+		var v T
+		if err := json.Unmarshal(rec.Data, &v); err != nil {
+			return fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
+		}
+		if err := apply(d, v); err != nil {
+			return fmt.Errorf("record %d: %w", rec.Seq, err)
+		}
+		return nil
+	}
+}
+
+// holdAudit keeps an engine audit record for the commit record after it.
+func (d *durableState) holdAudit(rec wal.Record) error {
+	d.audit = append(d.audit, rec)
+	return nil
+}
+
+// replayCommit applies a job.commit record, then re-executes the job
+// through the live evaluation path against the held audit records and
+// requires the logged outcome byte for byte. Evaluation-affecting
+// options (LabelQuota, EarlyDecision) are not fingerprinted, so they
+// must stay stable across restarts of a data directory; this catches
+// divergence.
+func (d *durableState) replayCommit(c recCommit) error {
+	e, err := d.table.commit(c)
+	if err != nil {
+		return err
+	}
+	v := &auditVerifier{pending: d.audit}
+	d.audit = nil
+	d.eng.SetJournal(journalFunc(v.take))
+	resp, err := evalCommit(d.cfg, d.eng, d.labelQuota, &e.Req)
+	d.eng.SetJournal(nil)
+	switch {
+	case v.err != nil:
+		return fmt.Errorf("job %s: %w", c.Job, v.err)
+	case len(v.pending) != 0:
+		return fmt.Errorf("job %s: %d logged audit records not reproduced by replay", c.Job, len(v.pending))
+	case c.Err != "":
+		if err == nil || err.Error() != c.Err {
+			return fmt.Errorf("job %s: logged failure %q, replay got %v", c.Job, c.Err, err)
+		}
+		return nil
+	case err != nil:
+		return fmt.Errorf("job %s: replay failed (%v) where the log has a success", c.Job, err)
+	}
+	got, err := json.Marshal(resp)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got, c.Res) {
+		return fmt.Errorf("job %s: replayed response diverges from log:\n  log:    %s\n  replay: %s", c.Job, c.Res, got)
+	}
+	return nil
+}
+
+// replayRotate applies a rotate record through the live rotation step
+// and checks the generation it reached.
+func (d *durableState) replayRotate(r recRotate) error {
+	next, err := datasetFromLabels("rotated", r.Labels, d.eng.Testsets().Current().Data.Classes)
+	if err != nil {
+		return err
+	}
+	gen, err := rotateTestset(d.eng, next, r.ActivePreds)
+	if err != nil {
+		return err
+	}
+	if r.Generation != 0 && gen != r.Generation {
+		return fmt.Errorf("replayed generation %d, log says %d", gen, r.Generation)
+	}
+	return nil
+}
+
+// rotateTestset installs next as eng's testset, with the active model's
+// predictions on it, and returns the new generation: the one rotation
+// step live requests and replay share.
+func rotateTestset(eng *engine.Engine, next *data.Dataset, activePreds []int) (int, error) {
+	active := model.NewFixedPredictions(eng.ActiveModelName(), activePreds)
+	if err := eng.RotateTestset(next, labeling.NewTruthOracle(next.Y), active); err != nil {
+		return 0, err
+	}
+	return eng.Testsets().Current().Generation, nil
+}
+
+// stampedGenesis reads a data directory's genesis stamp, for recovery
+// and restore: the snapshot's genesis field (the fingerprint alone; the
+// rest of the snapshot is not decoded), else the log's first record. ok
+// is false when neither a snapshot nor a leading genesis record exists.
+func stampedGenesis(snap *wal.Snapshot, records []wal.Record) (g recGenesis, ok bool, err error) {
+	if snap != nil {
+		var head struct {
+			Genesis string `json:"genesis"`
+		}
+		err = json.Unmarshal(snap.Data, &head)
+		return recGenesis{Fingerprint: head.Genesis}, true, err
+	}
+	if len(records) == 0 || records[0].Type != recTypeGenesis {
+		return recGenesis{}, false, nil
+	}
+	err = json.Unmarshal(records[0].Data, &g)
+	return g, true, err
+}
+
+// check refuses a logged genesis record whose fingerprint is not fp.
+func (g recGenesis) check(fp string) error {
+	if g.Fingerprint == fp {
+		return nil
+	}
+	return fmt.Errorf("config fingerprint %q does not match the supplied genesis %q — the data directory was created under a different configuration (logged: condition %q, reliability %v, adaptivity %s, steps %d, %d examples, %d classes, model %q); point the server at a fresh data directory or restore the original flags",
+		g.Fingerprint, fp, g.Condition, g.Reliability, g.Adaptivity, g.Steps, g.Examples, g.Classes, g.Model)
 }
 
 // journalFunc is the engine journal: it turns each of the engine's
@@ -647,10 +756,13 @@ func (s *Server) walAppend(typ string, payload any) error {
 	return nil
 }
 
-// walAppendSyncLocked appends one record and fsyncs, poisoning the
-// server on failure. Callers hold tableMu (the append-side half of the
-// compaction freeze).
-func (s *Server) walAppendSyncLocked(typ string, payload any) error {
+// walRecord appends one record and fsyncs it, poisoning the server on
+// failure, then runs apply, the record's effect on the job table (nil
+// for none). It holds tableMu throughout, the append-side half of the
+// compaction freeze, so a snapshot never holds a table behind its log.
+func (s *Server) walRecord(typ string, payload any, apply func()) error {
+	s.tableMu.Lock()
+	defer s.tableMu.Unlock()
 	_, err := s.wlog.Append(typ, payload)
 	if err == nil {
 		err = s.wlog.Sync()
@@ -659,45 +771,8 @@ func (s *Server) walAppendSyncLocked(typ string, payload any) error {
 		s.walFailed.Store(true)
 		return fmt.Errorf("%w: %v", errWALPoisoned, err)
 	}
-	return nil
-}
-
-// walOnSubmit runs under the queue lock before a job is enqueued: the
-// submit record reaches disk before the 202 is possible, so an accepted
-// job is always a recoverable job. An append failure aborts the
-// submission (no job exists) and poisons the server.
-func (s *Server) walOnSubmit(j *queue.Job[commitJob, CommitResponse]) error {
-	if s.walFailed.Load() {
-		return errWALPoisoned
-	}
-	s.tableMu.Lock()
-	defer s.tableMu.Unlock()
-	if err := s.walAppendSyncLocked(recTypeSubmit, recSubmit{Job: j.ID, Seq: j.Seq, Req: j.Req}); err != nil {
-		return err
-	}
-	s.table[j.ID] = &jobEntry{ID: j.ID, Seq: j.Seq, Req: j.Req, State: jobQueued}
-	s.tableOrder = append(s.tableOrder, j.ID)
-	if j.Seq > s.tableNextSeq {
-		s.tableNextSeq = j.Seq
-	}
-	return nil
-}
-
-// walOnCancel runs under the queue lock before a cancelable job's state
-// changes: record first, cancel second, so a canceled job can never
-// resurrect as queued after a crash.
-func (s *Server) walOnCancel(j *queue.Job[commitJob, CommitResponse]) error {
-	if s.walFailed.Load() {
-		return errWALPoisoned
-	}
-	s.tableMu.Lock()
-	defer s.tableMu.Unlock()
-	if err := s.walAppendSyncLocked(recTypeCancel, recCancel{Job: j.ID}); err != nil {
-		return err
-	}
-	if e := s.table[j.ID]; e != nil {
-		e.State = jobFailed
-		e.Err = queue.ErrCanceled.Error()
+	if apply != nil {
+		apply()
 	}
 	return nil
 }
@@ -726,7 +801,7 @@ func (s *Server) compactLocked() error {
 	}
 	s.tableMu.Lock()
 	defer s.tableMu.Unlock()
-	s.pruneTableLocked()
+	s.table.prune(s.retain)
 	if err := s.wlog.Compact(s.snapshotLocked()); err != nil {
 		s.walFailed.Store(true)
 		return fmt.Errorf("%w: %v", errWALPoisoned, err)
@@ -737,41 +812,7 @@ func (s *Server) compactLocked() error {
 // snapshotLocked is the compaction payload of the server's current state.
 // Callers hold s.mu and tableMu.
 func (s *Server) snapshotLocked() walSnapshot {
-	jobs := make([]*jobEntry, 0, len(s.tableOrder))
-	for _, id := range s.tableOrder {
-		jobs = append(jobs, s.table[id])
-	}
-	return walSnapshot{Genesis: s.genesisFP, Engine: s.eng.Snapshot(), Jobs: jobs, NextJobSeq: s.tableNextSeq}
-}
-
-// pruneTableLocked drops terminal, delivery-resolved jobs beyond the
-// retain bound (newest kept), mirroring the queue's own eviction: a job
-// the queue would no longer answer polls for need not be recovered.
-func (s *Server) pruneTableLocked() {
-	prunable := 0
-	for _, id := range s.tableOrder {
-		if s.tableEntryPrunable(s.table[id]) {
-			prunable++
-		}
-	}
-	drop := prunable - s.retain
-	if drop <= 0 {
-		return
-	}
-	kept := s.tableOrder[:0]
-	for _, id := range s.tableOrder {
-		if drop > 0 && s.tableEntryPrunable(s.table[id]) {
-			delete(s.table, id)
-			drop--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.tableOrder = kept
-}
-
-func (s *Server) tableEntryPrunable(e *jobEntry) bool {
-	return e != nil && e.State != jobQueued && (e.Req.Webhook == "" || e.WebhookDone)
+	return walSnapshot{Genesis: s.genesisFP, Engine: s.eng.Snapshot(), Jobs: s.table.rows, NextJobSeq: s.table.nextSeq}
 }
 
 // maybeCompactLocked auto-compacts once the log outgrows the threshold.

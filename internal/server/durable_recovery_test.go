@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"strings"
@@ -358,4 +359,96 @@ func TestDurableCancelReplaysFromRawLog(t *testing.T) {
 	if revived.pool.RunOne() {
 		t.Error("canceled job must not re-enqueue")
 	}
+}
+
+// TestJobTableLiveTransitionsFindTheirJob pins the invariant that lets
+// the live append sites apply job records through the same strict
+// jobTable methods replay uses without a new client-visible error: a job
+// whose commit or cancel is being appended is queued, and pruning never
+// drops a queued job, even at a retain bound of 0.
+func TestJobTableLiveTransitionsFindTheirJob(t *testing.T) {
+	tb := newJobTable(nil, 0)
+	for i := 1; i <= 3; i++ {
+		if err := tb.submit(recSubmit{Job: fmt.Sprintf("job-%d", i), Seq: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tb.commit(recCommit{Job: "job-1", Err: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	tb.prune(0)
+	if got := tableIDs(tb); got != "job-2 job-3" {
+		t.Fatalf("table after prune(0) = %s, want the two queued jobs", got)
+	}
+	if err := tb.cancel(recCancel{Job: "job-2"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.commit(recCommit{Job: "job-3", Res: json.RawMessage(`{}`)}); err != nil {
+		t.Fatal(err)
+	}
+	// Replay's strictness: what the live sites never produce is refused.
+	if err := tb.submit(recSubmit{Job: "job-2", Seq: 2}); err == nil || !strings.Contains(err.Error(), "duplicate submit") {
+		t.Errorf("duplicate submit = %v", err)
+	}
+	if _, err := tb.commit(recCommit{Job: "job-1"}); err == nil || !strings.Contains(err.Error(), "commit for unknown job") {
+		t.Errorf("commit of a pruned job = %v", err)
+	}
+	if err := tb.cancel(recCancel{Job: "ghost"}); err == nil || !strings.Contains(err.Error(), "cancel for unknown job") {
+		t.Errorf("cancel of an unknown job = %v", err)
+	}
+
+	// Served: compaction at retain 1 prunes finished jobs around queued
+	// ones, whose cancel and commit then land in the table, and the log
+	// replays strictly.
+	g, labels := durableGenesis(t, 8, testSize)
+	dir := t.TempDir()
+	opts := Options{Clock: testClock, QueueRetain: 1, CompactAt: -1}
+	srv, err := openTestTenant(g, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 4; i++ {
+		ids = append(ids, submitAsync(t, tenantHandler(srv), "/api/v1/commit/async", labels, fmt.Sprintf("m%d", i), int64(40+i)).JobID)
+	}
+	srv.pool.RunOne()
+	srv.pool.RunOne()
+	if err := srv.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tableIDs(srv.table); got != strings.Join(ids[1:], " ") {
+		t.Fatalf("table after compaction = %s, want %v", got, ids[1:])
+	}
+	if rec, _ := doJSON(t, srv, http.MethodDelete, "/api/v1/commit/jobs/"+ids[2], nil); rec.Code != http.StatusOK {
+		t.Fatalf("cancel status = %d: %s", rec.Code, rec.Body.String())
+	}
+	srv.pool.RunOne()
+	for id, want := range map[string]string{ids[2]: jobFailed, ids[3]: jobDone} {
+		if e := srv.table.byID[id]; e == nil || e.State != want {
+			t.Errorf("table entry %s = %+v, want %s", id, e, want)
+		}
+	}
+	// Abandon without Close: the cancel and commit records replay on top
+	// of the pruned snapshot. (A wider retain keeps both pollable.)
+	opts.QueueRetain = 3
+	revived, err := openTestTenant(g, dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeTestTenant(revived)
+	if st := jobState(t, revived, ids[2]); st.State != "failed" || st.Error != queue.ErrCanceled.Error() {
+		t.Errorf("canceled job after restart = %+v", st)
+	}
+	if st := jobState(t, revived, ids[3]); st.State != "done" {
+		t.Errorf("committed job after restart = %+v", st)
+	}
+}
+
+// tableIDs lists a job table's IDs in submission order.
+func tableIDs(tb jobTable) string {
+	ids := make([]string, len(tb.rows))
+	for i, e := range tb.rows {
+		ids[i] = e.ID
+	}
+	return strings.Join(ids, " ")
 }

@@ -69,7 +69,6 @@ import (
 	"github.com/easeml/ci/internal/core"
 	"github.com/easeml/ci/internal/engine"
 	"github.com/easeml/ci/internal/labeling"
-	"github.com/easeml/ci/internal/model"
 	"github.com/easeml/ci/internal/notify"
 	"github.com/easeml/ci/internal/parallel"
 	"github.com/easeml/ci/internal/planner"
@@ -110,23 +109,23 @@ type Server struct {
 	// a record before (or atomically with) being acknowledged. walFailed
 	// poisons the server after an append failure: mutating endpoints
 	// answer 503 until a restart replays the log back to the last durable
-	// state. table mirrors the WAL's job records so compaction can
-	// snapshot them without re-reading the log; tableMu guards it and
-	// every WAL append outside the engine lock (lock order: s.mu or the
-	// queue's lock, then tableMu, then the log's internal leaf mutex —
-	// Compact holds s.mu+tableMu, freezing all appenders).
+	// state. table is the log's view of the commit queue: each job record
+	// is appended and then applied to it through the same jobTable method
+	// replay calls, and compaction snapshots it without re-reading the
+	// log. tableMu guards table and every WAL append outside the engine
+	// lock (lock order: s.mu or the queue's lock, then tableMu, then the
+	// log's internal leaf mutex — Compact holds s.mu+tableMu, freezing all
+	// appenders).
 	wlog        *wal.Log
 	walFailed   atomic.Bool
 	genesisFP   string
 	dataDir     string
 	salvageRuns atomic.Uint64
 	backupCounters
-	tableMu      sync.Mutex
-	table        map[string]*jobEntry
-	tableOrder   []string
-	tableNextSeq int
-	compactAt    int64
-	retain       int
+	tableMu   sync.Mutex
+	table     jobTable
+	compactAt int64
+	retain    int
 
 	// commitsEvaluated / commitEvalNs track the measurement core's served
 	// throughput: successful engine evaluations and the cumulative wall
@@ -284,20 +283,6 @@ func (s *Server) lookHistSnapshot() []uint64 {
 	return out[:n]
 }
 
-// durableState carries the recovered write-ahead state from openDurable
-// into newTenant; nil means an in-memory server.
-type durableState struct {
-	log       *wal.Log
-	eng       *engine.Engine
-	dir       string // the data directory (for fsck/quarantine accounting)
-	fp        string // genesis config fingerprint, re-stamped into snapshots
-	table     map[string]*jobEntry
-	order     []string
-	nextSeq   int
-	restored  []queue.Restored[commitJob, CommitResponse]
-	tornAudit int
-}
-
 // newTenant builds one project's server from its Genesis: the script, the
 // first testset and the baseline model. With dataDir == "" the state is
 // in-memory and dies with the process. Otherwise every externally
@@ -380,8 +365,6 @@ func newTenant(g Genesis, dataDir string, opts Options) (*Server, error) {
 		s.genesisFP = d.fp
 		s.dataDir = d.dir
 		s.table = d.table
-		s.tableOrder = d.order
-		s.tableNextSeq = d.nextSeq
 		s.retain = opts.QueueRetain
 		if s.retain <= 0 {
 			s.retain = queue.DefaultRetain
@@ -390,8 +373,10 @@ func newTenant(g Genesis, dataDir string, opts Options) (*Server, error) {
 		if s.compactAt == 0 {
 			s.compactAt = DefaultCompactAt
 		}
-		qopts.Restore = d.restored
-		qopts.StartSeq = d.nextSeq
+		qopts.StartSeq = d.table.nextSeq
+		if qopts.Restore, err = d.table.restored(); err != nil {
+			return fail(fmt.Errorf("server: recovery: %w", err))
+		}
 	}
 	jobs, err := queue.New(qopts)
 	if err != nil {
@@ -473,9 +458,7 @@ func (s *Server) installOracle() error {
 // release timer from the provider's retry hint.
 func (s *Server) onParkHook(j *queue.Job[commitJob, CommitResponse], err error) {
 	if s.wlog != nil && !s.walFailed.Load() {
-		s.tableMu.Lock()
-		_ = s.walAppendSyncLocked(recTypePark, recPark{Job: j.ID, Err: err.Error()})
-		s.tableMu.Unlock()
+		_ = s.walRecord(recTypePark, recPark{Job: j.ID, Err: err.Error()}, nil)
 	}
 	s.scheduleRelease(err)
 }
@@ -539,7 +522,11 @@ func (s *Server) CloseIntake() { s.jobs.CloseIntake() }
 // strand the job's waiter. The enqueue-side mirror of onCancelHook.
 func (s *Server) onSubmitHook(j *queue.Job[commitJob, CommitResponse]) error {
 	if s.wlog != nil {
-		if err := s.walOnSubmit(j); err != nil {
+		if s.walFailed.Load() {
+			return errWALPoisoned
+		}
+		rec := recSubmit{Job: j.ID, Seq: j.Seq, Req: j.Req}
+		if err := s.walRecord(recTypeSubmit, rec, func() { _ = s.table.submit(rec) }); err != nil {
 			return err
 		}
 	}
@@ -553,7 +540,11 @@ func (s *Server) onSubmitHook(j *queue.Job[commitJob, CommitResponse]) error {
 // no pending credit until the next kick.
 func (s *Server) onCancelHook(j *queue.Job[commitJob, CommitResponse]) error {
 	if s.wlog != nil {
-		if err := s.walOnCancel(j); err != nil {
+		if s.walFailed.Load() {
+			return errWALPoisoned
+		}
+		rec := recCancel{Job: j.ID}
+		if err := s.walRecord(recTypeCancel, rec, func() { _ = s.table.cancel(rec) }); err != nil {
 			return err
 		}
 	}
@@ -1061,13 +1052,12 @@ func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request, _ scope) {
 		writeStorageError(w, http.StatusServiceUnavailable, errWALPoisoned)
 		return
 	}
-	active := model.NewFixedPredictions(s.eng.ActiveModelName(), req.ActivePredictions)
-	if err := s.eng.RotateTestset(next, labeling.NewTruthOracle(next.Y), active); err != nil {
+	gen, err := rotateTestset(s.eng, next, req.ActivePredictions)
+	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	s.testsetLen.Store(int64(len(next.Y)))
-	gen := s.eng.Testsets().Current().Generation
 	// A remote-sourced server swaps in the new generation's provider
 	// client: the factory gets the fresh ground truth, and any verified-
 	// label cache from the old generation dies with the old oracle.
@@ -1080,21 +1070,13 @@ func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request, _ scope) {
 		// durable. A crash (or append failure, which poisons the server)
 		// in the gap loses an unacknowledged rotation — the same contract
 		// as a request that never arrived.
-		s.tableMu.Lock()
-		err := s.walAppendSyncLocked(recTypeRotate, recRotate{
-			Labels:      req.Labels,
-			ActivePreds: req.ActivePredictions,
-			Generation:  gen,
-		})
-		s.tableMu.Unlock()
-		if err != nil {
+		rec := recRotate{Labels: req.Labels, ActivePreds: req.ActivePredictions, Generation: gen}
+		if err := s.walRecord(recTypeRotate, rec, nil); err != nil {
 			writeStorageError(w, http.StatusServiceUnavailable, err)
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": gen,
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"generation": gen})
 }
 
 // resultToResponse applies the adaptivity mode's information flow: in the

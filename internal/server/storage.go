@@ -10,7 +10,6 @@ package server
 import (
 	"archive/tar"
 	"compress/gzip"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -22,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/easeml/ci/internal/registry"
 	"github.com/easeml/ci/internal/wal"
 )
 
@@ -207,18 +207,12 @@ func (m *Multi) handleAdminBackup(w http.ResponseWriter, r *http.Request, sc sco
 	// capture.
 	m.lifecycleMu.Lock()
 	defer m.lifecycleMu.Unlock()
-	var entries []tarEntry
 	ctlSnap, ctlLog, err := m.reg.Backup()
 	if err != nil {
 		writeStorageError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	if ctlSnap != nil {
-		entries = append(entries, tarEntry{Name: controlDirName + "/snapshot.json", Data: ctlSnap})
-	}
-	if len(ctlLog) > 0 {
-		entries = append(entries, tarEntry{Name: controlDirName + "/wal.log", Data: ctlLog})
-	}
+	entries := logEntries(controlDirName+"/", ctlSnap, ctlLog)
 	for _, p := range m.projects() {
 		tid := p.ID
 		srv := m.tenant(tid)
@@ -246,8 +240,8 @@ func (m *Multi) handleAdminBackup(w http.ResponseWriter, r *http.Request, sc sco
 
 // RestoreBackup unpacks a backup tarball (either shape: a flat tenant
 // backup or a full control-plane backup) into dataDir, verifying the
-// default project's genesis fingerprint against g before adopting
-// anything. It refuses a data directory that already holds state —
+// default project's genesis fingerprint against g and replaying the
+// control log read-only before adopting anything. It refuses a data directory that already holds state —
 // restore creates a world, it does not merge into one. The unpack is
 // staged: entries land in a temp directory first and are renamed into
 // place only after verification, so a failed restore leaves dataDir
@@ -333,6 +327,14 @@ func RestoreBackup(tarPath, dataDir string, g Genesis) error {
 	if want := g.fingerprint(); fp != want {
 		return fmt.Errorf("server: restore: backup genesis fingerprint %q does not match this server's configuration %q — the backup was taken under different flags (condition, reliability, adaptivity, steps, or testset)", fp, want)
 	}
+	// The control log has no sick state to boot into: replay it read-only
+	// now, as the next boot's strict replay will, and refuse what that
+	// boot would refuse.
+	if seen[controlDirName] {
+		if _, err := registry.Read(filepath.Join(staging, controlDirName)); err != nil {
+			return fmt.Errorf("server: restore: %s: %w", controlDirName, err)
+		}
+	}
 
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return fmt.Errorf("server: restore: %w", err)
@@ -360,36 +362,31 @@ func sanitizeTarName(name string) (string, error) {
 }
 
 // backupFingerprint extracts the genesis config fingerprint from a
-// staged tenant directory: from the snapshot's payload if one exists,
-// else from the log's genesis record. The files are read through the
-// wal package, so a snapshot whose CRC fails or a log damaged mid-way is
-// refused with wal.ErrCorrupt before anything is adopted.
+// staged tenant directory, through stampedGenesis: from the snapshot's
+// genesis field if one exists, else from the log's genesis record. The
+// files are read through the wal package, so a snapshot whose CRC fails
+// or a log damaged mid-way is refused with wal.ErrCorrupt before anything
+// is adopted.
 func backupFingerprint(dir string) (string, error) {
 	snap, records, err := wal.Read(dir)
 	if err != nil {
 		return "", fmt.Errorf("backup: %w", err)
 	}
-	if snap != nil {
-		var ws walSnapshot
-		if err := json.Unmarshal(snap.Data, &ws); err != nil {
-			return "", fmt.Errorf("backup snapshot payload: %w", err)
-		}
-		if ws.Genesis == "" {
-			return "", errors.New("backup snapshot carries no genesis fingerprint")
-		}
-		return ws.Genesis, nil
-	}
-	if len(records) == 0 {
+	if snap == nil && len(records) == 0 {
 		return "", errors.New("backup holds neither a snapshot nor a log to verify the genesis fingerprint from")
 	}
-	if records[0].Type != recTypeGenesis {
+	g, ok, err := stampedGenesis(snap, records)
+	switch {
+	case snap != nil && err != nil:
+		return "", fmt.Errorf("backup snapshot payload: %w", err)
+	case snap != nil && g.Fingerprint == "":
+		return "", errors.New("backup snapshot carries no genesis fingerprint")
+	case !ok:
 		return "", errors.New("backup log does not begin with a genesis record")
-	}
-	var rg recGenesis
-	if err := json.Unmarshal(records[0].Data, &rg); err != nil || rg.Fingerprint == "" {
+	case err != nil || g.Fingerprint == "":
 		return "", errors.New("backup genesis record carries no fingerprint")
 	}
-	return rg.Fingerprint, nil
+	return g.Fingerprint, nil
 }
 
 // --- health endpoints ---------------------------------------------------

@@ -461,14 +461,55 @@ func TestBackupRestoreRefusesCorruptSnapshot(t *testing.T) {
 		t.Fatalf("snapshot has no next_job_seq of 1 to flip: %.200s", snap)
 	}
 
+	entries["snapshot.json"] = flipped
+	checkRestoreRefusesCorrupt(t, writeTarball(t, entries), g)
+}
+
+// TestBackupRestoreRefusesCorruptControl: a full backup of three
+// projects, taken after a compaction, whose control-plane snapshot has
+// one changed digit. Restore refuses it with wal.ErrCorrupt and adopts
+// nothing, instead of handing the next boot a control log it refuses.
+func TestBackupRestoreRefusesCorruptControl(t *testing.T) {
+	g, labels := durableGenesis(t, 3, testSize)
+	m := newTestMulti(t, MultiOptions{DataDir: t.TempDir(), Tenant: Options{CompactAt: -1}})
+	for i, id := range []string{"team-a", "team-b"} {
+		spec := testSpec(t, 3, testSize, int64(2+i))
+		if rec := doH(t, m, http.MethodPost, "/api/v1/projects", CreateProjectRequest{ID: id, ProjectSpec: spec}); rec.Code != http.StatusCreated {
+			t.Fatalf("create %s status = %d: %s", id, rec.Code, rec.Body.String())
+		}
+	}
+	mustCommit(t, m, "/api/v1/commit", labels, "m0", 10)
+	if rec := doH(t, m, http.MethodPost, "/api/v1/admin/compact", nil); rec.Code != http.StatusOK {
+		t.Fatalf("compact status = %d: %s", rec.Code, rec.Body.String())
+	}
+	rec := doH(t, m, http.MethodPost, "/api/v1/admin/backup", nil)
+	m.Close()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("backup status = %d: %s", rec.Code, rec.Body.String())
+	}
+	entries := readTarball(t, rec.Body.Bytes())
+	name := controlDirName + "/snapshot.json"
+	snap := entries[name]
+	flipped := bytes.Replace(snap, []byte(`"steps":3`), []byte(`"steps":4`), 1)
+	if bytes.Equal(flipped, snap) {
+		t.Fatalf("control snapshot has no steps of 3 to flip: %.200s", snap)
+	}
+	entries[name] = flipped
+	checkRestoreRefusesCorrupt(t, writeTarball(t, entries), g)
+}
+
+// writeTarball packs entries into a gzipped backup tarball file and
+// returns its path.
+func writeTarball(t *testing.T, entries map[string][]byte) string {
+	t.Helper()
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
 	tw := tar.NewWriter(gz)
-	for _, e := range []tarEntry{{"snapshot.json", flipped}, {"wal.log", entries["wal.log"]}} {
-		if err := tw.WriteHeader(&tar.Header{Name: e.Name, Mode: 0o644, Size: int64(len(e.Data))}); err != nil {
+	for _, name := range keysOf(entries) {
+		if err := tw.WriteHeader(&tar.Header{Name: name, Mode: 0o644, Size: int64(len(entries[name]))}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tw.Write(e.Data); err != nil {
+		if _, err := tw.Write(entries[name]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -482,10 +523,16 @@ func TestBackupRestoreRefusesCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(tarPath, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return tarPath
+}
 
+// checkRestoreRefusesCorrupt requires the restore of tarPath to fail
+// with wal.ErrCorrupt and leave no project or control directory behind.
+func checkRestoreRefusesCorrupt(t *testing.T, tarPath string, g Genesis) {
+	t.Helper()
 	restoreDir := t.TempDir()
 	if err := RestoreBackup(tarPath, restoreDir, g); !errors.Is(err, wal.ErrCorrupt) {
-		t.Fatalf("restore of a corrupt snapshot = %v, want wal.ErrCorrupt", err)
+		t.Fatalf("restore of a corrupt backup = %v, want wal.ErrCorrupt", err)
 	}
 	for _, name := range []string{DefaultProject, controlDirName} {
 		if _, err := os.Stat(filepath.Join(restoreDir, name)); !os.IsNotExist(err) {
