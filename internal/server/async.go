@@ -155,15 +155,9 @@ func (s *Server) executeCommitJob(j *queue.Job[commitJob, CommitResponse]) (Comm
 		// commit.
 		return CommitResponse{}, errWALPoisoned
 	}
-	rec := recCommit{Job: j.ID}
-	if err != nil {
-		rec.Err = err.Error()
-	} else {
-		b, merr := json.Marshal(resp)
-		if merr != nil {
-			return CommitResponse{}, merr
-		}
-		rec.Res = b
+	rec, merr := commitRecord(j.ID, resp, err)
+	if merr != nil {
+		return CommitResponse{}, merr
 	}
 	if werr := s.walRecord(recTypeCommit, rec, func() { _, _ = s.table.commit(rec) }); werr != nil {
 		return CommitResponse{}, werr

@@ -490,15 +490,10 @@ func (s *Server) resume() {
 // status shapes a table entry as the wire status its webhook carries —
 // the restart-side twin of jobStatus.
 func (e *jobEntry) status() JobStatusResponse {
-	out := JobStatusResponse{JobID: e.ID, Seq: e.Seq, State: e.State}
-	switch e.State {
-	case jobDone:
-		var r CommitResponse
-		if json.Unmarshal(e.Res, &r) == nil {
-			out.Result = &r
-		}
-	case jobFailed:
-		out.Error = e.Err
+	out := JobStatusResponse{JobID: e.ID, Seq: e.Seq, State: e.State, Error: e.Err}
+	var r CommitResponse
+	if e.State == jobDone && json.Unmarshal(e.Res, &r) == nil {
+		out.Result = &r
 	}
 	return out
 }
@@ -616,27 +611,31 @@ func (d *durableState) replayCommit(c recCommit) error {
 	d.eng.SetJournal(journalFunc(v.take))
 	resp, err := evalCommit(d.cfg, d.eng, d.labelQuota, &e.Req)
 	d.eng.SetJournal(nil)
+	got, merr := commitRecord(c.Job, resp, err)
 	switch {
 	case v.err != nil:
 		return fmt.Errorf("job %s: %w", c.Job, v.err)
 	case len(v.pending) != 0:
 		return fmt.Errorf("job %s: %d logged audit records not reproduced by replay", c.Job, len(v.pending))
-	case c.Err != "":
-		if err == nil || err.Error() != c.Err {
-			return fmt.Errorf("job %s: logged failure %q, replay got %v", c.Job, c.Err, err)
-		}
-		return nil
-	case err != nil:
-		return fmt.Errorf("job %s: replay failed (%v) where the log has a success", c.Job, err)
-	}
-	got, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(got, c.Res) {
-		return fmt.Errorf("job %s: replayed response diverges from log:\n  log:    %s\n  replay: %s", c.Job, c.Res, got)
+	case merr != nil:
+		return merr
+	case got.Err != c.Err || !bytes.Equal(got.Res, c.Res):
+		return fmt.Errorf("job %s: replay diverges from log: logged failure %q and response %s, replayed failure %q and response %s", c.Job, c.Err, c.Res, got.Err, got.Res)
 	}
 	return nil
+}
+
+// commitRecord is the job.commit record of one evaluation: the exact
+// response bytes, or the error text. The live commit appends it, and
+// replay compares it with the logged one.
+func commitRecord(job string, resp CommitResponse, err error) (recCommit, error) {
+	rec := recCommit{Job: job}
+	if err != nil {
+		rec.Err = err.Error()
+		return rec, nil
+	}
+	rec.Res, err = json.Marshal(resp)
+	return rec, err
 }
 
 // replayRotate applies a rotate record through the live rotation step
@@ -758,8 +757,10 @@ func (s *Server) walAppend(typ string, payload any) error {
 
 // walRecord appends one record and fsyncs it, poisoning the server on
 // failure, then runs apply, the record's effect on the job table (nil
-// for none). It holds tableMu throughout, the append-side half of the
-// compaction freeze, so a snapshot never holds a table behind its log.
+// for none), which drops the jobTable method's error: a live record
+// never trips it (see jobTable). It holds tableMu throughout, the
+// append-side half of the compaction freeze, so a snapshot never holds a
+// table behind its log.
 func (s *Server) walRecord(typ string, payload any, apply func()) error {
 	s.tableMu.Lock()
 	defer s.tableMu.Unlock()

@@ -884,16 +884,18 @@ func (m *Multi) handleAdminCompact(w http.ResponseWriter, r *http.Request, sc sc
 		return
 	}
 	resp := CompactResponse{Projects: make(map[string]*wal.Stats)}
-	for _, p := range m.projects() {
-		srv := m.tenant(p.ID)
-		if srv == nil {
-			continue
-		}
+	compactOne := func(id string, srv *Server) bool {
 		if err := srv.Compact(); err != nil {
-			writeStorageError(w, http.StatusServiceUnavailable, fmt.Errorf("project %q: %w", p.ID, err))
+			writeStorageError(w, http.StatusServiceUnavailable, fmt.Errorf("project %q: %w", id, err))
+			return false
+		}
+		resp.Projects[id] = srv.WALStats()
+		return true
+	}
+	for _, p := range m.projects() {
+		if srv := m.tenant(p.ID); srv != nil && !compactOne(p.ID, srv) {
 			return
 		}
-		resp.Projects[p.ID] = srv.WALStats()
 	}
 	if err := m.reg.Compact(); err != nil {
 		writeError(w, http.StatusServiceUnavailable, err.Error())

@@ -241,11 +241,11 @@ func (m *Multi) handleAdminBackup(w http.ResponseWriter, r *http.Request, sc sco
 // RestoreBackup unpacks a backup tarball (either shape: a flat tenant
 // backup or a full control-plane backup) into dataDir, verifying the
 // default project's genesis fingerprint against g and replaying the
-// control log read-only before adopting anything. It refuses a data directory that already holds state —
-// restore creates a world, it does not merge into one. The unpack is
-// staged: entries land in a temp directory first and are renamed into
-// place only after verification, so a failed restore leaves dataDir
-// untouched.
+// control log read-only before adopting anything. It refuses a data
+// directory that already holds state — restore creates a world, it does
+// not merge into one. The unpack is staged: entries land in a temp
+// directory first and are renamed into place only after verification,
+// so a failed restore leaves dataDir untouched.
 func RestoreBackup(tarPath, dataDir string, g Genesis) error {
 	if dataDir == "" {
 		return fmt.Errorf("server: restore needs a data directory")
@@ -372,11 +372,10 @@ func backupFingerprint(dir string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("backup: %w", err)
 	}
-	if snap == nil && len(records) == 0 {
-		return "", errors.New("backup holds neither a snapshot nor a log to verify the genesis fingerprint from")
-	}
 	g, ok, err := stampedGenesis(snap, records)
 	switch {
+	case snap == nil && len(records) == 0:
+		return "", errors.New("backup holds neither a snapshot nor a log to verify the genesis fingerprint from")
 	case snap != nil && err != nil:
 		return "", fmt.Errorf("backup snapshot payload: %w", err)
 	case snap != nil && g.Fingerprint == "":
