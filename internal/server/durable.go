@@ -764,11 +764,10 @@ func (s *Server) walAppend(typ string, payload any) error {
 func (s *Server) walRecord(typ string, payload any, apply func()) error {
 	s.tableMu.Lock()
 	defer s.tableMu.Unlock()
-	_, err := s.wlog.Append(typ, payload)
-	if err == nil {
-		err = s.wlog.Sync()
+	if err := s.walAppend(typ, payload); err != nil {
+		return err
 	}
-	if err != nil {
+	if err := s.wlog.Sync(); err != nil {
 		s.walFailed.Store(true)
 		return fmt.Errorf("%w: %v", errWALPoisoned, err)
 	}
