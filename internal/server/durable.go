@@ -231,7 +231,7 @@ func (t *jobTable) prune(retain int) {
 	prunable := func(e *jobEntry) bool {
 		return e.State != jobQueued && (e.Req.Webhook == "" || e.WebhookDone)
 	}
-	drop := -retain
+	drop := -retain // prunable jobs beyond the bound
 	for _, e := range t.rows {
 		if prunable(e) {
 			drop++
